@@ -19,14 +19,6 @@ from .matrices import (
     word_matrix,
 )
 from .simplex import LinearProgram, LPOutcome, LPCyclingError, solve_lp
-from .structure import (
-    StructureReport,
-    PatternBudgetError,
-    check_positive_irreducible,
-    eventual_positivity,
-    factorize_nonnegative,
-    spans_check,
-)
 from .candidates import (
     Candidate,
     CyclicRoot,
@@ -72,6 +64,7 @@ from .certificates import (
     deserialize,
     family_fingerprint,
     serialize,
+    spans_check,
     verify,
 )
 from . import datasets
@@ -93,12 +86,6 @@ __all__ = [
     "LPOutcome",
     "LPCyclingError",
     "solve_lp",
-    "StructureReport",
-    "PatternBudgetError",
-    "check_positive_irreducible",
-    "eventual_positivity",
-    "factorize_nonnegative",
-    "spans_check",
     "Candidate",
     "CyclicRoot",
     "EnumerationBudgetError",
@@ -135,6 +122,7 @@ __all__ = [
     "deserialize",
     "family_fingerprint",
     "serialize",
+    "spans_check",
     "verify",
     "datasets",
 ]

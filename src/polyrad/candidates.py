@@ -16,7 +16,6 @@ import numpy as np
 
 from .matrices import (
     GAP_TOL_DEFAULT,
-    REAL_MULTIPLE,
     REAL_SIMPLE_UNIQUE,
     EigenAnalysis,
     MatrixError,
@@ -29,7 +28,6 @@ from .matrices import (
     primitive_root_word,
     spectral_radius,
     word_matrix,
-    word_reading,
 )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,10 +29,13 @@ from .membership import (
     norm_membership_P,
     norm_membership_R,
 )
-from .structure import spans_check
 
 CERT_VERSION = 1
 _MODES = ("R", "P", "L")
+POS_TOL_DEFAULT = 1e-12
+# The span a certificate's vertices must have, per mode: without it the
+# polytope is not a norm (or antinorm) body of the whole space.
+SPAN_MODES = {"R": "linear", "P": "positive", "L": "positive"}
 
 
 class CertificateFormatError(ValueError):
@@ -152,6 +155,23 @@ def deserialize(text: str) -> Certificate:
         iterations=int(raw["iterations"]),
         tolerance=float(raw["tolerance"]),
     )
+
+
+def spans_check(vertices, mode: str, pos_tol: float = POS_TOL_DEFAULT) -> bool:
+    """Whether the vertex list spans enough of the space.
+
+    ``mode="linear"``: the vertices span the whole space (full rank).
+    ``mode="positive"``: every coordinate carries a strictly positive entry
+    in at least one vertex.
+    """
+    if mode not in ("linear", "positive"):
+        raise ValueError("mode must be 'linear' or 'positive'")
+    V = np.asarray(list(vertices), dtype=float)
+    if V.ndim != 2 or V.size == 0:
+        raise ValueError("vertices must form a non-empty 2-D array")
+    if mode == "linear":
+        return int(np.linalg.matrix_rank(V)) == V.shape[1]
+    return bool((V > pos_tol).any(axis=0).all())
 
 
 def _dominating_rows(Vm: np.ndarray) -> np.ndarray:
@@ -285,7 +305,7 @@ def verify(family: MatrixFamily, cert: Certificate,
                     failures.append("cone ray %d not strictly invariant under "
                                     "matrix %d" % (hidx + 1, j))
 
-    span_mode = "linear" if cert.mode == "R" else "positive"
+    span_mode = SPAN_MODES[cert.mode]
     report.span_ok = spans_check(points, span_mode)
     if not report.span_ok:
         failures.append("vertices fail the %s span requirement" % span_mode)

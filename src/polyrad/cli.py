@@ -32,7 +32,6 @@ from .certificates import (
 from .datasets import DatasetSpec, RANDOM_KINDS, build
 from .engine import (
     CANDIDATE_REJECTED,
-    INAPPLICABLE,
     ITERATION_CAPPED,
     MODE_L,
     MODE_P,
@@ -204,10 +203,6 @@ def cmd_compute(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     mode = args.mode
-    if mode == "lsr" and not family.is_nonnegative():
-        print("error: the lower spectral radius algorithm requires a "
-              "nonnegative family", file=sys.stderr)
-        return EXIT_ERROR
     config = RunConfig(
         mode=_engine_mode(mode, family),
         max_candidate_length=args.max_length,
@@ -218,7 +213,6 @@ def cmd_compute(args) -> int:
         cone_delta=args.cone_delta,
         cone_epsilon=args.cone_epsilon,
         cone_probe_iters=args.cone_probe_iters,
-        threads=max(1, args.threads),
     )
     try:
         outcome = run(family, config)
@@ -355,9 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the certificate here on termination")
     compute.add_argument("--output", choices=("text", "json", "csv"),
                          default="text")
-    compute.add_argument("--threads", type=int, default=1,
-                         help="upper bound on worker threads (the current "
-                              "engine is sequential)")
     compute.set_defaults(func=cmd_compute)
 
     ver = sub.add_parser("verify", help="re-check a certificate")

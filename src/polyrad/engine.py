@@ -27,7 +27,13 @@ from .candidates import (
     normalize_family,
     restart_product,
 )
-from .certificates import CERT_VERSION, Certificate, family_fingerprint
+from .certificates import (
+    CERT_VERSION,
+    SPAN_MODES,
+    Certificate,
+    family_fingerprint,
+    spans_check,
+)
 from .cone import (
     DELTA_DEFAULT,
     EPSILON_DEFAULT,
@@ -92,7 +98,6 @@ class RunConfig:
     vertex_cap: int = 2000
     restart_budget: int = 10
     enum_budget: int = 500000
-    threads: int = 1
 
 
 @dataclass
@@ -334,6 +339,16 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
                 message=str(exc))
         k = state.k
         if not state.U:
+            span_mode = SPAN_MODES[mode]
+            if not spans_check(state.points(), span_mode):
+                return RunOutcome(
+                    status=INAPPLICABLE, mode=mode, iterations=state.k,
+                    vertex_count=len(state.nodes), candidate=candidate,
+                    cone=extension, cone_index_sets=cone_sets,
+                    message="the polytope stopped growing without the %s "
+                            "span of the space, so the family is reducible "
+                            "and the candidate value is not certified"
+                            % span_mode)
             certificate = _build_certificate(family, candidate, state,
                                              extension, mode, config)
             lower, upper, t_N = final_bounds(state, mode, candidate.rho_per_step)

@@ -30,7 +30,6 @@ from .simplex import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    LPOutcome,
     solve_lp,
 )
 
@@ -55,6 +54,37 @@ def _stack(z, V):
     return z, Vm
 
 
+def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray],
+                   feas_tol: float):
+    """Solve one membership LP over the columns ``[z | -V | +V | -H]``.
+
+    Each coordinate gives the row ``t z_i - sum_x c_x x_i - sum_h c_h h_i``
+    related to 0 by ``rel``; ``+V`` is present only for the balanced hull
+    (``rel`` is ``=``) and ``-H`` only when ``rays`` (one ray per column)
+    is given.  One budget row bounds the sum of the vertex weights: at
+    most 1 when maximizing ``t`` (``rel`` is ``=`` or ``<=``), at least 1
+    when minimizing it (``rel`` is ``>=``).
+    """
+    blocks = [z[:, None], -Vm.T]
+    if rel == EQ:
+        blocks.append(Vm.T)
+    if rays is not None:
+        blocks.append(-rays)
+    A = np.hstack(blocks)
+    nvar = A.shape[1]
+    nweights = (2 if rel == EQ else 1) * Vm.shape[0]
+    objective = np.zeros(nvar)
+    objective[0] = 1.0
+    budget = np.zeros(nvar)
+    budget[1:1 + nweights] = 1.0
+    minimize = rel == GE
+    rows = [(row, rel, 0.0) for row in A]
+    rows.append((budget, GE if minimize else LE, 1.0))
+    lp = LinearProgram("min" if minimize else "max", objective, rows,
+                       [(0.0, _INF)] * nvar)
+    return solve_lp(lp, feas_tol, assume_bounded=True)
+
+
 def norm_membership_R(z, V, feas_tol: float = FEAS_TOL) -> float:
     """Membership value of ``z`` in the balanced hull of ``V``.
 
@@ -62,24 +92,7 @@ def norm_membership_R(z, V, feas_tol: float = FEAS_TOL) -> float:
     the signed coefficients are split into positive and negative parts.
     """
     z, Vm = _stack(z, V)
-    d = z.size
-    k = Vm.shape[0]
-    nvar = 1 + 2 * k
-    objective = np.zeros(nvar)
-    objective[0] = 1.0
-    rows = []
-    for i in range(d):
-        row = np.zeros(nvar)
-        row[0] = z[i]
-        row[1:1 + k] = -Vm[:, i]
-        row[1 + k:] = Vm[:, i]
-        rows.append((row, EQ, 0.0))
-    budget = np.zeros(nvar)
-    budget[1:] = 1.0
-    rows.append((budget, LE, 1.0))
-    bounds = [(0.0, _INF)] * nvar
-    outcome = solve_lp(LinearProgram("max", objective, rows, bounds), feas_tol,
-                       assume_bounded=True)
+    outcome = _membership_lp(z, Vm, EQ, None, feas_tol)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
     return float(outcome.value)
@@ -94,23 +107,7 @@ def norm_membership_P(z, V, feas_tol: float = FEAS_TOL) -> float:
     optimum by more than roundoff in a handful of dot products.
     """
     z, Vm = _stack(z, V)
-    d = z.size
-    k = Vm.shape[0]
-    nvar = 1 + k
-    objective = np.zeros(nvar)
-    objective[0] = 1.0
-    rows = []
-    for i in range(d):
-        row = np.zeros(nvar)
-        row[0] = z[i]
-        row[1:] = -Vm[:, i]
-        rows.append((row, LE, 0.0))
-    budget = np.zeros(nvar)
-    budget[1:] = 1.0
-    rows.append((budget, LE, 1.0))
-    bounds = [(0.0, _INF)] * nvar
-    outcome = solve_lp(LinearProgram("max", objective, rows, bounds), feas_tol,
-                       assume_bounded=True)
+    outcome = _membership_lp(z, Vm, LE, None, feas_tol)
     if outcome.status != OPTIMAL:
         raise MembershipError("order-ideal membership LP ended %s" % outcome.status)
     t = float(outcome.value)
@@ -140,30 +137,13 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
     when no multiple of ``z`` dominates the hull.
     """
     z, Vm = _stack(z, V)
-    d = z.size
     k = Vm.shape[0]
     rays = [np.asarray(h, dtype=float) for h in (H or [])]
     for h in rays:
-        if h.shape != (d,):
+        if h.shape != (z.size,):
             raise ValueError("ray dimension mismatch")
-    nh = len(rays)
-    nvar = 1 + k + nh
-    objective = np.zeros(nvar)
-    objective[0] = 1.0
-    rows = []
-    for i in range(d):
-        row = np.zeros(nvar)
-        row[0] = z[i]
-        row[1:1 + k] = -Vm[:, i]
-        for j, h in enumerate(rays):
-            row[1 + k + j] = -h[i]
-        rows.append((row, GE, 0.0))
-    budget = np.zeros(nvar)
-    budget[1:1 + k] = 1.0
-    rows.append((budget, GE, 1.0))
-    bounds = [(0.0, _INF)] * nvar
-    outcome = solve_lp(LinearProgram("min", objective, rows, bounds), feas_tol,
-                       assume_bounded=True)
+    Hm = np.column_stack(rays) if rays else None
+    outcome = _membership_lp(z, Vm, GE, Hm, feas_tol)
     if outcome.status == INFEASIBLE:
         return _INF
     if outcome.status != OPTIMAL:
@@ -179,9 +159,9 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
             if s < 1.0:
                 wx = wx / s
             rhs = Vm.T @ wx
-            if nh:
+            if Hm is not None:
                 wh = np.clip(outcome.assignment[1 + k:], 0.0, None)
-                rhs = rhs + np.column_stack(rays) @ wh
+                rhs = rhs + Hm @ wh
             pos = z > 0.0
             blocked = (~pos) & (rhs > 1e-12 * max(1.0, float(rhs.max())))
             if np.any(pos) and not np.any(blocked):

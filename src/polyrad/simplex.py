@@ -8,7 +8,7 @@ by the minimum-ratio test with ties broken by the smallest basis index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polyrad
 from polyrad import MatrixFamily
 from polyrad.cli import (
     CSV_HEADER,
@@ -223,3 +227,16 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip()
+
+
+class TestStartup:
+    def test_import_leaves_out_scipy_sparse(self):
+        # Every CLI call pays for what `import polyrad` loads; the package
+        # needs only scipy.special (for the datasets).
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polyrad.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, polyrad; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

@@ -187,6 +187,26 @@ class TestErrorsAndEdges:
         out = run(fam, RunConfig(mode=MODE_R, max_candidate_length=2))
         assert out.status == "inapplicable"
 
+    @pytest.mark.parametrize("matrices, mode", [
+        ([np.diag([2.0, 1.0])], MODE_P),
+        ([np.diag([2.0, 1.0])], MODE_L),
+        ([np.diag([2.0, -1.0])], MODE_R),
+        # JSR 1.5350018 comes from the 2x2 blocks, not the shared 1.2.
+        ([np.block([[np.array([[1.2]]), np.zeros((1, 2))],
+                    [np.zeros((2, 1)), B]])
+          for B in (np.array([[1.0, 1.0], [0.0, 1.0]]),
+                    0.9 * np.array([[1.0, 0.0], [1.0, 1.0]]))], MODE_P),
+    ], ids=["diag-P", "diag-L", "diag-R", "blockdiag-P"])
+    def test_reducible_family_inapplicable(self, matrices, mode):
+        # The polytope stops growing inside an invariant coordinate
+        # subspace, which proves nothing about the other coordinates.
+        out = run(MatrixFamily(matrices),
+                  RunConfig(mode=mode, max_candidate_length=1))
+        assert out.status == "inapplicable"
+        assert out.certificate is None
+        assert out.value is None
+        assert "reducible" in out.message
+
 
 class TestStoppingCheck:
     def test_root_vertices_pass(self, example_pair_jsr):

@@ -1,130 +1,7 @@
 import numpy as np
 import pytest
 
-from polyrad import (
-    MatrixFamily,
-    check_positive_irreducible,
-    eventual_positivity,
-    factorize_nonnegative,
-    spans_check,
-)
-from polyrad.datasets import overlap_free
-from polyrad.matrices import MatrixError
-
-
-def scc_oracle(family: MatrixFamily) -> bool:
-    """Strong connectivity of the union digraph by repeated squaring."""
-    pattern = np.zeros((family.dim, family.dim), dtype=bool)
-    for M in family.matrices:
-        pattern |= M > 0.0
-    reach = pattern | np.eye(family.dim, dtype=bool)
-    for _ in range(family.dim):
-        reach = reach @ reach
-    return bool(reach.all() and reach.T.all())
-
-
-class TestIrreducibility:
-    def test_all_positive(self):
-        fam = MatrixFamily([np.ones((3, 3)), np.ones((3, 3))])
-        ok, face = check_positive_irreducible(fam)
-        assert ok and face is None
-
-    def test_upper_triangular_pair(self):
-        fam = MatrixFamily([np.triu(np.ones((3, 3))), np.triu(np.ones((3, 3)))])
-        ok, face = check_positive_irreducible(fam)
-        assert not ok
-        assert face is not None
-        # The face is invariant: columns in the face have support inside it.
-        idx = [q - 1 for q in face]
-        outside = [q for q in range(3) if q not in idx]
-        for M in fam.matrices:
-            assert not M[np.ix_(outside, idx)].any()
-
-    def test_overlap_family_irreducible(self):
-        ok, _ = check_positive_irreducible(overlap_free())
-        assert ok
-        assert scc_oracle(overlap_free())
-
-    def test_matches_scc_oracle_on_random(self):
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            fam = MatrixFamily([(rng.random((4, 4)) < 0.3).astype(float)
-                                for _ in range(2)])
-            ok, _ = check_positive_irreducible(fam)
-            assert ok == scc_oracle(fam)
-
-    def test_rejects_negative(self):
-        with pytest.raises(MatrixError):
-            check_positive_irreducible(MatrixFamily([-np.eye(2)]))
-
-
-class TestFactorization:
-    def test_irreducible_single_block(self):
-        fam = MatrixFamily([np.ones((3, 3))])
-        subs, perm, blocks = factorize_nonnegative(fam)
-        assert len(subs) == 1
-        assert perm == (1, 2, 3)
-        assert blocks == ((1, 2, 3),)
-
-    def test_diagonal_fully_decouples(self):
-        fam = MatrixFamily([np.diag([1.0, 2.0, 3.0])])
-        subs, _, blocks = factorize_nonnegative(fam)
-        assert len(subs) == 3
-        assert all(len(b) == 1 for b in blocks)
-
-    def test_two_scc_blocks(self):
-        # Coordinates {1,2} and {3,4} each form a cycle; one coupling edge.
-        A = np.array([[0.0, 1.0, 0.0, 1.0],
-                      [1.0, 0.0, 0.0, 0.0],
-                      [0.0, 0.0, 0.0, 1.0],
-                      [0.0, 0.0, 1.0, 0.0]])
-        fam = MatrixFamily([A])
-        subs, perm, blocks = factorize_nonnegative(fam)
-        assert len(subs) == 2
-        assert sorted(map(sorted, blocks)) == [[1, 2], [3, 4]]
-        for sub in subs:
-            assert check_positive_irreducible(sub)[0]
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        fam = MatrixFamily([np.triu(rng.random((4, 4))) for _ in range(2)])
-        subs, perm, blocks = factorize_nonnegative(fam)
-        # Permuting the original matrices by perm gives block-triangular
-        # matrices whose diagonal blocks are the subfamilies.
-        idx = [p - 1 for p in perm]
-        offset = 0
-        for sub, block in zip(subs, blocks):
-            size = len(block)
-            sel = idx[offset:offset + size]
-            for M, S in zip(fam.matrices, sub.matrices):
-                assert np.array_equal(M[np.ix_(sel, sel)], S)
-            offset += size
-
-
-class TestEventualPositivity:
-    def test_all_positive_is_one(self):
-        fam = MatrixFamily([np.ones((3, 3)), np.ones((3, 3))])
-        assert eventual_positivity(fam) == 1
-
-    def test_zero_pattern_never_fills(self, example_pair_lsr):
-        # One member keeps a zero entry in all of its powers.
-        assert eventual_positivity(example_pair_lsr) is None
-
-    def test_permutation_matrices_never_positive(self):
-        P = np.eye(3)[[1, 2, 0]]
-        fam = MatrixFamily([P, P.T])
-        assert eventual_positivity(fam) is None
-
-    def test_zero_row_rules_out(self):
-        M = np.array([[1.0, 1.0], [0.0, 0.0]])
-        fam = MatrixFamily([M, np.ones((2, 2))])
-        assert eventual_positivity(fam) is None
-
-    def test_primitive_single_matrix(self):
-        M = np.array([[1.0, 1.0], [1.0, 0.0]])
-        fam = MatrixFamily([M])
-        # M^2 is entrywise positive; M itself is not.
-        assert eventual_positivity(fam) == 2
+from polyrad import spans_check
 
 
 class TestSpansCheck:
