@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .matrices import (
-    GAP_TOL_DEFAULT,
     REAL_SIMPLE_UNIQUE,
     EigenAnalysis,
     MatrixError,
@@ -71,19 +70,17 @@ class CyclicRoot:
     duals: Optional[Tuple[np.ndarray, ...]]
 
 
-def make_candidate(family: MatrixFamily, word: Sequence[int],
-                   gap_tol: float = GAP_TOL_DEFAULT) -> Candidate:
+def make_candidate(family: MatrixFamily, word: Sequence[int]) -> Candidate:
     """Build a candidate record for ``word`` (canonicalized)."""
     word = canonical_word(primitive_root_word(word))
     product = word_matrix(family, word)
-    eigen = leading_eigen_analysis(product, gap_tol)
+    eigen = leading_eigen_analysis(product)
     rho = eigen.rho
     per_step = rho ** (1.0 / len(word)) if rho > 0.0 else 0.0
     return Candidate(word, rho, per_step, eigen)
 
 
 def enumerate_candidates(family: MatrixFamily, max_length: int, sense: str,
-                         gap_tol: float = GAP_TOL_DEFAULT,
                          budget: int = 500000) -> Candidate:
     """Best candidate word of length at most ``max_length``.
 
@@ -114,7 +111,7 @@ def enumerate_candidates(family: MatrixFamily, max_length: int, sense: str,
                 continue
             rho = spectral_radius(word_matrix(family, word))
             if sense == "min" and rho == 0.0:
-                return make_candidate(family, word, gap_tol)
+                return make_candidate(family, word)
             score = rho ** (1.0 / length) if rho > 0.0 else 0.0
             if best is None:
                 best = (score, word)
@@ -127,7 +124,7 @@ def enumerate_candidates(family: MatrixFamily, max_length: int, sense: str,
                 if score < best[0] - margin:
                     best = (score, word)
     assert best is not None
-    return make_candidate(family, best[1], gap_tol)
+    return make_candidate(family, best[1])
 
 
 def normalize_family(family: MatrixFamily, rho_per_step: float) -> MatrixFamily:
@@ -138,8 +135,7 @@ def normalize_family(family: MatrixFamily, rho_per_step: float) -> MatrixFamily:
 
 
 def build_cyclic_root(scaled: MatrixFamily, candidate: Candidate,
-                      with_duals: bool,
-                      gap_tol: float = GAP_TOL_DEFAULT) -> CyclicRoot:
+                      with_duals: bool) -> CyclicRoot:
     """Root vertices of the cyclic tree for a normalized candidate.
 
     ``scaled`` must be the family normalized by the candidate's averaged
@@ -148,7 +144,7 @@ def build_cyclic_root(scaled: MatrixFamily, candidate: Candidate,
     word = candidate.word
     n = len(word)
     product = word_matrix(scaled, word)
-    eigen = leading_eigen_analysis(product, gap_tol)
+    eigen = leading_eigen_analysis(product)
     if eigen.leading_vector is None:
         raise InapplicableError(
             "candidate product has no real leading eigenvector (%s)"
@@ -208,8 +204,7 @@ def _dual_chain(scaled: MatrixFamily, word: Word, product: np.ndarray,
 
 def restart_product(family: MatrixFamily, candidate: Candidate,
                     root: CyclicRoot, violation, sense: str,
-                    r_max: int = 50,
-                    gap_tol: float = GAP_TOL_DEFAULT) -> Candidate:
+                    r_max: int = 50) -> Candidate:
     """Derive a strictly better candidate from a stopping violation.
 
     ``violation`` is ``(j, path)`` where ``j`` is the 1-based index of the
@@ -235,7 +230,7 @@ def restart_product(family: MatrixFamily, candidate: Candidate,
         crossed = rho > 1.0 + 1e-12 if sense == "max" else rho < 1.0 - 1e-12
         if crossed:
             new_word = canonical_word(primitive_root_word(path + cycle * r))
-            replacement = make_candidate(family, new_word, gap_tol)
+            replacement = make_candidate(family, new_word)
             improved = (replacement.rho_per_step > candidate.rho_per_step
                         if sense == "max"
                         else replacement.rho_per_step < candidate.rho_per_step)

@@ -157,7 +157,7 @@ def deserialize(text: str) -> Certificate:
     )
 
 
-def spans_check(vertices, mode: str, pos_tol: float = POS_TOL_DEFAULT) -> bool:
+def spans_check(vertices, mode: str) -> bool:
     """Whether the vertex list spans enough of the space.
 
     ``mode="linear"``: the vertices span the whole space (full rank).
@@ -171,7 +171,7 @@ def spans_check(vertices, mode: str, pos_tol: float = POS_TOL_DEFAULT) -> bool:
         raise ValueError("vertices must form a non-empty 2-D array")
     if mode == "linear":
         return int(np.linalg.matrix_rank(V)) == V.shape[1]
-    return bool((V > pos_tol).any(axis=0).all())
+    return bool((V > POS_TOL_DEFAULT).any(axis=0).all())
 
 
 def _dominating_rows(Vm: np.ndarray) -> np.ndarray:
@@ -200,15 +200,14 @@ def _dominance_slack(z: np.ndarray, inside: np.ndarray,
     return float(t.min()) - 1.0
 
 
-def verify(family: MatrixFamily, cert: Certificate,
-           tol: Optional[float] = None) -> VerificationReport:
+def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     """Re-check a certificate against a family from first principles.
 
-    The default tolerance is ten times the certificate's recorded run
-    tolerance.  The verdict is valid only when the recomputed candidate
-    radius matches, every vertex image passes its membership test, the
-    cone (if any) is invariant, and the vertices span appropriately
-    (full rank for mode R, a positive entry per coordinate otherwise).
+    The tolerance is ten times the certificate's recorded run tolerance.
+    The verdict is valid only when the recomputed candidate radius
+    matches, every vertex image passes its membership test, the cone (if
+    any) is invariant, and the vertices span appropriately (full rank for
+    mode R, a positive entry per coordinate otherwise).
 
     In mode L an image that dominates, up to the tolerance, a vertex or
     an earlier image scaled by its LP value passes without an LP, and
@@ -247,7 +246,7 @@ def verify(family: MatrixFamily, cert: Certificate,
     if abs(per_step - cert.rho_per_step) > 1e-9 * max(1.0, per_step):
         failures.append("recorded averaged radius disagrees with recomputation")
 
-    tolerance = 10.0 * cert.tolerance if tol is None else float(tol)
+    tolerance = 10.0 * cert.tolerance
     scaled = family.scaled(1.0 / per_step)
     points = list(cert.vertices)
     skip = np.zeros(len(points), dtype=bool)

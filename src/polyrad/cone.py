@@ -26,6 +26,7 @@ EPSILON_DEFAULT = 0.25
 PROBE_ITERS_DEFAULT = 10
 
 _POS_TOL = 1e-10
+_MAX_HALVINGS = 4
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,7 @@ def rays_from_index_sets(index_sets: Sequence[Sequence[int]], dim: int,
     return ConeExtension(tuple(rays), tuple(canonical), delta, epsilon)
 
 
-def validate_cone(scaled: MatrixFamily, extension: ConeExtension,
-                  feas_tol: float = 1e-9):
+def validate_cone(scaled: MatrixFamily, extension: ConeExtension):
     """Certify that every generator maps the cone strictly into itself.
 
     For each generator ``A_j`` and each ray ``h`` the margin LP must find a
@@ -124,18 +124,18 @@ def validate_cone(scaled: MatrixFamily, extension: ConeExtension,
     for j in range(1, scaled.size + 1):
         A = scaled.matrix(j)
         for idx, h in enumerate(extension.rays):
-            margin = cone_ray_margin(A @ h, extension.rays, feas_tol)
+            margin = cone_ray_margin(A @ h, extension.rays)
             if not margin > _POS_TOL:
                 return False, (j, idx + 1)
     return True, None
 
 
 def negotiate_cone(scaled: MatrixFamily, index_sets: Sequence[Sequence[int]],
-                   delta: float, epsilon: float, max_halvings: int = 4,
+                   delta: float, epsilon: float,
                    profile: Optional[np.ndarray] = None) -> Optional[ConeExtension]:
     """Search for a validating extension built from the detected index sets.
 
-    At each epsilon (halved up to ``max_halvings`` times on failure) the
+    At each epsilon (halved up to four times on failure) the
     full collection of rays is tried first; if a particular ray's image
     cannot be certified inside the cone, that ray is dropped and the
     smaller collection is retried, since a single uncoverable ray must not
@@ -144,7 +144,7 @@ def negotiate_cone(scaled: MatrixFamily, index_sets: Sequence[Sequence[int]],
     ``None``, in which case the caller continues without the cone.
     """
     eps = epsilon
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         live = [tuple(sorted(int(q) for q in s)) for s in index_sets]
         while live:
             extension = rays_from_index_sets(live, scaled.dim, delta, eps,

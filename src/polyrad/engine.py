@@ -61,6 +61,8 @@ CANDIDATE_REJECTED = "candidate_rejected"
 INAPPLICABLE = "inapplicable"
 
 _DUP_TOL = 1e-9
+# Restarts with a better candidate before the stopping tests are dropped.
+_RESTART_BUDGET = 10
 
 
 class VertexCapError(RuntimeError):
@@ -88,25 +90,17 @@ class RunConfig:
     boundary_tol: float = 1e-10
     remove_boundary: bool = False
     stopping_enabled: bool = True
-    cone_enabled: bool = True
     cone_delta: float = DELTA_DEFAULT
     cone_epsilon: float = EPSILON_DEFAULT
     cone_probe_iters: int = PROBE_ITERS_DEFAULT
-    explicit_H: Optional[list] = None
-    gap_tol: float = 1e-9
-    feas_tol: float = 1e-9
     vertex_cap: int = 2000
-    restart_budget: int = 10
-    enum_budget: int = 500000
 
 
 @dataclass
 class VertexNode:
     point: np.ndarray
-    level: int
     parent: Optional[int]
     generator: Optional[int]
-    status: str  # "root" | "alive"
     root_index: Optional[int] = None
 
 
@@ -147,23 +141,23 @@ def _initial_state(root: CyclicRoot, family_size: int) -> PolytopeState:
     n = len(word)
     state = PolytopeState(word=word)
     for i in range(n):
-        state.nodes.append(VertexNode(root.vertices[i], 0, None, None, "root", i + 1))
+        state.nodes.append(VertexNode(root.vertices[i], None, None, i + 1))
     state.U = list(range(n))
     state.R = [(i, p) for i in range(n)
                for p in range(1, family_size + 1) if p != word[i]]
     return state
 
 
-def _membership(mode: str, z, points, extension: Optional[ConeExtension],
-                feas_tol: float) -> float:
+def _membership(mode: str, z, points,
+                extension: Optional[ConeExtension]) -> float:
     if mode == MODE_R:
-        return norm_membership_R(z, points, feas_tol)
+        return norm_membership_R(z, points)
     if mode == MODE_P:
-        return norm_membership_P(z, points, feas_tol)
+        return norm_membership_P(z, points)
     rays = extension.rays if extension is not None else None
     if rays:
-        return antinorm_membership_ext(z, points, rays, feas_tol)
-    return antinorm_membership_L(z, points, feas_tol)
+        return antinorm_membership_ext(z, points, rays)
+    return antinorm_membership_L(z, points)
 
 
 def _is_dead(mode: str, t: float, tau: float, remove_boundary: bool) -> bool:
@@ -233,7 +227,6 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     """
     mode = config.mode
     tau = config.boundary_tol
-    level = state.k + 1
     t_values: List[float] = []
     new_frontier: List[int] = []
     for vid, p in state.R:
@@ -245,7 +238,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                     "a generator maps a vertex to zero; the antinorm "
                     "construction does not apply")
         points = state.points()
-        t = _membership(mode, z, points, extension, config.feas_tol)
+        t = _membership(mode, z, points, extension)
         t_values.append(t)
         if _is_dead(mode, t, tau, config.remove_boundary):
             state.dead_count += 1
@@ -262,11 +255,11 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
             if inside:
                 state.dead_count += 1
                 continue
-        state.nodes.append(VertexNode(z, level, vid, p, "alive"))
+        state.nodes.append(VertexNode(z, vid, p))
         new_frontier.append(len(state.nodes) - 1)
         if len(state.nodes) > config.vertex_cap:
             raise VertexCapError("vertex cap %d exceeded" % config.vertex_cap)
-    state.k = level
+    state.k += 1
     state.U = new_frontier
     state.R = [(u, p) for u in new_frontier for p in range(1, scaled.size + 1)]
     state.t_history.append(t_values)
@@ -319,11 +312,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
     mode = config.mode
     extension: Optional[ConeExtension] = None
     cone_sets: Optional[Tuple[Tuple[int, ...], ...]] = None
-    if mode == MODE_L and config.explicit_H is not None:
-        extension = ConeExtension(
-            tuple(np.asarray(h, dtype=float) for h in config.explicit_H),
-            tuple(), config.cone_delta, config.cone_epsilon)
-    probe_done = extension is not None or mode != MODE_L or not config.cone_enabled
+    probe_done = mode != MODE_L
 
     state = _initial_state(root, family.size)
     k = 0
@@ -383,10 +372,10 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     """Full pipeline: candidate search, polytope growth, restarts.
 
     Stopping violations trigger a restart with a provably better candidate,
-    up to ``config.restart_budget`` restarts; when the restart machinery
-    cannot improve the candidate (numerically marginal violations) the run
-    continues with the stopping tests disabled, which preserves correctness
-    at the cost of possibly slower termination.
+    up to ten restarts; when the restart machinery cannot improve the
+    candidate (numerically marginal violations) the run continues with the
+    stopping tests disabled, which preserves correctness at the cost of
+    possibly slower termination.
     """
     mode = config.mode
     if mode not in (MODE_R, MODE_P, MODE_L):
@@ -398,9 +387,8 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     if max_length is None:
         max_length = 6 if family.dim <= 10 else 4
 
-    candidate = enumerate_candidates(family, max_length, sense,
-                                     config.gap_tol, config.enum_budget)
-    budget = config.restart_budget
+    candidate = enumerate_candidates(family, max_length, sense)
+    budget = _RESTART_BUDGET
     stopping = config.stopping_enabled
     tried = {candidate.word}
     last_rejection: Optional[Tuple[int, Word]] = None
@@ -422,8 +410,7 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
             scaled = normalize_family(family, candidate.rho_per_step)
             with_duals = (stopping and
                           candidate.eigen.classification == REAL_SIMPLE_UNIQUE)
-            root = build_cyclic_root(scaled, candidate, with_duals,
-                                     config.gap_tol)
+            root = build_cyclic_root(scaled, candidate, with_duals)
         except InapplicableError as exc:
             return RunOutcome(status=INAPPLICABLE, mode=mode,
                               candidate=candidate, message=str(exc))
@@ -442,15 +429,13 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
             budget -= 1
             try:
                 replacement = restart_product(
-                    family, candidate, root, last_rejection, sense,
-                    gap_tol=config.gap_tol)
+                    family, candidate, root, last_rejection, sense)
             except RestartFailedError:
                 # The violation is numerically marginal: re-enumerate with a
                 # longer cap once, otherwise keep the candidate and continue
                 # without the (optional) stopping tests.
                 longer = max_length + 2
-                replacement = enumerate_candidates(
-                    family, longer, sense, config.gap_tol, config.enum_budget)
+                replacement = enumerate_candidates(family, longer, sense)
                 if replacement.word == candidate.word:
                     stopping = False
                     continue

@@ -185,13 +185,13 @@ def _real_eigenvector(column: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(column.real)
 
 
-def leading_eigen_analysis(matrix, gap_tol: float = GAP_TOL_DEFAULT) -> EigenAnalysis:
+def leading_eigen_analysis(matrix) -> EigenAnalysis:
     """Classify the leading eigenvalue and extract a real leading eigenvector.
 
     Classifications:
       - ``real_simple_unique``: the top eigenvalue is real, algebraically
         simple, and strictly dominates all others by a relative gap of at
-        least ``gap_tol``;
+        least ``GAP_TOL_DEFAULT``;
       - ``real_multiple_or_nonunique``: a real eigenvalue attains the top
         modulus but the gap condition fails;
       - ``complex_leading``: no real eigenvalue attains the top modulus;
@@ -209,10 +209,9 @@ def leading_eigen_analysis(matrix, gap_tol: float = GAP_TOL_DEFAULT) -> EigenAna
     sorted_mods = np.sort(mods)[::-1]
     second = float(sorted_mods[1]) if d > 1 else None
     gap_ratio = 1.0 if second is None else min(1.0, second / rho)
-    unique_simple = second is None or (rho - second) >= gap_tol * rho
+    unique_simple = second is None or (rho - second) >= GAP_TOL_DEFAULT * rho
 
-    shell_tol = max(gap_tol, 1e-12)
-    shell = [i for i in range(d) if mods[i] >= rho * (1.0 - shell_tol)]
+    shell = [i for i in range(d) if mods[i] >= rho * (1.0 - GAP_TOL_DEFAULT)]
     real_shell = [i for i in shell if abs(eigvals[i].imag) <= rho * 1e-10]
     if not real_shell:
         return EigenAnalysis(rho, COMPLEX_LEADING, None, gap_ratio, 1)

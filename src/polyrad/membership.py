@@ -23,7 +23,6 @@ import numpy as np
 
 from .simplex import (
     EQ,
-    FEAS_TOL,
     GE,
     INFEASIBLE,
     LE,
@@ -54,8 +53,7 @@ def _stack(z, V):
     return z, Vm
 
 
-def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray],
-                   feas_tol: float):
+def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray]):
     """Solve one membership LP over the columns ``[z | -V | +V | -H]``.
 
     Each coordinate gives the row ``t z_i - sum_x c_x x_i - sum_h c_h h_i``
@@ -82,23 +80,23 @@ def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray],
     rows.append((budget, GE if minimize else LE, 1.0))
     lp = LinearProgram("min" if minimize else "max", objective, rows,
                        [(0.0, _INF)] * nvar)
-    return solve_lp(lp, feas_tol, assume_bounded=True)
+    return solve_lp(lp, assume_bounded=True)
 
 
-def norm_membership_R(z, V, feas_tol: float = FEAS_TOL) -> float:
+def norm_membership_R(z, V) -> float:
     """Membership value of ``z`` in the balanced hull of ``V``.
 
     Maximizes ``t`` subject to ``t z = sum_x c_x x`` with ``sum |c_x| <= 1``;
     the signed coefficients are split into positive and negative parts.
     """
     z, Vm = _stack(z, V)
-    outcome = _membership_lp(z, Vm, EQ, None, feas_tol)
+    outcome = _membership_lp(z, Vm, EQ, None)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
     return float(outcome.value)
 
 
-def norm_membership_P(z, V, feas_tol: float = FEAS_TOL) -> float:
+def norm_membership_P(z, V) -> float:
     """Membership value of ``z`` in the order ideal of the hull of ``V``.
 
     The returned value is certified: the solver's convex weights are
@@ -107,7 +105,7 @@ def norm_membership_P(z, V, feas_tol: float = FEAS_TOL) -> float:
     optimum by more than roundoff in a handful of dot products.
     """
     z, Vm = _stack(z, V)
-    outcome = _membership_lp(z, Vm, LE, None, feas_tol)
+    outcome = _membership_lp(z, Vm, LE, None)
     if outcome.status != OPTIMAL:
         raise MembershipError("order-ideal membership LP ended %s" % outcome.status)
     t = float(outcome.value)
@@ -123,13 +121,12 @@ def norm_membership_P(z, V, feas_tol: float = FEAS_TOL) -> float:
     return t
 
 
-def antinorm_membership_L(z, V, feas_tol: float = FEAS_TOL) -> float:
+def antinorm_membership_L(z, V) -> float:
     """Antinorm membership value: infeasible programs return ``inf``."""
-    return antinorm_membership_ext(z, V, None, feas_tol)
+    return antinorm_membership_ext(z, V, None)
 
 
-def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
-                            feas_tol: float = FEAS_TOL) -> float:
+def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
     """Antinorm membership against the hull of ``V`` plus recession rays ``H``.
 
     Minimizes ``t`` subject to ``t z >= sum_x c_x x + sum_h c_h h`` with
@@ -143,7 +140,7 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
         if h.shape != (z.size,):
             raise ValueError("ray dimension mismatch")
     Hm = np.column_stack(rays) if rays else None
-    outcome = _membership_lp(z, Vm, GE, Hm, feas_tol)
+    outcome = _membership_lp(z, Vm, GE, Hm)
     if outcome.status == INFEASIBLE:
         return _INF
     if outcome.status != OPTIMAL:
@@ -169,7 +166,7 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
     return t
 
 
-def cone_ray_margin(image, H, feas_tol: float = FEAS_TOL) -> float:
+def cone_ray_margin(image, H) -> float:
     """Largest uniform margin ``t`` with ``image >= t * 1 + sum_h c_h h``.
 
     Used to certify that the image of a cone ray stays strictly inside the
@@ -191,7 +188,7 @@ def cone_ray_margin(image, H, feas_tol: float = FEAS_TOL) -> float:
             row[1 + j] = rays[j][i]
         rows.append((row, LE, image[i]))
     bounds = [(-_INF, _INF)] + [(0.0, _INF)] * nh
-    outcome = solve_lp(LinearProgram("max", objective, rows, bounds), feas_tol)
+    outcome = solve_lp(LinearProgram("max", objective, rows, bounds))
     if outcome.status == UNBOUNDED:
         return _INF
     if outcome.status != OPTIMAL:

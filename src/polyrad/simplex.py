@@ -144,8 +144,7 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
     raise LPCyclingError("pivot cap exceeded (%d iterations)" % cap)
 
 
-def solve_lp(lp: LinearProgram, feas_tol: float = FEAS_TOL,
-             assume_bounded: bool = False) -> LPOutcome:
+def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     """Solve a general-form LP; returns optimal/infeasible/unbounded.
 
     ``assume_bounded`` tells the solver the objective is known to be
@@ -303,7 +302,7 @@ def solve_lp(lp: LinearProgram, feas_tol: float = FEAS_TOL,
                           for r in range(m) if basis[r] >= art0)
     except np.linalg.LinAlgError:
         pass
-    if art_sum > feas_tol:
+    if art_sum > FEAS_TOL:
         return LPOutcome(INFEASIBLE)
 
     # Drive artificials out of the basis where possible; the rest sit on

@@ -12,6 +12,7 @@ from polyrad import (
     family_fingerprint,
     run,
     serialize,
+    spans_check,
     verify,
 )
 
@@ -147,3 +148,22 @@ class TestVerification:
         fam, out = jsr_outcome
         cert = deserialize(serialize(out.certificate))
         assert verify(fam, cert).verdict
+
+
+class TestSpansCheck:
+    def test_standard_basis(self):
+        basis = list(np.eye(3))
+        assert spans_check(basis, "linear")
+        assert spans_check(basis, "positive")
+
+    def test_positive_fails_on_zero_coordinate(self):
+        vertices = [np.array([1.0, 2.0, 0.0]), np.array([3.0, 1.0, 0.0])]
+        assert not spans_check(vertices, "positive")
+
+    def test_linear_fails_on_rank_deficiency(self):
+        v = np.array([1.0, 2.0, 3.0])
+        assert not spans_check([v, 2 * v, -v], "linear")
+
+    def test_invalid_mode(self):
+        with pytest.raises(ValueError):
+            spans_check([np.ones(2)], "affine")

@@ -4,6 +4,7 @@ import pytest
 from polyrad import spectral_radius, word_matrix
 from polyrad.datasets import (
     DatasetSpec,
+    _gaussian,
     build,
     euler_binary,
     euler_ternary_14,
@@ -128,6 +129,30 @@ class TestRandomFamilies:
             assert M.sum(axis=1).min() > 0
             fills.append((M > 0).mean())
         assert abs(np.mean(fills) - 0.5) < 0.05
+
+    def test_gaussian_transform_matches_scipy_ndtri_bitwise(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+
+        class FixedDraws:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, shape):
+                return self.u.reshape(shape)
+
+        rng = np.random.default_rng(2024)
+        u = np.concatenate([
+            rng.random(50000),                             # centre
+            np.exp(-rng.uniform(2.0, 32.0, 20000)),        # lower tail
+            np.exp(-rng.uniform(32.0, 690.0, 10000)),      # x >= 8 branch
+            1.0 - np.exp(-rng.uniform(2.0, 36.7, 20000)),  # upper tail
+            [0.0, 1e-300, 1e-299, 1.0 - 1e-16, np.exp(-2.0), 1.0 - np.exp(-2.0),
+             np.exp(-32.0), 0.5],
+        ])
+        got = _gaussian(FixedDraws(u), u.shape)
+        expected = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+        assert u.size >= 100000
+        assert np.array_equal(got, expected)
 
     def test_nonneg_uniform_range(self):
         fam = random_family("nonneg-uniform", 3, 2, seed=1)
