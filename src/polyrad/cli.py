@@ -328,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polyrad",
         description="Exact joint/lower spectral radius via invariant polytopes")
     parser.add_argument("--version", action="version", version=__version__)
+    defaults = RunConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="run the algorithm on a family file")
@@ -336,15 +337,17 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--max-length", type=int, default=None,
                          help="candidate word length cap (default 6, or 4 "
                               "above dimension 10)")
-    compute.add_argument("--max-iters", type=int, default=50)
-    compute.add_argument("--tol", type=float, default=1e-10)
+    compute.add_argument("--max-iters", type=int, default=defaults.max_iterations)
+    compute.add_argument("--tol", type=float, default=defaults.boundary_tol)
     compute.add_argument("--remove-boundary", action="store_true",
                          help="also discard new points on the unit sphere")
     compute.add_argument("--no-stopping", action="store_true",
                          help="disable the dual stopping tests")
-    compute.add_argument("--cone-delta", type=float, default=1.0 / 200.0)
-    compute.add_argument("--cone-epsilon", type=float, default=0.25)
-    compute.add_argument("--cone-probe-iters", type=int, default=10)
+    compute.add_argument("--cone-delta", type=float, default=defaults.cone_delta)
+    compute.add_argument("--cone-epsilon", type=float,
+                         default=defaults.cone_epsilon)
+    compute.add_argument("--cone-probe-iters", type=int,
+                         default=defaults.cone_probe_iters)
     compute.add_argument("--certificate", default=None,
                          help="write the certificate here on termination")
     compute.add_argument("--output", choices=("text", "json", "csv"),
@@ -378,8 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="range start:stop or comma list")
     bench.add_argument("--density", type=float, default=None)
     bench.add_argument("--max-length", type=int, default=None)
-    bench.add_argument("--max-iters", type=int, default=50)
-    bench.add_argument("--tol", type=float, default=1e-10)
+    bench.add_argument("--max-iters", type=int, default=defaults.max_iterations)
+    bench.add_argument("--tol", type=float, default=defaults.boundary_tol)
     bench.add_argument("--output", choices=("text", "csv"), default="csv")
     bench.set_defaults(func=cmd_bench)
     return parser

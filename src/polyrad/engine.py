@@ -271,6 +271,9 @@ def final_bounds(state: PolytopeState, mode: str,
 
     Returns ``(lower, upper, t_N)`` where ``t_N`` aggregates the last
     iteration's membership values (minimum for modes R/P, maximum for L).
+    Without a completed iteration there is no evidence for the side the
+    candidate does not give, so that side stays open: ``(rho, inf)`` in
+    modes R/P and ``(0, rho)`` in mode L.
     """
     last: List[float] = []
     for values in reversed(state.t_history):
@@ -278,7 +281,9 @@ def final_bounds(state: PolytopeState, mode: str,
             last = values
             break
     if not last:
-        return rho_per_step, rho_per_step, None
+        if mode == MODE_L:
+            return 0.0, rho_per_step, None
+        return rho_per_step, float("inf"), None
     if mode == MODE_L:
         t_N = max(last)
         lower = 0.0 if math.isinf(t_N) else rho_per_step / t_N

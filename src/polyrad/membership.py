@@ -174,20 +174,12 @@ def cone_ray_margin(image, H) -> float:
     the margin is unbounded.
     """
     image = np.asarray(image, dtype=float)
-    d = image.size
-    rays = [np.asarray(h, dtype=float) for h in H]
-    nh = len(rays)
-    nvar = 1 + nh
-    objective = np.zeros(nvar)
+    rays = np.asarray(H, dtype=float).reshape(-1, image.size)
+    A = np.hstack([np.ones((image.size, 1)), rays.T])
+    objective = np.zeros(A.shape[1])
     objective[0] = 1.0
-    rows = []
-    for i in range(d):
-        row = np.zeros(nvar)
-        row[0] = 1.0
-        for j, h in enumerate(rays):
-            row[1 + j] = rays[j][i]
-        rows.append((row, LE, image[i]))
-    bounds = [(-_INF, _INF)] + [(0.0, _INF)] * nh
+    rows = [(row, LE, rhs) for row, rhs in zip(A, image)]
+    bounds = [(-_INF, _INF)] + [(0.0, _INF)] * rays.shape[0]
     outcome = solve_lp(LinearProgram("max", objective, rows, bounds))
     if outcome.status == UNBOUNDED:
         return _INF

@@ -57,6 +57,32 @@ class LPOutcome:
     assignment: Optional[np.ndarray] = None
 
 
+def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
+    """Pivot ``T`` on row ``leave`` and column ``enter``."""
+    T[leave] /= T[leave, enter]
+    factors = T[:, enter].copy()
+    factors[leave] = 0.0
+    T -= factors[:, None] * T[leave]
+
+
+def _basic_solution(A: np.ndarray, b: np.ndarray,
+                    basis: List[int]) -> Optional[np.ndarray]:
+    """Values of the basic variables of ``A y = b`` for ``basis``.
+
+    Solved from the unpivoted system, which removes the error pivoting
+    accumulates; one step of iterative refinement recovers digits lost to
+    conditioning.  Returns None when the basis matrix is singular or the
+    solution is not finite.
+    """
+    B = A[:, basis]
+    try:
+        y = np.linalg.solve(B, b)
+        y += np.linalg.solve(B, b - B @ y)
+    except np.linalg.LinAlgError:
+        return None
+    return y if np.all(np.isfinite(y)) else None
+
+
 def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
                 allowed: np.ndarray, bounded: bool = False,
                 refactor=None) -> str:
@@ -132,11 +158,7 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
                 bland = True
         else:
             stalled = 0
-        pivot = T[leave, enter]
-        T[leave] /= pivot
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
+        _pivot(T, leave, enter)
         obj -= obj[enter] * T[leave]
         basis[leave] = enter
         since_refactor += 1
@@ -159,56 +181,34 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     n0 = c0.size
     if len(lp.bounds) != n0:
         raise LPFormatError("bounds length must match the number of variables")
+    lo = np.array([-_INF if a is None else a for a, _ in lp.bounds], dtype=float)
+    hi = np.array([_INF if a is None else a for _, a in lp.bounds], dtype=float)
+    if np.any(lo > hi):
+        return LPOutcome(INFEASIBLE)
 
-    # Variable transforms to nonnegative standard-form variables y >= 0.
-    kinds: List[tuple] = []
-    ncols = 0
-    upper_rows: List[Tuple[int, float]] = []
-    for i, (lo, hi) in enumerate(lp.bounds):
-        lo = -_INF if lo is None else float(lo)
-        hi = _INF if hi is None else float(hi)
-        if lo > hi:
-            return LPOutcome(INFEASIBLE)
-        if lo == -_INF and hi == _INF:
-            kinds.append(("split", ncols, ncols + 1))
-            ncols += 2
-        elif lo > -_INF:
-            kinds.append(("shift", ncols, lo))
-            ncols += 1
-            if hi < _INF:
-                upper_rows.append((i, hi - lo))
-        else:
-            kinds.append(("neg", ncols, hi))
-            ncols += 1
+    # Each variable is x = offset + sign * y[col] over standard-form y >= 0,
+    # minus y[col + 1] when it is free; a variable bounded on both sides
+    # also gets the row y[col] <= hi - lo.
+    free = (lo == -_INF) & (hi == _INF)
+    shifted = lo > -_INF
+    sign = np.where(free | shifted, 1.0, -1.0)
+    offset = np.where(shifted, lo, np.where(free, 0.0, hi))
+    width = 1 + free
+    col = width.cumsum() - width
+    free_col = col[free] + 1
+    ncols = int(width.sum())
+    upper = np.nonzero(shifted & (hi < _INF))[0]
 
-    identity = not upper_rows and all(
-        kind[0] == "shift" and kind[2] == 0.0 for kind in kinds)
+    def to_y(M: np.ndarray, out: np.ndarray) -> None:
+        # Writes the y-space coefficients of the x-space rows ``M`` into
+        # ``out``.  Adding to 0.0 makes every zero coefficient +0.0, so no
+        # -0.0 reaches the tableau or the reported solution.
+        out[..., col] = 0.0 + sign * M
+        out[..., free_col] = 0.0 - M[..., free]
 
-    def to_y(coeffs: np.ndarray) -> Tuple[np.ndarray, float]:
-        if identity:
-            # Every variable is already a standard-form y >= 0; adding 0.0
-            # turns -0.0 into 0.0, as the general loop below does.
-            return coeffs + 0.0, 0.0
-        row = np.zeros(ncols)
-        const = 0.0
-        for i in range(n0):
-            a = coeffs[i]
-            if a == 0.0:
-                continue
-            kind = kinds[i]
-            if kind[0] == "split":
-                row[kind[1]] += a
-                row[kind[2]] -= a
-            elif kind[0] == "shift":
-                row[kind[1]] += a
-                const += a * kind[2]
-            else:  # x = hi - y
-                row[kind[1]] -= a
-                const += a * kind[2]
-        return row, const
-
-    rows_y: List[Tuple[np.ndarray, str, float]] = []
-    A0 = np.zeros((len(lp.rows), n0))
+    k = len(lp.rows)
+    A0 = np.zeros((k, n0))
+    b0 = np.zeros(k)
     for r, (coeffs, rel, rhs) in enumerate(lp.rows):
         if rel not in (LE, EQ, GE):
             raise LPFormatError("unknown relation %r" % (rel,))
@@ -216,61 +216,61 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
         if coeffs.shape != (n0,):
             raise LPFormatError("row length must match the number of variables")
         A0[r] = coeffs
-        row, const = to_y(coeffs)
-        rows_y.append((row, rel, float(rhs) - const))
-    for i, ub in upper_rows:
-        row = np.zeros(ncols)
-        row[kinds[i][1]] = 1.0
-        rows_y.append((row, LE, ub))
+        b0[r] = rhs
+    rels = [rel for _, rel, _ in lp.rows] + [LE] * upper.size
+    le = np.array([rel == LE for rel in rels], dtype=bool)
+    ineq = np.array([rel != EQ for rel in rels], dtype=bool)
 
-    m = len(rows_y)
-    nslack = sum(1 for _, rel, _ in rows_y if rel != EQ)
-    total = ncols + nslack + m
-    T = np.zeros((m, total + 1))
-    slack_col = ncols
-    for r, (row, rel, rhs) in enumerate(rows_y):
-        # Equilibrate: scaling a row changes neither the feasible set nor
-        # the objective but keeps the tableau well conditioned.
-        scale = float(np.max(np.abs(row))) if row.size else 0.0
-        factor = 1.0 / scale if scale > 0.0 else 1.0
-        T[r, :ncols] = row * factor
-        T[r, -1] = rhs * factor
-        if rel == LE:
-            T[r, slack_col] = factor
-            slack_col += 1
-        elif rel == GE:
-            T[r, slack_col] = -factor
-            slack_col += 1
-    for r in range(m):
-        if T[r, -1] < 0:
-            T[r] = -T[r]
+    # The tableau's columns are, in this order, [y | slacks | artificials |
+    # rhs]: the y columns of each variable in turn (two adjacent ones for a
+    # free variable), one slack per inequality row in row order, and one
+    # artificial per row.  This layout must hold: bench/tracing's
+    # ``tableau_bytes`` computes the tableau-size metric from it.
+    m = k + upper.size
+    nslack = int(np.count_nonzero(ineq))
     art0 = ncols + nslack
-    for r in range(m):
-        T[r, art0 + r] = 1.0
-    basis = [art0 + r for r in range(m)]
+    total = art0 + m
+    T = np.zeros((m, total + 1))
+    to_y(A0, T[:k, :ncols])
+    T[k + np.arange(upper.size), col[upper]] = 1.0
+    # Each row's constant is a running sum in variable order, whose rounding,
+    # unlike a matrix-vector product's, does not depend on the BLAS build.
+    const = np.zeros(k)
+    for i in np.nonzero(offset)[0]:
+        const += A0[:, i] * offset[i]
+    T[:k, -1] = b0 - const
+    T[k:, -1] = hi[upper] - lo[upper]
+    # Equilibrate: scaling a row changes neither the feasible set nor the
+    # objective but keeps the tableau well conditioned.
+    scale = np.abs(T[:, :ncols]).max(axis=1, initial=0.0)
+    factor = 1.0 / np.where(scale > 0.0, scale, 1.0)
+    T *= factor[:, None]
+    T[ineq, ncols + np.arange(nslack)] = np.where(le, factor, -factor)[ineq]
+    T[T[:, -1] < 0] *= -1.0
+    T[:, art0:total] = np.eye(m)
+    basis = list(range(art0, total))
     # Pristine copy for re-solving the final basic system: pivoting drifts.
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
 
     def make_refactor(cost_full: np.ndarray):
         def refactor(basis_now: List[int]):
+            rhs = _basic_solution(A_std, b_std, basis_now)
+            # Rebuilding from a basis that drifted into infeasibility would
+            # break the primal invariant, so the tableau is kept instead.  A
+            # program without rows has no basic values, hence ``initial``.
+            if rhs is None or float(rhs.min(initial=0.0)) < -1e-7:
+                return None
             try:
-                B = A_std[:, basis_now]
-                Binv_A = np.linalg.solve(B, A_std)
-                rhs = np.linalg.solve(B, b_std)
-                rhs += np.linalg.solve(B, b_std - B @ rhs)
+                Binv_A = np.linalg.solve(A_std[:, basis_now], A_std)
             except np.linalg.LinAlgError:
                 return None
-            if not (np.all(np.isfinite(Binv_A)) and np.all(np.isfinite(rhs))):
-                return None
-            if float(rhs.min()) < -1e-7:
-                # The basis drifted into infeasibility; rebuilding from it
-                # would break the primal invariant, so keep the tableau.
+            if not np.all(np.isfinite(Binv_A)):
                 return None
             Tn = np.empty((m, total + 1))
             Tn[:, :total] = Binv_A
             Tn[:, -1] = np.clip(rhs, 0.0, None)
-            cb = cost_full[np.asarray(basis_now)]
+            cb = cost_full[np.asarray(basis_now, dtype=int)]
             objn = np.empty(total + 1)
             objn[:total] = cost_full - cb @ Binv_A
             objn[-1] = -float(cb @ Tn[:, -1])
@@ -279,9 +279,8 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
 
     # Phase 1: minimize the sum of artificials.
     cost1 = np.zeros(total)
-    cost1[art0:art0 + m] = 1.0
-    obj = np.zeros(total + 1)
-    obj[art0:art0 + m] = 1.0
+    cost1[art0:] = 1.0
+    obj = np.append(cost1, 0.0)
     for r in range(m):
         obj -= T[r]
     allowed = np.ones(total, dtype=bool)
@@ -293,15 +292,10 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     # The tableau estimate of the artificial sum drifts over many pivots;
     # recompute it from the pristine system before judging feasibility.
     art_sum = -obj[-1]
-    try:
-        B = A_std[:, basis]
-        y_basic = np.linalg.solve(B, b_std)
-        y_basic += np.linalg.solve(B, b_std - B @ y_basic)
-        if np.all(np.isfinite(y_basic)):
-            art_sum = sum(max(float(y_basic[r]), 0.0)
-                          for r in range(m) if basis[r] >= art0)
-    except np.linalg.LinAlgError:
-        pass
+    y_basic = _basic_solution(A_std, b_std, basis)
+    if y_basic is not None:
+        art_sum = sum(max(float(y_basic[r]), 0.0)
+                      for r in range(m) if basis[r] >= art0)
     if art_sum > FEAS_TOL:
         return LPOutcome(INFEASIBLE)
 
@@ -312,20 +306,13 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
         if basis[r] >= art0:
             nonzero = np.nonzero(np.abs(T[r, :art0]) > PIVOT_TOL)[0]
             if nonzero.size:
-                enter = int(nonzero[0])
-                pivot = T[r, enter]
-                T[r] /= pivot
-                factors = T[:, enter].copy()
-                factors[r] = 0.0
-                T -= np.outer(factors, T[r])
-                basis[r] = enter
+                basis[r] = int(nonzero[0])
+                _pivot(T, r, basis[r])
 
     # Phase 2 objective (min form) in y-space.
-    cy, _ = to_y(c0 if lp.sense == "min" else -c0)
     cost2 = np.zeros(total)
-    cost2[:ncols] = cy
-    obj = np.zeros(total + 1)
-    obj[:ncols] = cy
+    to_y(c0 if lp.sense == "min" else -c0, cost2[:ncols])
+    obj = np.append(cost2, 0.0)
     for r in range(m):
         cb = obj[basis[r]]
         if cb != 0.0:
@@ -335,31 +322,20 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     if status == UNBOUNDED:
         return LPOutcome(UNBOUNDED)
 
-    # Recover the basic solution from the unpivoted system: the basis
-    # identity is exact, so this removes the error accumulated over pivots.
-    # When the basis matrix is ill conditioned the tableau solution can be
-    # the better of the two, so both are checked against the original
-    # constraints and the cleaner one wins.
-    main_col = np.array([kind[1] for kind in kinds], dtype=int)
-    split = np.array([kind[0] == "split" for kind in kinds], dtype=bool)
-    second_col = np.array([kind[2] for kind in kinds if kind[0] == "split"],
-                          dtype=int)
-    sign = np.array([-1.0 if kind[0] == "neg" else 1.0 for kind in kinds])
-    offset = np.array([0.0 if kind[0] == "split" else kind[2] for kind in kinds])
-
+    # Recover the basic solution from the unpivoted system as well as the
+    # tableau's.  When the basis matrix is ill conditioned the tableau
+    # solution can be the better of the two, so both are checked against
+    # the original constraints and the cleaner one wins.
     def to_x(y_basic: np.ndarray) -> np.ndarray:
         y = np.zeros(total)
         y[basis] = y_basic
-        x = offset + sign * y[main_col]
-        x[split] -= y[second_col]
+        x = offset + sign * y[col]
+        x[free] -= y[free_col]
         return x
 
     # Residuals are judged relative to the size of each row, since the rows
     # of one program can span many orders of magnitude.
-    rels = [rel for _, rel, _ in lp.rows]
-    le = np.array([rel == LE for rel in rels], dtype=bool)
-    ge = np.array([rel == GE for rel in rels], dtype=bool)
-    rhs0 = np.array([float(rhs) for _, _, rhs in lp.rows])
+    le, ge = le[:k], ineq[:k] & ~le[:k]
     row_mag = np.max(np.abs(A0), axis=1, initial=0.0)
 
     def violation(x: np.ndarray) -> float:
@@ -367,23 +343,15 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
         # One dot product per row: a matrix-vector product rounds
         # differently and could flip near-ties between the candidates.
         lhs = np.array([a @ x for a in A0])
-        r = np.where(le, lhs - rhs0, np.where(ge, rhs0 - lhs, np.abs(lhs - rhs0)))
-        scale = np.maximum(np.maximum(1.0, row_mag * max(1.0, xmag)),
-                           np.abs(rhs0))
+        r = np.where(le, lhs - b0, np.where(ge, b0 - lhs, np.abs(lhs - b0)))
+        scale = np.maximum(np.maximum(1.0, row_mag * max(1.0, xmag)), np.abs(b0))
         return float(np.fmax.reduce(r / scale, initial=0.0))
 
     candidates_x = [to_x(T[:, -1])]
-    try:
-        B = A_std[:, basis]
-        y_basic = np.linalg.solve(B, b_std)
-        # One step of iterative refinement recovers digits lost to
-        # conditioning without changing the chosen basis.
-        y_basic += np.linalg.solve(B, b_std - B @ y_basic)
-        if np.all(np.isfinite(y_basic)):
-            y_basic[np.abs(y_basic) < 1e-13] = 0.0
-            candidates_x.append(to_x(y_basic))
-    except np.linalg.LinAlgError:
-        pass
+    y_basic = _basic_solution(A_std, b_std, basis)
+    if y_basic is not None:
+        y_basic[np.abs(y_basic) < 1e-13] = 0.0
+        candidates_x.append(to_x(y_basic))
     scored = sorted(((violation(x), i) for i, x in enumerate(candidates_x)))
     worst, pick = scored[0]
     x = candidates_x[pick]

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import polyrad
-from polyrad import MatrixFamily
+from polyrad import MatrixFamily, RunConfig
 from polyrad.cli import (
     CSV_HEADER,
     FamilyFileError,
+    _build_parser,
     dump_family,
     load_family,
     main,
@@ -219,6 +220,21 @@ class TestBench:
         code = main(["bench", "--kind", "binary", "--d", "2", "--m", "2",
                      "--seeds", ""])
         assert code == 1
+
+
+class TestDefaults:
+    def test_parsed_defaults_equal_run_config(self):
+        config = RunConfig()
+        parser = _build_parser()
+        compute = parser.parse_args(["compute", "--input", "family.json"])
+        assert (compute.max_iters, compute.tol, compute.cone_delta,
+                compute.cone_epsilon, compute.cone_probe_iters) == (
+            config.max_iterations, config.boundary_tol, config.cone_delta,
+            config.cone_epsilon, config.cone_probe_iters)
+        bench = parser.parse_args(["bench", "--kind", "binary", "--d", "2",
+                                   "--m", "2"])
+        assert (bench.max_iters, bench.tol) == (config.max_iterations,
+                                                config.boundary_tol)
 
 
 class TestVersion:

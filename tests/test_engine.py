@@ -8,6 +8,7 @@ from polyrad import (
     MODE_P,
     MODE_R,
     MatrixFamily,
+    PolytopeState,
     RunConfig,
     build_cyclic_root,
     enumerate_candidates,
@@ -18,6 +19,7 @@ from polyrad import (
     stopping_check,
     verify,
 )
+from polyrad.datasets import random_family
 from polyrad.engine import (
     ITERATION_CAPPED,
     TERMINATED,
@@ -246,3 +248,23 @@ class TestFinalBounds:
         lo, hi = out.bounds
         assert lo <= hi
         assert out.t_N is not None
+
+    def test_run_capped_before_any_iteration_leaves_upper_open(self):
+        # The vertex cap is hit inside the first iteration, so no membership
+        # value bounds the radius from above.
+        fam = random_family("gaussian-equal-norm", 7, 2, 0)
+        out = run(fam, RunConfig(mode=MODE_R, max_candidate_length=6,
+                                 max_iterations=10, vertex_cap=60))
+        assert out.status == ITERATION_CAPPED
+        assert out.iterations == 0
+        assert out.bounds[0] == out.candidate.rho_per_step
+        assert out.bounds[1] == math.inf
+
+    @pytest.mark.parametrize("mode, expected", [
+        (MODE_L, (0.0, 1.5, None)),
+        (MODE_P, (1.5, math.inf, None)),
+        (MODE_R, (1.5, math.inf, None)),
+    ])
+    def test_empty_history_leaves_far_side_open(self, mode, expected):
+        state = PolytopeState(word=(1,))
+        assert final_bounds(state, mode, 1.5) == expected

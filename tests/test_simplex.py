@@ -85,6 +85,39 @@ def random_bounded_program(rng: np.random.Generator) -> LinearProgram:
     return LinearProgram(sense, objective, rows, bounds)
 
 
+def random_mixed_bounds_program(rng: np.random.Generator) -> LinearProgram:
+    """A random feasible bounded LP whose variables mix every bound kind.
+
+    Each variable is free, bounded below, bounded above or boxed, with
+    infinite sides spelled as either ``None`` or an infinity and bounds
+    that hold at a random point ``x0``.  Explicit box rows ``-5 <= x <= 5``
+    keep the region bounded whatever the variable bounds are.
+    """
+    n = int(rng.integers(1, 4))
+    x0 = rng.uniform(-2.0, 2.0, size=n)
+    bounds = []
+    for i in range(n):
+        open_lo = -INF if rng.random() < 0.5 else None
+        open_hi = INF if rng.random() < 0.5 else None
+        lo = float(x0[i] - rng.uniform(0.1, 2.0))
+        hi = float(x0[i] + rng.uniform(0.1, 2.0))
+        kind = int(rng.integers(4))
+        bounds.append([(open_lo, open_hi), (lo, open_hi),
+                       (open_lo, hi), (lo, hi)][kind])
+    rows = []
+    for _ in range(int(rng.integers(0, 4))):
+        a = rng.uniform(-3.0, 3.0, size=n)
+        rows.append((a, "<=", float(a @ x0) + rng.uniform(0.1, 2.0)))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        rows.append((e, "<=", 5.0))
+        rows.append((e, ">=", -5.0))
+    sense = "max" if rng.random() < 0.5 else "min"
+    objective = rng.uniform(-2.0, 2.0, size=n)
+    return LinearProgram(sense, objective, rows, bounds)
+
+
 class TestBasics:
     def test_single_variable_max(self):
         lp = LinearProgram("max", [1.0], [([1.0], "<=", 1.0)], [(0.0, INF)])
@@ -119,6 +152,15 @@ class TestBasics:
         lp = LinearProgram("max", [1.0], [], [(0.0, 2.5)])
         out = solve_lp(lp)
         assert out.value == pytest.approx(2.5)
+
+    def test_program_without_rows(self):
+        lp = LinearProgram("max", [-1.0, 1.0], [], [(0.0, None), (None, 2.0)])
+        out = solve_lp(lp)
+        assert out.status == OPTIMAL
+        assert out.value == pytest.approx(2.0)
+        assert np.allclose(out.assignment, [0.0, 2.0])
+        lp = LinearProgram("max", [1.0], [], [(0.0, None)])
+        assert solve_lp(lp).status == UNBOUNDED
 
     def test_crossing_bounds_infeasible(self):
         lp = LinearProgram("max", [1.0], [], [(2.0, 1.0)])
@@ -196,3 +238,13 @@ class TestAgainstOracle:
                     assert lhs >= rhs - 1e-8
             for i, (lo, hi) in enumerate(lp.bounds):
                 assert lo - 1e-8 <= x[i] <= hi + 1e-8
+
+    def test_every_bound_kind_matches_vertex_enumeration(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(300):
+            lp = random_mixed_bounds_program(rng)
+            out = solve_lp(lp)
+            assert out.status == OPTIMAL
+            expected = oracle_solve(lp)
+            assert expected is not None
+            assert out.value == pytest.approx(expected, abs=1e-8)
