@@ -24,18 +24,18 @@ import numpy as np
 
 from .matrices import MatrixFamily, primitive_root_word, spectral_radius, word_matrix
 from .membership import (
+    MODES,
     antinorm_membership_ext,
     cone_ray_margin,
+    is_zero_image,
     norm_membership_P,
     norm_membership_R,
 )
 
 CERT_VERSION = 1
-_MODES = ("R", "P", "L")
 POS_TOL_DEFAULT = 1e-12
-# The span a certificate's vertices must have, per mode: without it the
-# polytope is not a norm (or antinorm) body of the whole space.
-SPAN_MODES = {"R": "linear", "P": "positive", "L": "positive"}
+# The largest run tolerance a certificate may record (verify allows 10x).
+MAX_TOLERANCE = 1e-6
 
 
 class CertificateFormatError(ValueError):
@@ -124,9 +124,13 @@ _REQUIRED = ("version", "mode", "family_fingerprint", "word", "rho_per_step",
              "vertices", "cone_H", "iterations", "tolerance")
 
 
+def _reject_constant(name: str):
+    raise CertificateFormatError("certificate contains the non-finite %s" % name)
+
+
 def deserialize(text: str) -> Certificate:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError("certificate is not valid JSON: %s" % exc)
     if not isinstance(raw, dict):
@@ -134,7 +138,7 @@ def deserialize(text: str) -> Certificate:
     for key in _REQUIRED:
         if key not in raw:
             raise CertificateFormatError("certificate is missing field %r" % key)
-    if raw["mode"] not in _MODES:
+    if raw["mode"] not in MODES:
         raise CertificateFormatError("unknown certificate mode %r" % (raw["mode"],))
     word = tuple(int(i) for i in raw["word"])
     if not word or any(i < 1 for i in word):
@@ -182,32 +186,34 @@ def _dominating_rows(Vm: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _dominance_slack(z: np.ndarray, inside: np.ndarray,
+def _dominance_value(z: np.ndarray, inside: np.ndarray,
                      tol: float) -> Optional[float]:
-    """Antinorm slack certified by one point of the body, or ``None``.
+    """Antinorm value certified by one point of the body, or ``None``.
 
     A row ``w`` of ``inside`` (a point known to lie in the antinorm body)
     with ``w <= (1 + tol) z`` makes ``t = 1 + tol`` feasible in the
     antinorm LP, since the body is upward closed, so the image passes
-    without solving it.  The returned slack is the smallest ``t - 1`` any
-    such row certifies, an upper bound on the LP's own slack.
+    without solving it.  The returned value is the smallest ``t`` any such
+    row certifies, an upper bound on the LP's own value.
     """
     covered = inside[np.all(inside <= (1.0 + tol) * z, axis=1)]
     if not covered.size:
         return None
     pos = z > 0.0
     t = np.max(covered[:, pos] / z[pos], axis=1, initial=0.0)
-    return float(t.min()) - 1.0
+    return float(t.min())
 
 
 def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     """Re-check a certificate against a family from first principles.
 
-    The tolerance is ten times the certificate's recorded run tolerance.
-    The verdict is valid only when the recomputed candidate radius
-    matches, every vertex image passes its membership test, the cone (if
-    any) is invariant, and the vertices span appropriately (full rank for
-    mode R, a positive entry per coordinate otherwise).
+    The tolerance is ten times the certificate's recorded run tolerance,
+    which must lie in ``[0, MAX_TOLERANCE]``.  The verdict is valid only
+    when the family has the sign the mode needs, the recomputed candidate
+    radius matches, every vertex image passes its membership test (a zero
+    image passes in modes R and P and fails in L), the cone (if any) is
+    invariant, and the vertices span appropriately (full rank for mode R,
+    a positive entry per coordinate otherwise).
 
     In mode L an image that dominates, up to the tolerance, a vertex or
     an earlier image scaled by its LP value passes without an LP, and
@@ -221,11 +227,18 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     if cert.version != CERT_VERSION:
         failures.append("unsupported certificate version %d" % cert.version)
         return report
-    if cert.mode not in _MODES:
+    spec = MODES.get(cert.mode)
+    if spec is None:
         failures.append("unknown mode %r" % (cert.mode,))
+        return report
+    if not 0.0 <= cert.tolerance <= MAX_TOLERANCE:
+        failures.append("tolerance %r out of range" % (cert.tolerance,))
         return report
     if family_fingerprint(family) != cert.family_fingerprint:
         failures.append("family fingerprint mismatch")
+        return report
+    if spec.nonnegative and not family.is_nonnegative():
+        failures.append("mode %s requires a nonnegative family" % cert.mode)
         return report
     d = family.dim
     if any(v.shape != (d,) for v in cert.vertices):
@@ -243,20 +256,19 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     if per_step <= 0.0:
         failures.append("candidate product has zero spectral radius")
         return report
-    if abs(per_step - cert.rho_per_step) > 1e-9 * max(1.0, per_step):
+    if not abs(per_step - cert.rho_per_step) <= 1e-9 * max(1.0, per_step):
         failures.append("recorded averaged radius disagrees with recomputation")
 
     tolerance = 10.0 * cert.tolerance
     scaled = family.scaled(1.0 / per_step)
     points = list(cert.vertices)
     skip = np.zeros(len(points), dtype=bool)
-    if cert.mode == "L":
+    if spec.sign < 0:
         Vm = np.asarray(points)
         # An antinorm body is upward closed, so under a nonnegative family
         # the images of a vertex that dominates another are covered by the
         # images of the smaller one.
-        if family.is_nonnegative():
-            skip = _dominating_rows(Vm)
+        skip = _dominating_rows(Vm)
         # Points known to lie in the body: the vertices, then t * z for
         # every image z whose LP gave a finite value t.
         inside = np.zeros((len(points) * (scaled.size + 1), d))
@@ -268,34 +280,27 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
             continue
         for j in range(1, scaled.size + 1):
             z = scaled.matrix(j) @ v
-            if float(np.max(np.abs(z))) <= 1e-14 * max(1.0, float(np.max(np.abs(v)))):
-                failures.append("image of vertex %d under matrix %d is zero"
-                                % (idx + 1, j))
-                continue
-            if cert.mode == "R":
-                t = norm_membership_R(z, points)
-                slack = 1.0 - t
-            elif cert.mode == "P":
-                t = norm_membership_P(z, points)
-                slack = 1.0 - t
+            if is_zero_image(z, v):
+                t = float("inf")
+            elif spec.sign > 0:  # the LPs are looked up by name, as in the engine
+                t = (norm_membership_R if spec.balanced
+                     else norm_membership_P)(z, points)
             else:
-                slack = _dominance_slack(z, inside[:n_inside], tolerance)
-                if slack is None:
+                t = _dominance_value(z, inside[:n_inside], tolerance)
+                if t is None:
                     t = antinorm_membership_ext(z, points, cert.cone_H)
-                    slack = t - 1.0 if np.isfinite(t) else float("inf")
                     if np.isfinite(t):
                         inside[n_inside] = t * z
                         n_inside += 1
-                else:
-                    t = 1.0 + slack
+            slack = 1.0 - t if spec.sign > 0 else t - 1.0
             worst = max(worst, slack)
-            if slack > tolerance:
+            if not slack <= tolerance:
                 failures.append(
                     "vertex %d, matrix %d: membership value %.12g violates the "
                     "invariance margin" % (idx + 1, j, t))
     report.worst_slack = worst
 
-    if cert.mode == "L" and cert.cone_H:
+    if spec.sign < 0 and cert.cone_H:
         for j in range(1, scaled.size + 1):
             A = scaled.matrix(j)
             for hidx, h in enumerate(cert.cone_H):
@@ -304,10 +309,9 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                     failures.append("cone ray %d not strictly invariant under "
                                     "matrix %d" % (hidx + 1, j))
 
-    span_mode = SPAN_MODES[cert.mode]
-    report.span_ok = spans_check(points, span_mode)
+    report.span_ok = spans_check(points, spec.span)
     if not report.span_ok:
-        failures.append("vertices fail the %s span requirement" % span_mode)
+        failures.append("vertices fail the %s span requirement" % spec.span)
 
     report.verdict = not failures
     return report

@@ -31,7 +31,6 @@ from .certificates import (
 )
 from .datasets import DatasetSpec, RANDOM_KINDS, build
 from .engine import (
-    CANDIDATE_REJECTED,
     ITERATION_CAPPED,
     MODE_L,
     MODE_P,
@@ -122,8 +121,6 @@ def _exit_code(outcome: RunOutcome) -> int:
         return EXIT_BUDGET if outcome.budget_exhausted else EXIT_OK
     if outcome.status == ITERATION_CAPPED:
         return EXIT_BUDGET if outcome.budget_exhausted else EXIT_BOUNDS
-    if outcome.status == CANDIDATE_REJECTED:
-        return EXIT_BUDGET
     return EXIT_ERROR
 
 

@@ -29,7 +29,7 @@ from .candidates import (
 )
 from .certificates import (
     CERT_VERSION,
-    SPAN_MODES,
+    MAX_TOLERANCE,
     Certificate,
     family_fingerprint,
     spans_check,
@@ -45,19 +45,18 @@ from .cone import (
 )
 from .matrices import REAL_SIMPLE_UNIQUE, MatrixFamily, Word
 from .membership import (
+    MODE_L, MODE_P, MODE_R,  # also importable from here
+    MODES,
+    Mode,
     antinorm_membership_ext,
     antinorm_membership_L,
+    is_zero_image,
     norm_membership_P,
     norm_membership_R,
 )
 
-MODE_R = "R"
-MODE_P = "P"
-MODE_L = "L"
-
 TERMINATED = "terminated"
 ITERATION_CAPPED = "iteration_capped"
-CANDIDATE_REJECTED = "candidate_rejected"
 INAPPLICABLE = "inapplicable"
 
 _DUP_TOL = 1e-9
@@ -112,7 +111,6 @@ class PolytopeState:
     R: List[Tuple[int, int]] = field(default_factory=list)
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
-    dead_count: int = 0
 
     def points(self) -> List[np.ndarray]:
         return [node.point for node in self.nodes]
@@ -126,7 +124,6 @@ class RunOutcome:
     bounds: Optional[Tuple[float, float]] = None
     t_N: Optional[float] = None
     certificate: Optional[Certificate] = None
-    rejection: Optional[Tuple[int, Word]] = None
     iterations: int = 0
     vertex_count: int = 0
     candidate: Optional[Candidate] = None
@@ -148,38 +145,37 @@ def _initial_state(root: CyclicRoot, family_size: int) -> PolytopeState:
     return state
 
 
-def _membership(mode: str, z, points,
+def _membership(spec: Mode, z, points,
                 extension: Optional[ConeExtension]) -> float:
-    if mode == MODE_R:
+    # Looked up by name per call, so that wrapping the module attribute works.
+    if spec.sign < 0:
+        rays = extension.rays if extension is not None else None
+        if rays:
+            return antinorm_membership_ext(z, points, rays)
+        return antinorm_membership_L(z, points)
+    if spec.balanced:
         return norm_membership_R(z, points)
-    if mode == MODE_P:
-        return norm_membership_P(z, points)
-    rays = extension.rays if extension is not None else None
-    if rays:
-        return antinorm_membership_ext(z, points, rays)
-    return antinorm_membership_L(z, points)
+    return norm_membership_P(z, points)
 
 
-def _is_dead(mode: str, t: float, tau: float, remove_boundary: bool) -> bool:
-    if mode == MODE_L:
-        return t <= 1.0 + tau if remove_boundary else t < 1.0 - tau
-    return t >= 1.0 - tau if remove_boundary else t > 1.0 + tau
+def _is_dead(spec: Mode, t: float, tau: float, remove_boundary: bool) -> bool:
+    """Whether value ``t`` is inside the body (or on it, ``remove_boundary``)."""
+    s = spec.sign
+    if remove_boundary:
+        return s * t >= s * (1.0 - s * tau)
+    return s * t > s * (1.0 + s * tau)
 
 
 def stopping_check(mode: str, duals, z, tau: float) -> Optional[int]:
     """Smallest 1-based dual index whose pairing with ``z`` leaves the
     admissible range, or ``None`` when all pairings pass."""
+    spec = MODES[mode]
     for j, dual in enumerate(duals, start=1):
         s = float(dual @ z)
-        if mode == MODE_R:
-            if abs(s) > 1.0 + tau:
-                return j
-        elif mode == MODE_P:
-            if s > 1.0 + tau:
-                return j
-        else:
-            if s < 1.0 - tau:
-                return j
+        if spec.balanced:
+            s = abs(s)
+        if spec.sign * s > spec.sign * (1.0 + spec.sign * tau):
+            return j
     return None
 
 
@@ -221,40 +217,39 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
 
     New points are classified against the polytope as it grows within the
     iteration; alive points become vertices and seed the next iteration's
-    pairs.  Raises :class:`StoppingViolation` when a dual test fails,
+    pairs; a zero image is dead in modes R and P without an LP.  Raises
+    :class:`StoppingViolation` when a dual test fails,
     :class:`InapplicableError` on a zero image in mode L, and
     :class:`VertexCapError` when the vertex cap is hit.
     """
-    mode = config.mode
+    spec = MODES[config.mode]
     tau = config.boundary_tol
     t_values: List[float] = []
     new_frontier: List[int] = []
     for vid, p in state.R:
         v = state.nodes[vid].point
         z = scaled.matrix(p) @ v
-        if mode == MODE_L:
-            if float(np.max(np.abs(z))) <= 1e-14 * max(1.0, float(np.max(np.abs(v)))):
-                raise InapplicableError(
-                    "a generator maps a vertex to zero; the antinorm "
-                    "construction does not apply")
         points = state.points()
-        t = _membership(mode, z, points, extension)
+        if not is_zero_image(z, v):
+            t = _membership(spec, z, points, extension)
+        elif spec.sign > 0:
+            t = math.inf
+        else:
+            raise InapplicableError(
+                "a generator maps a vertex to zero; the antinorm "
+                "construction does not apply")
         t_values.append(t)
-        if _is_dead(mode, t, tau, config.remove_boundary):
-            state.dead_count += 1
+        if _is_dead(spec, t, tau, config.remove_boundary):
             continue
         if duals is not None:
-            j = stopping_check(mode, duals, z, tau)
+            j = stopping_check(config.mode, duals, z, tau)
             if j is not None:
                 raise StoppingViolation(j, _path_word(state, vid, p, j))
-        if _is_duplicate(z, points):
-            # A revisit may be culled only when its membership value
-            # certifies it on or inside the current polytope; otherwise it
-            # is a genuinely new (if nearby) point and must stay alive.
-            inside = t <= 1.0 if mode == MODE_L else t >= 1.0
-            if inside:
-                state.dead_count += 1
-                continue
+        # A revisit may be culled only when its membership value certifies
+        # it on or inside the current polytope; otherwise it is a genuinely
+        # new (if nearby) point and must stay alive.
+        if _is_duplicate(z, points) and spec.sign * t >= spec.sign:
+            continue
         state.nodes.append(VertexNode(z, vid, p))
         new_frontier.append(len(state.nodes) - 1)
         if len(state.nodes) > config.vertex_cap:
@@ -275,84 +270,46 @@ def final_bounds(state: PolytopeState, mode: str,
     candidate does not give, so that side stays open: ``(rho, inf)`` in
     modes R/P and ``(0, rho)`` in mode L.
     """
-    last: List[float] = []
-    for values in reversed(state.t_history):
-        if values:
-            last = values
-            break
-    if not last:
-        if mode == MODE_L:
-            return 0.0, rho_per_step, None
-        return rho_per_step, float("inf"), None
-    if mode == MODE_L:
-        t_N = max(last)
-        lower = 0.0 if math.isinf(t_N) else rho_per_step / t_N
-        return min(lower, rho_per_step), rho_per_step, t_N
-    t_N = min(last)
-    upper = rho_per_step / t_N if t_N > 0.0 else float("inf")
-    return rho_per_step, max(upper, rho_per_step), t_N
-
-
-def _build_certificate(family: MatrixFamily, candidate: Candidate,
-                       state: PolytopeState, extension: Optional[ConeExtension],
-                       mode: str, config: RunConfig) -> Certificate:
-    cone_H = tuple(extension.rays) if extension is not None else None
-    return Certificate(
-        version=CERT_VERSION,
-        mode=mode,
-        family_fingerprint=family_fingerprint(family),
-        word=candidate.word,
-        rho_per_step=candidate.rho_per_step,
-        vertices=tuple(state.points()),
-        cone_H=cone_H,
-        iterations=state.k,
-        tolerance=config.boundary_tol,
-    )
+    spec = MODES[mode]
+    last = next((values for values in reversed(state.t_history) if values), [])
+    t_N = (min(last) if spec.sign > 0 else max(last)) if last else None
+    # rho / t_N bounds the side the candidate does not give; without a
+    # positive t_N that side stays open.
+    other = math.inf if spec.sign > 0 else 0.0
+    if t_N is not None and t_N > 0.0:
+        other = rho_per_step / t_N
+    if spec.sign > 0:
+        return rho_per_step, max(other, rho_per_step), t_N
+    return min(other, rho_per_step), rho_per_step, t_N
 
 
 def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
           candidate: Candidate, config: RunConfig,
           duals) -> RunOutcome:
     """Grow the polytope for one candidate until termination or the cap."""
-    mode = config.mode
+    spec = MODES[config.mode]
     extension: Optional[ConeExtension] = None
     cone_sets: Optional[Tuple[Tuple[int, ...], ...]] = None
-    probe_done = mode != MODE_L
+    probe_done = spec.sign > 0  # cone rays widen antinorm bodies only
+    status, message = ITERATION_CAPPED, ""
 
     state = _initial_state(root, family.size)
-    k = 0
-    while k < config.max_iterations:
+    while state.k < config.max_iterations:
         try:
             iterate(state, scaled, config, duals, extension)
         except VertexCapError as exc:
-            lower, upper, t_N = final_bounds(state, mode, candidate.rho_per_step)
-            return RunOutcome(
-                status=ITERATION_CAPPED, mode=mode, bounds=(lower, upper),
-                t_N=t_N, iterations=state.k, vertex_count=len(state.nodes),
-                candidate=candidate, cone=extension, cone_index_sets=cone_sets,
-                message=str(exc))
-        k = state.k
+            message = str(exc)
+            break
         if not state.U:
-            span_mode = SPAN_MODES[mode]
-            if not spans_check(state.points(), span_mode):
-                return RunOutcome(
-                    status=INAPPLICABLE, mode=mode, iterations=state.k,
-                    vertex_count=len(state.nodes), candidate=candidate,
-                    cone=extension, cone_index_sets=cone_sets,
-                    message="the polytope stopped growing without the %s "
-                            "span of the space, so the family is reducible "
-                            "and the candidate value is not certified"
-                            % span_mode)
-            certificate = _build_certificate(family, candidate, state,
-                                             extension, mode, config)
-            lower, upper, t_N = final_bounds(state, mode, candidate.rho_per_step)
-            return RunOutcome(
-                status=TERMINATED, mode=mode, value=candidate.rho_per_step,
-                bounds=(candidate.rho_per_step, candidate.rho_per_step),
-                t_N=t_N, certificate=certificate, iterations=state.k,
-                vertex_count=len(state.nodes), candidate=candidate,
-                cone=extension, cone_index_sets=cone_sets)
-        if not probe_done and k >= config.cone_probe_iters:
+            if spans_check(state.points(), spec.span):
+                status = TERMINATED
+            else:
+                status = INAPPLICABLE
+                message = ("the polytope stopped growing without the %s span "
+                           "of the space, so the family is reducible and the "
+                           "candidate value is not certified" % spec.span)
+            break
+        if not probe_done and state.k >= config.cone_probe_iters:
             probe_done = True
             sets = detect_near_boundary(state.points(), config.cone_delta)
             if sets:
@@ -365,12 +322,25 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
                     extension = negotiated
                     cone_sets = negotiated.index_sets
                     state = _initial_state(root, family.size)
-                    k = 0
-    lower, upper, t_N = final_bounds(state, mode, candidate.rho_per_step)
+
+    rho = candidate.rho_per_step
+    value = bounds = t_N = certificate = None
+    if status != INAPPLICABLE:
+        lower, upper, t_N = final_bounds(state, config.mode, rho)
+        bounds = (lower, upper)
+    if status == TERMINATED:
+        value, bounds = rho, (rho, rho)
+        certificate = Certificate(
+            version=CERT_VERSION, mode=config.mode,
+            family_fingerprint=family_fingerprint(family), word=candidate.word,
+            rho_per_step=rho, vertices=tuple(state.points()),
+            cone_H=tuple(extension.rays) if extension is not None else None,
+            iterations=state.k, tolerance=config.boundary_tol)
     return RunOutcome(
-        status=ITERATION_CAPPED, mode=mode, bounds=(lower, upper), t_N=t_N,
-        iterations=state.k, vertex_count=len(state.nodes), candidate=candidate,
-        cone=extension, cone_index_sets=cone_sets)
+        status=status, mode=config.mode, value=value, bounds=bounds, t_N=t_N,
+        certificate=certificate, iterations=state.k,
+        vertex_count=len(state.nodes), candidate=candidate, cone=extension,
+        cone_index_sets=cone_sets, message=message)
 
 
 def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
@@ -383,11 +353,14 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     possibly slower termination.
     """
     mode = config.mode
-    if mode not in (MODE_R, MODE_P, MODE_L):
+    spec = MODES.get(mode)
+    if spec is None:
         raise ValueError("mode must be one of 'R', 'P', 'L'")
-    if mode in (MODE_P, MODE_L) and not family.is_nonnegative():
-        raise ValueError("modes P and L require a nonnegative family")
-    sense = "min" if mode == MODE_L else "max"
+    if spec.nonnegative and not family.is_nonnegative():
+        raise ValueError("mode %s requires a nonnegative family" % mode)
+    if not 0.0 <= config.boundary_tol <= MAX_TOLERANCE:
+        raise ValueError("boundary_tol must lie in [0, %g]" % MAX_TOLERANCE)
+    sense = "max" if spec.sign > 0 else "min"
     max_length = config.max_candidate_length
     if max_length is None:
         max_length = 6 if family.dim <= 10 else 4
@@ -396,7 +369,6 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     budget = _RESTART_BUDGET
     stopping = config.stopping_enabled
     tried = {candidate.word}
-    last_rejection: Optional[Tuple[int, Word]] = None
     budget_exhausted = False
 
     while True:
@@ -416,17 +388,12 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
             with_duals = (stopping and
                           candidate.eigen.classification == REAL_SIMPLE_UNIQUE)
             root = build_cyclic_root(scaled, candidate, with_duals)
-        except InapplicableError as exc:
-            return RunOutcome(status=INAPPLICABLE, mode=mode,
-                              candidate=candidate, message=str(exc))
-        duals = root.duals if with_duals else None
-        try:
+            duals = root.duals if with_duals else None
             outcome = _grow(family, scaled, root, candidate, config, duals)
         except InapplicableError as exc:
             return RunOutcome(status=INAPPLICABLE, mode=mode,
                               candidate=candidate, message=str(exc))
         except StoppingViolation as violation:
-            last_rejection = (violation.j, violation.path)
             if budget <= 0:
                 budget_exhausted = True
                 stopping = False
@@ -434,7 +401,8 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
             budget -= 1
             try:
                 replacement = restart_product(
-                    family, candidate, root, last_rejection, sense)
+                    family, candidate, root, (violation.j, violation.path),
+                    sense)
             except RestartFailedError:
                 # The violation is numerically marginal: re-enumerate with a
                 # longer cap once, otherwise keep the candidate and continue
@@ -451,6 +419,5 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
             tried.add(replacement.word)
             candidate = replacement
             continue
-        outcome.rejection = last_rejection
         outcome.budget_exhausted = budget_exhausted
         return outcome

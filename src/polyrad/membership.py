@@ -17,6 +17,7 @@ a point strictly outside it is below 1 (reversed for the antinorm variants).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,9 +35,39 @@ from .simplex import (
 
 _INF = float("inf")
 
+MODE_R = "R"
+MODE_P = "P"
+MODE_L = "L"
+
+
+@dataclass(frozen=True)
+class Mode:
+    """One mode's body: ``sign`` +1 for the norms R and P (inside means a
+    value of at least 1), -1 for the antinorm L (at most 1); ``balanced``
+    pairs stopping duals with ``|s|``; ``span`` is what finished vertices
+    must span; ``nonnegative`` whether the mode needs a nonnegative family."""
+
+    sign: int
+    balanced: bool
+    span: str
+    nonnegative: bool
+
+
+MODES = {
+    MODE_R: Mode(sign=1, balanced=True, span="linear", nonnegative=False),
+    MODE_P: Mode(sign=1, balanced=False, span="positive", nonnegative=True),
+    MODE_L: Mode(sign=-1, balanced=False, span="positive", nonnegative=True),
+}
+
 
 class MembershipError(RuntimeError):
     """Raised when a membership LP finishes with an impossible status."""
+
+
+def is_zero_image(z, v) -> bool:
+    """Whether the image ``z`` of ``v`` vanishes up to roundoff: it then lies
+    inside every norm body (value ``inf``) and outside every antinorm body."""
+    return float(np.max(np.abs(z))) <= 1e-14 * max(1.0, float(np.max(np.abs(v))))
 
 
 def _stack(z, V):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,39 @@ class TestSpansCheck:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             spans_check([np.ones(2)], "affine")
+
+
+class TestSoundness:
+    def test_signed_family_rejected_in_mode_P(self):
+        # rho(A2) = 4, so no polytope can certify 2.0; mode P's order
+        # ideal only holds under a nonnegative family.
+        fam = MatrixFamily([np.diag([1.0, 2.0]),
+                            np.array([[1.0, -3.0], [-3.0, 1.0]])])
+        cert = Certificate(1, MODE_P, family_fingerprint(fam), (2,), 2.0,
+                           (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+                           None, 1, 1e-10)
+        report = verify(fam, cert)
+        assert not report.verdict
+        assert any("nonnegative" in f for f in report.failures)
+
+    def test_large_tolerance_rejected(self, jsr_outcome):
+        # With a tolerance of 1.0 the unit box would pass as invariant
+        # under a family whose joint spectral radius is 1.535.
+        fam, out = jsr_outcome
+        bad = dataclasses.replace(
+            out.certificate, word=(1,), rho_per_step=1.0,
+            vertices=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+            tolerance=1.0)
+        report = verify(fam, bad)
+        assert not report.verdict
+        assert any("tolerance" in f for f in report.failures)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, jsr_outcome, constant):
+        _, out = jsr_outcome
+        raw = json.loads(serialize(out.certificate))
+        raw["tolerance"] = float(constant.replace("Infinity", "inf"))
+        text = json.dumps(raw)
+        assert constant in text
+        with pytest.raises(CertificateFormatError):
+            deserialize(text)

@@ -268,3 +268,48 @@ class TestFinalBounds:
     def test_empty_history_leaves_far_side_open(self, mode, expected):
         state = PolytopeState(word=(1,))
         assert final_bounds(state, mode, 1.5) == expected
+
+
+class TestModeRecord:
+    def test_negated_vertex_pairs_through_abs_only_in_R(self, example_pair_jsr):
+        # The pairing with -2 v is -2: beyond 1 in absolute value (mode R),
+        # below 1 and so admissible for the one-sided mode P.
+        cand = enumerate_candidates(example_pair_jsr, 2, "max")
+        scaled = normalize_family(example_pair_jsr, cand.rho_per_step)
+        root = build_cyclic_root(scaled, cand, with_duals=True)
+        z = -2.0 * root.vertices[0]
+        assert stopping_check(MODE_R, root.duals, z, 1e-10) == 1
+        assert stopping_check(MODE_P, root.duals, z, 1e-10) is None
+
+    @pytest.mark.parametrize("mode, history, expected", [
+        (MODE_P, [[0.5, 0.8]], (1.5, 3.0, 0.5)),
+        (MODE_P, [[2.0, 4.0]], (1.5, 1.5, 2.0)),
+        (MODE_L, [[0.5, 0.8]], (1.5, 1.5, 0.8)),
+        (MODE_L, [[2.0, 4.0]], (0.375, 1.5, 4.0)),
+    ])
+    def test_final_bounds_from_history(self, mode, history, expected):
+        state = PolytopeState(word=(1,), t_history=history)
+        assert final_bounds(state, mode, 1.5) == expected
+
+
+class TestZeroImages:
+    @pytest.mark.parametrize("matrices, mode, value", [
+        ([np.ones((2, 2)), np.zeros((2, 2))], MODE_P, 2.0),
+        # JSR 1 + sqrt(1/2); the second matrix maps e2 to zero.
+        ([np.array([[1.0, 1.0], [0.5, 1.0]]),
+          np.array([[0.0, 0.0], [1.0, 0.0]])], MODE_R, 1.7071067811865475),
+    ], ids=["zero-matrix-P", "kills-e2-R"])
+    def test_zero_image_is_inside_norm_body(self, matrices, mode, value):
+        fam = MatrixFamily(matrices)
+        out = run(fam, RunConfig(mode=mode))
+        assert out.status == TERMINATED
+        assert out.value == pytest.approx(value, abs=1e-12)
+        report = verify(fam, out.certificate)
+        assert report.verdict, report.failures
+
+
+class TestBoundaryTolerance:
+    @pytest.mark.parametrize("tol", [-1e-12, 1e-3, math.nan])
+    def test_out_of_range_rejected(self, example_pair_jsr, tol):
+        with pytest.raises(ValueError, match="boundary_tol"):
+            run(example_pair_jsr, RunConfig(mode=MODE_P, boundary_tol=tol))
