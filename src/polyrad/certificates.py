@@ -64,24 +64,18 @@ class VerificationReport:
     failures: List[str] = field(default_factory=list)
 
 
-def _render_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise CertificateFormatError("cannot serialize a non-finite float")
-    return format(float(x), ".17g")
-
-
 def _render(obj) -> str:
     if isinstance(obj, dict):
         parts = ("%s:%s" % (json.dumps(str(k)), _render(v)) for k, v in obj.items())
         return "{" + ",".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _render_float(float(obj))
+        if not np.isfinite(obj):
+            raise CertificateFormatError("cannot serialize a non-finite float")
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -124,13 +118,20 @@ _REQUIRED = ("version", "mode", "family_fingerprint", "word", "rho_per_step",
              "vertices", "cone_H", "iterations", "tolerance")
 
 
-def _reject_constant(name: str):
-    raise CertificateFormatError("certificate contains the non-finite %s" % name)
+def _finite(value, name: str):
+    """``value`` as a float array, refusing NaN and infinite entries."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise CertificateFormatError("certificate %s holds a non-finite number" % name)
+    return arr
 
 
 def deserialize(text: str) -> Certificate:
+    # The hook sees every float literal and the NaN/Infinity constants, so
+    # an overflowing literal such as 1e999 is refused along with them.
+    finite = lambda literal: float(_finite(float(literal), "text"))
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError("certificate is not valid JSON: %s" % exc)
     if not isinstance(raw, dict):
@@ -143,21 +144,21 @@ def deserialize(text: str) -> Certificate:
     word = tuple(int(i) for i in raw["word"])
     if not word or any(i < 1 for i in word):
         raise CertificateFormatError("certificate word must be positive indices")
-    vertices = tuple(np.asarray(v, dtype=float) for v in raw["vertices"])
+    vertices = tuple(_finite(v, "vertex") for v in raw["vertices"])
     if not vertices:
         raise CertificateFormatError("certificate must contain vertices")
     cone = raw["cone_H"]
-    cone_H = None if cone is None else tuple(np.asarray(h, dtype=float) for h in cone)
+    cone_H = None if cone is None else tuple(_finite(h, "cone ray") for h in cone)
     return Certificate(
         version=int(raw["version"]),
         mode=str(raw["mode"]),
         family_fingerprint=str(raw["family_fingerprint"]),
         word=word,
-        rho_per_step=float(raw["rho_per_step"]),
+        rho_per_step=float(_finite(raw["rho_per_step"], "rho_per_step")),
         vertices=vertices,
         cone_H=cone_H,
         iterations=int(raw["iterations"]),
-        tolerance=float(raw["tolerance"]),
+        tolerance=float(_finite(raw["tolerance"], "tolerance")),
     )
 
 
@@ -237,7 +238,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     if family_fingerprint(family) != cert.family_fingerprint:
         failures.append("family fingerprint mismatch")
         return report
-    if spec.nonnegative and not family.is_nonnegative():
+    if not spec.balanced and not family.is_nonnegative():
         failures.append("mode %s requires a nonnegative family" % cert.mode)
         return report
     d = family.dim
@@ -280,7 +281,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
             continue
         for j in range(1, scaled.size + 1):
             z = scaled.matrix(j) @ v
-            if is_zero_image(z, v):
+            if is_zero_image(z):
                 t = float("inf")
             elif spec.sign > 0:  # the LPs are looked up by name, as in the engine
                 t = (norm_membership_R if spec.balanced
@@ -309,9 +310,10 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                     failures.append("cone ray %d not strictly invariant under "
                                     "matrix %d" % (hidx + 1, j))
 
-    report.span_ok = spans_check(points, spec.span)
+    span = "linear" if spec.balanced else "positive"
+    report.span_ok = spans_check(points, span)
     if not report.span_ok:
-        failures.append("vertices fail the %s span requirement" % spec.span)
+        failures.append("vertices fail the %s span requirement" % span)
 
     report.verdict = not failures
     return report

@@ -230,7 +230,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
         v = state.nodes[vid].point
         z = scaled.matrix(p) @ v
         points = state.points()
-        if not is_zero_image(z, v):
+        if not is_zero_image(z):
             t = _membership(spec, z, points, extension)
         elif spec.sign > 0:
             t = math.inf
@@ -270,17 +270,16 @@ def final_bounds(state: PolytopeState, mode: str,
     candidate does not give, so that side stays open: ``(rho, inf)`` in
     modes R/P and ``(0, rho)`` in mode L.
     """
-    spec = MODES[mode]
     last = next((values for values in reversed(state.t_history) if values), [])
-    t_N = (min(last) if spec.sign > 0 else max(last)) if last else None
     # rho / t_N bounds the side the candidate does not give; without a
     # positive t_N that side stays open.
-    other = math.inf if spec.sign > 0 else 0.0
-    if t_N is not None and t_N > 0.0:
-        other = rho_per_step / t_N
-    if spec.sign > 0:
-        return rho_per_step, max(other, rho_per_step), t_N
-    return min(other, rho_per_step), rho_per_step, t_N
+    if MODES[mode].sign > 0:
+        t_N = min(last) if last else None
+        upper = rho_per_step / t_N if t_N is not None and t_N > 0.0 else math.inf
+        return rho_per_step, max(upper, rho_per_step), t_N
+    t_N = max(last) if last else None
+    lower = rho_per_step / t_N if t_N is not None and t_N > 0.0 else 0.0
+    return min(lower, rho_per_step), rho_per_step, t_N
 
 
 def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
@@ -301,13 +300,14 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
             message = str(exc)
             break
         if not state.U:
-            if spans_check(state.points(), spec.span):
+            span = "linear" if spec.balanced else "positive"
+            if spans_check(state.points(), span):
                 status = TERMINATED
             else:
                 status = INAPPLICABLE
                 message = ("the polytope stopped growing without the %s span "
                            "of the space, so the family is reducible and the "
-                           "candidate value is not certified" % spec.span)
+                           "candidate value is not certified" % span)
             break
         if not probe_done and state.k >= config.cone_probe_iters:
             probe_done = True
@@ -356,7 +356,7 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     spec = MODES.get(mode)
     if spec is None:
         raise ValueError("mode must be one of 'R', 'P', 'L'")
-    if spec.nonnegative and not family.is_nonnegative():
+    if not spec.balanced and not family.is_nonnegative():
         raise ValueError("mode %s requires a nonnegative family" % mode)
     if not 0.0 <= config.boundary_tol <= MAX_TOLERANCE:
         raise ValueError("boundary_tol must lie in [0, %g]" % MAX_TOLERANCE)

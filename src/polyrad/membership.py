@@ -44,19 +44,17 @@ MODE_L = "L"
 class Mode:
     """One mode's body: ``sign`` +1 for the norms R and P (inside means a
     value of at least 1), -1 for the antinorm L (at most 1); ``balanced``
-    pairs stopping duals with ``|s|``; ``span`` is what finished vertices
-    must span; ``nonnegative`` whether the mode needs a nonnegative family."""
+    marks mode R's symmetric body, the only one for signed families: its
+    duals pair with ``|s|`` and its vertices must span linearly."""
 
     sign: int
     balanced: bool
-    span: str
-    nonnegative: bool
 
 
 MODES = {
-    MODE_R: Mode(sign=1, balanced=True, span="linear", nonnegative=False),
-    MODE_P: Mode(sign=1, balanced=False, span="positive", nonnegative=True),
-    MODE_L: Mode(sign=-1, balanced=False, span="positive", nonnegative=True),
+    MODE_R: Mode(sign=1, balanced=True),
+    MODE_P: Mode(sign=1, balanced=False),
+    MODE_L: Mode(sign=-1, balanced=False),
 }
 
 
@@ -64,10 +62,10 @@ class MembershipError(RuntimeError):
     """Raised when a membership LP finishes with an impossible status."""
 
 
-def is_zero_image(z, v) -> bool:
-    """Whether the image ``z`` of ``v`` vanishes up to roundoff: it then lies
-    inside every norm body (value ``inf``) and outside every antinorm body."""
-    return float(np.max(np.abs(z))) <= 1e-14 * max(1.0, float(np.max(np.abs(v))))
+def is_zero_image(z) -> bool:
+    """Whether ``z`` is exactly zero, inside every norm body (value ``inf``)
+    and outside every antinorm body; a tiny nonzero ``z`` needs its LP."""
+    return not np.any(z)
 
 
 def _stack(z, V):
@@ -79,7 +77,7 @@ def _stack(z, V):
     Vm = np.asarray(V, dtype=float)
     if Vm.ndim != 2 or Vm.shape[1] != z.size:
         raise ValueError("vertices must match the dimension of z")
-    if float(np.max(np.abs(z))) == 0.0:
+    if is_zero_image(z):
         raise ValueError("z must be nonzero")
     return z, Vm
 

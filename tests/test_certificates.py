@@ -9,6 +9,7 @@ from polyrad import (
     CertificateFormatError,
     MODE_L,
     MODE_P,
+    MODE_R,
     MatrixFamily,
     RunConfig,
     deserialize,
@@ -197,12 +198,36 @@ class TestSoundness:
         assert not report.verdict
         assert any("tolerance" in f for f in report.failures)
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_number_rejected(self, jsr_outcome, constant):
+    @pytest.mark.parametrize("field, literal", [
+        ("tolerance", "NaN"),
+        ("tolerance", "Infinity"),
+        ("tolerance", "-Infinity"),
+        ("tolerance", "1e999"),
+        ("tolerance", '"nan"'),
+        ("rho_per_step", "1e999"),
+        ("iterations", "1e999"),
+        ("vertex", "-1e999"),
+        ("vertex", '"inf"'),
+    ])
+    def test_non_finite_number_rejected(self, jsr_outcome, field, literal):
         _, out = jsr_outcome
         raw = json.loads(serialize(out.certificate))
-        raw["tolerance"] = float(constant.replace("Infinity", "inf"))
-        text = json.dumps(raw)
-        assert constant in text
+        if field == "vertex":
+            raw["vertices"][0][0] = "@"
+        else:
+            raw[field] = "@"
+        text = json.dumps(raw).replace('"@"', literal)
         with pytest.raises(CertificateFormatError):
             deserialize(text)
+
+    def test_tiny_vertices_rejected(self, jsr_outcome):
+        # Every image of 1e-20 e1 and 1e-20 e2 is tiny but nonzero; it must
+        # face its membership LP rather than pass as a zero image.  The
+        # claim (word (1,), radius 1) lies below the JSR of 1.535.
+        fam, out = jsr_outcome
+        forged = dataclasses.replace(
+            out.certificate, mode=MODE_R, word=(1,), rho_per_step=1.0,
+            vertices=(np.array([1e-20, 0.0]), np.array([0.0, 1e-20])))
+        report = verify(fam, forged)
+        assert not report.verdict
+        assert any("membership value" in f for f in report.failures)
