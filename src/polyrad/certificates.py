@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -118,20 +119,17 @@ _REQUIRED = ("version", "mode", "family_fingerprint", "word", "rho_per_step",
              "vertices", "cone_H", "iterations", "tolerance")
 
 
-def _finite(value, name: str):
-    """``value`` as a float array, refusing NaN and infinite entries."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise CertificateFormatError("certificate %s holds a non-finite number" % name)
-    return arr
+def _number(literal) -> float:
+    """``float(literal)``, refusing NaN, infinities and overflow (1e999)."""
+    x = float(literal)
+    if not math.isfinite(x):
+        raise CertificateFormatError("certificate holds the non-finite %s" % literal)
+    return x
 
 
 def deserialize(text: str) -> Certificate:
-    # The hook sees every float literal and the NaN/Infinity constants, so
-    # an overflowing literal such as 1e999 is refused along with them.
-    finite = lambda literal: float(_finite(float(literal), "text"))
     try:
-        raw = json.loads(text, parse_float=finite, parse_constant=finite)
+        raw = json.loads(text, parse_float=_number, parse_constant=_number)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError("certificate is not valid JSON: %s" % exc)
     if not isinstance(raw, dict):
@@ -144,21 +142,24 @@ def deserialize(text: str) -> Certificate:
     word = tuple(int(i) for i in raw["word"])
     if not word or any(i < 1 for i in word):
         raise CertificateFormatError("certificate word must be positive indices")
-    vertices = tuple(_finite(v, "vertex") for v in raw["vertices"])
+    vertices = tuple(np.asarray(v, dtype=float) for v in raw["vertices"])
     if not vertices:
         raise CertificateFormatError("certificate must contain vertices")
     cone = raw["cone_H"]
-    cone_H = None if cone is None else tuple(_finite(h, "cone ray") for h in cone)
+    cone_H = None if cone is None else tuple(np.asarray(h, dtype=float) for h in cone)
+    # Quoted numbers bypass the parse hook.
+    if not all(np.isfinite(x).all() for x in vertices + (cone_H or ())):
+        raise CertificateFormatError("certificate holds a non-finite number")
     return Certificate(
         version=int(raw["version"]),
         mode=str(raw["mode"]),
         family_fingerprint=str(raw["family_fingerprint"]),
         word=word,
-        rho_per_step=float(_finite(raw["rho_per_step"], "rho_per_step")),
+        rho_per_step=_number(raw["rho_per_step"]),
         vertices=vertices,
         cone_H=cone_H,
         iterations=int(raw["iterations"]),
-        tolerance=float(_finite(raw["tolerance"], "tolerance")),
+        tolerance=_number(raw["tolerance"]),
     )
 
 

@@ -149,9 +149,8 @@ def _membership(spec: Mode, z, points,
                 extension: Optional[ConeExtension]) -> float:
     # Looked up by name per call, so that wrapping the module attribute works.
     if spec.sign < 0:
-        rays = extension.rays if extension is not None else None
-        if rays:
-            return antinorm_membership_ext(z, points, rays)
+        if extension is not None and extension.rays:
+            return antinorm_membership_ext(z, points, extension.rays)
         return antinorm_membership_L(z, points)
     if spec.balanced:
         return norm_membership_R(z, points)
