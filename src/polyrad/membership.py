@@ -6,7 +6,8 @@ that ``t * z`` lies in the hull generated by the vertex list ``V``:
 - ``norm_membership_R``: balanced hull (symmetric convex combinations with
   coefficient 1-norm at most 1);
 - ``norm_membership_P``: order ideal of the convex hull in the nonnegative
-  orthant (``t z <= sum t_x x`` with convex weights);
+  orthant (``t z <= sum_x w_x x`` with convex weights), solved as the
+  covering program ``1/t = min{sum c : V^T c >= z, c >= 0}``;
 - ``antinorm_membership_L``: dominating set of the hull
   (``t z >= sum t_x x`` with weights summing to at least 1);
 - ``antinorm_membership_ext``: the same with extra recession rays ``H``.
@@ -86,11 +87,11 @@ def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray]):
     """Solve one membership LP over the columns ``[z | -V | +V | -H]``.
 
     Each coordinate gives the row ``t z_i - sum_x c_x x_i - sum_h c_h h_i``
-    related to 0 by ``rel``; ``+V`` is present only for the balanced hull
-    (``rel`` is ``=``) and ``-H`` only when ``rays`` (one ray per column)
-    is given.  One budget row bounds the sum of the vertex weights: at
-    most 1 when maximizing ``t`` (``rel`` is ``=`` or ``<=``), at least 1
-    when minimizing it (``rel`` is ``>=``).
+    related to 0 by ``rel``: ``=`` for the balanced hull, whose signed
+    weights need the ``+V`` block, and ``>=`` for the antinorm, whose
+    ``-H`` block is present only when ``rays`` (one ray per column) is
+    given.  One budget row bounds the sum of the vertex weights: at most 1
+    when maximizing ``t`` (``=``), at least 1 when minimizing it (``>=``).
     """
     blocks = [z[:, None], -Vm.T]
     if rel == EQ:
@@ -128,26 +129,38 @@ def norm_membership_R(z, V) -> float:
 def norm_membership_P(z, V) -> float:
     """Membership value of ``z`` in the order ideal of the hull of ``V``.
 
-    The returned value is certified: the solver's convex weights are
-    projected back onto the feasible set and the value is recomputed from
-    that exactly-feasible decomposition, so it never overshoots the true
-    optimum by more than roundoff in a handful of dot products.
+    The value is the largest ``t`` with ``t z <= V^T w`` for convex weights
+    ``w``.  It is solved as the covering program ``min{sum c : V^T c >= z,
+    c >= 0}``, whose optimum is ``1/t``: its costs are all 1, so the solver
+    starts from the dual feasible slack basis, with no phase 1.  A
+    coordinate where ``z`` is positive and no vertex is leaves the program
+    infeasible and the value 0; a ``z`` with no positive coordinate has
+    the value ``inf``.  Neither needs an LP.
+
+    The returned value is certified: the solver's weights are projected to
+    convex weights ``w = c / sum c`` and the value is recomputed from that
+    exactly-feasible decomposition as the least ``(V^T w)_i / z_i`` over
+    positive ``z_i``, so it never overshoots the true optimum by more than
+    roundoff in a handful of dot products.
     """
     z, Vm = _stack(z, V)
-    outcome = _membership_lp(z, Vm, LE, None)
+    pos = z > 0.0
+    if not np.any(pos):
+        return _INF
+    if np.any(pos & ~np.any(Vm > 0.0, axis=0)):
+        return 0.0
+    k = Vm.shape[0]
+    lp = LinearProgram("min", np.ones(k), [(row, GE, zi) for row, zi in zip(Vm.T, z)],
+                       [(0.0, _INF)] * k)
+    outcome = solve_lp(lp, assume_bounded=True)
     if outcome.status != OPTIMAL:
         raise MembershipError("order-ideal membership LP ended %s" % outcome.status)
-    t = float(outcome.value)
-    if outcome.assignment is not None:
-        w = np.clip(outcome.assignment[1:], 0.0, None)
-        s = float(w.sum())
-        if s > 1.0:
-            w = w / s
-        rhs = Vm.T @ w
-        pos = z > 0.0
-        if np.any(pos):
-            t = float(np.min(rhs[pos] / z[pos]))
-    return t
+    c = np.clip(outcome.assignment, 0.0, None)
+    s = float(c.sum())
+    if not s > 0.0:
+        raise MembershipError("order-ideal membership LP returned no weights")
+    rhs = Vm.T @ (c / s)
+    return float(np.min(rhs[pos] / z[pos]))
 
 
 def antinorm_membership_L(z, V) -> float:

@@ -1,9 +1,16 @@
-"""Dense two-phase primal simplex solver with Bland's anti-cycling rule.
+"""Dense simplex solver with Bland's anti-cycling rule.
+
+A program whose rows are all inequalities and whose costs (in min form,
+over the standard-form variables) are all strictly positive starts from
+its slack basis, which is then dual feasible: a dual simplex runs until
+the basis is primal feasible, with no artificial variables and no phase 1,
+and the primal simplex then finishes as phase 2.  The covering programs
+of the mode-P norm, ``min{sum c : V^T c >= z, c >= 0}``, take this path.
+Every other program runs the two-phase primal simplex.
 
 The solver is deterministic: identical inputs produce identical pivot
-sequences and outcomes.  Entering variables are chosen as the smallest
-index with a sufficiently negative reduced cost; leaving rows are chosen
-by the minimum-ratio test with ties broken by the smallest basis index.
+sequences and outcomes.  After a long run of degenerate pivots either
+loop switches to Bland's rule (smallest index), which cannot cycle.
 """
 
 from __future__ import annotations
@@ -15,6 +22,10 @@ import numpy as np
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+# The dual simplex's relative tolerance: a basic value below -DUAL_TOL times
+# its scale is negative, and its ratio test lets reduced costs dip to
+# -DUAL_TOL.
+DUAL_TOL = 1e-11
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -52,9 +63,14 @@ class LinearProgram:
 
 @dataclass
 class LPOutcome:
+    """A solve's status, value and assignment, and its pivot counts: phase
+    1 (the dual simplex, on the slack-basis path) and phase 2."""
+
     status: str
     value: Optional[float] = None
     assignment: Optional[np.ndarray] = None
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
 
 
 def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
@@ -83,10 +99,19 @@ def _basic_solution(A: np.ndarray, b: np.ndarray,
     return y if np.all(np.isfinite(y)) else None
 
 
+def _refresh(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor) -> None:
+    """Replace the tableau and objective row by ``refactor``'s rebuild of
+    them from the unpivoted system, unless it refused the basis."""
+    rebuilt = refactor(basis)
+    if rebuilt is not None:
+        T[:] = rebuilt[0]
+        obj[:] = rebuilt[1]
+
+
 def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
-                allowed: np.ndarray, bounded: bool = False,
-                refactor=None) -> str:
-    """Run primal simplex pivots until optimal or unbounded.
+                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int]:
+    """Run primal simplex pivots until optimal or unbounded; returns the
+    status and the number of pivots.
 
     ``T`` is the constraint tableau with the right-hand side as the last
     column; ``obj`` is the reduced-cost row with ``obj[-1]`` holding the
@@ -98,11 +123,11 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
     of degenerate pivots the loop switches to Bland's rule, which cannot
     cycle.  Both phases are deterministic.
 
-    ``refactor``, when given, maps the current basis to a tableau and
-    objective row rebuilt from the unpivoted system.  It is applied every
-    few pivots and again before declaring optimality, so errors that
-    accumulate across pivots on ill-conditioned problems are flushed
-    instead of corrupting ratio tests and the reported objective.
+    ``refactor`` maps the current basis to a tableau and objective row
+    rebuilt from the unpivoted system.  It is applied every few pivots and
+    again before declaring optimality, so errors that accumulate across
+    pivots on ill-conditioned problems are flushed instead of corrupting
+    ratio tests and the reported objective.
     """
     m, width = T.shape
     ncols = width - 1
@@ -110,27 +135,22 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
     bland = False
     stalled = 0
     since_refactor = 0
-    fresh = refactor is None
+    fresh = False
+    pivots = 0
     for _ in range(cap):
-        if refactor is not None and since_refactor >= 25:
-            rebuilt = refactor(basis)
-            if rebuilt is not None:
-                T[:] = rebuilt[0]
-                obj[:] = rebuilt[1]
+        if since_refactor >= 25:
+            _refresh(T, obj, basis, refactor)
             since_refactor = 0
             fresh = True
         negative = (obj[:ncols] < -PIVOT_TOL) & allowed
         candidates = np.nonzero(negative)[0]
         if candidates.size == 0:
             if not fresh:
-                rebuilt = refactor(basis)
-                if rebuilt is not None:
-                    T[:] = rebuilt[0]
-                    obj[:] = rebuilt[1]
+                _refresh(T, obj, basis, refactor)
                 since_refactor = 0
                 fresh = True
                 continue
-            return OPTIMAL
+            return OPTIMAL, pivots
         if bland:
             enter = int(candidates[0])
         else:
@@ -143,7 +163,7 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
                 # is round-off noise; retire the column and move on.
                 allowed[enter] = False
                 continue
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         ratios = T[eligible, -1] / column[eligible]
         best = float(ratios.min())
         tie_tol = 1e-9 * max(1.0, abs(best))
@@ -161,8 +181,83 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
         _pivot(T, leave, enter)
         obj -= obj[enter] * T[leave]
         basis[leave] = enter
+        pivots += 1
         since_refactor += 1
-        fresh = refactor is None
+        fresh = False
+    raise LPCyclingError("pivot cap exceeded (%d iterations)" % cap)
+
+
+def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
+               xtol: np.ndarray, refactor) -> Tuple[str, int]:
+    """Run dual simplex pivots from a dual feasible basis until the basic
+    solution is primal feasible (optimal) or a row proves the program
+    infeasible; returns the status and the number of pivots.
+
+    The tableau and objective row are laid out as in :func:`_pivot_loop`,
+    whose refactoring schedule this loop shares; here ``refactor`` keeps
+    dual feasibility instead of primal feasibility.  A basic value counts
+    as negative below ``-xtol`` of its column.  The leaving row has the
+    most negative basic value, and the entering column comes from Harris's
+    ratio test.  After a long run of dual degenerate pivots (ratio zero)
+    the loop switches to the dual Bland rule: the negative row with the
+    smallest basic index, and the smallest column index the ratio test
+    allows.
+    """
+    m, width = T.shape
+    ncols = width - 1
+    cap = 2000 + 200 * (m + ncols)
+    bland = False
+    stalled = 0
+    since_refactor = 0
+    fresh = False
+    pivots = 0
+    for _ in range(cap):
+        if since_refactor >= 25:
+            _refresh(T, obj, basis, refactor)
+            since_refactor = 0
+            fresh = True
+        rows = np.nonzero(T[:, -1] < -xtol[basis])[0]
+        if rows.size:
+            if bland:
+                leave = int(min(rows, key=lambda r: basis[r]))
+            else:
+                leave = int(rows[np.argmin(T[rows, -1])])
+            row = T[leave, :ncols]
+            eligible = np.nonzero(row < -PIVOT_TOL)[0]
+        if rows.size == 0 or eligible.size == 0:
+            # Primal feasible, or a row with a negative basic value that
+            # no nonnegative change of the nonbasic columns can raise.
+            if not fresh:
+                _refresh(T, obj, basis, refactor)
+                since_refactor = 0
+                fresh = True
+                continue
+            return (OPTIMAL if rows.size == 0 else INFEASIBLE), pivots
+        # Harris's two-pass ratio test: the step that keeps every reduced
+        # cost above -DUAL_TOL bounds the ratios allowed, and among them the
+        # largest pivot element wins, which avoids tiny pivots.  Reduced
+        # costs that round-off made negative count as zero.
+        costs = np.maximum(obj[eligible], 0.0)
+        ratios = costs / -row[eligible]
+        bound = float(((costs + DUAL_TOL) / -row[eligible]).min())
+        tied = ratios <= bound
+        if bland:
+            pick = int(np.argmax(tied))
+        else:
+            pick = int(np.argmin(np.where(tied, row[eligible], 0.0)))
+        enter = int(eligible[pick])
+        if ratios[pick] <= 1e-9:
+            stalled += 1
+            if stalled > 50 + m:
+                bland = True
+        else:
+            stalled = 0
+        _pivot(T, leave, enter)
+        obj -= obj[enter] * T[leave]
+        basis[leave] = enter
+        pivots += 1
+        since_refactor += 1
+        fresh = False
     raise LPCyclingError("pivot cap exceeded (%d iterations)" % cap)
 
 
@@ -221,15 +316,22 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     le = np.array([rel == LE for rel in rels], dtype=bool)
     ineq = np.array([rel != EQ for rel in rels], dtype=bool)
 
+    # Phase 2 objective (min form) in y-space.  When it is strictly positive
+    # and every row is an inequality, the slack basis is dual feasible.
+    cost = np.zeros(ncols)
+    to_y(c0 if lp.sense == "min" else -c0, cost)
+    dual = bool(np.all(ineq)) and bool(np.all(cost > 0.0))
+
     # The tableau's columns are, in this order, [y | slacks | artificials |
     # rhs]: the y columns of each variable in turn (two adjacent ones for a
     # free variable), one slack per inequality row in row order, and one
-    # artificial per row.  This layout must hold: bench/tracing's
-    # ``tableau_bytes`` computes the tableau-size metric from it.
+    # artificial per row, except on the dual path, which has none.
+    # bench/tracing's ``tableau_bytes`` computes the tableau-size metric
+    # from the two-phase layout.
     m = k + upper.size
     nslack = int(np.count_nonzero(ineq))
     art0 = ncols + nslack
-    total = art0 + m
+    total = art0 if dual else art0 + m
     T = np.zeros((m, total + 1))
     to_y(A0, T[:k, :ncols])
     T[k + np.arange(upper.size), col[upper]] = 1.0
@@ -245,21 +347,31 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     scale = np.abs(T[:, :ncols]).max(axis=1, initial=0.0)
     factor = 1.0 / np.where(scale > 0.0, scale, 1.0)
     T *= factor[:, None]
-    T[ineq, ncols + np.arange(nslack)] = np.where(le, factor, -factor)[ineq]
-    T[T[:, -1] < 0] *= -1.0
-    T[:, art0:total] = np.eye(m)
-    basis = list(range(art0, total))
+    if dual:
+        # Orient each row so that its slack enters with +1: the slack basis
+        # is then the identity, with basic values of either sign.
+        T[~le] *= -1.0
+        T[:, ncols:total] = np.eye(m)
+        basis = list(range(ncols, total))
+    else:
+        T[ineq, ncols + np.arange(nslack)] = np.where(le, factor, -factor)[ineq]
+        T[T[:, -1] < 0] *= -1.0
+        T[:, art0:total] = np.eye(m)
+        basis = list(range(art0, total))
     # Pristine copy for re-solving the final basic system: pivoting drifts.
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
 
-    def make_refactor(cost_full: np.ndarray):
+    def make_refactor(cost_full: np.ndarray, keep_dual: bool = False):
         def refactor(basis_now: List[int]):
             rhs = _basic_solution(A_std, b_std, basis_now)
             # Rebuilding from a basis that drifted into infeasibility would
-            # break the primal invariant, so the tableau is kept instead.  A
-            # program without rows has no basic values, hence ``initial``.
-            if rhs is None or float(rhs.min(initial=0.0)) < -1e-7:
+            # break the loop's invariant (primal feasibility, or dual
+            # feasibility when ``keep_dual``), so the tableau is kept
+            # instead.  A program without rows has no basic values, hence
+            # ``initial``.
+            if rhs is None or (not keep_dual
+                               and float(rhs.min(initial=0.0)) < -1e-7):
                 return None
             try:
                 Binv_A = np.linalg.solve(A_std[:, basis_now], A_std)
@@ -269,58 +381,76 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
                 return None
             Tn = np.empty((m, total + 1))
             Tn[:, :total] = Binv_A
-            Tn[:, -1] = np.clip(rhs, 0.0, None)
+            Tn[:, -1] = rhs if keep_dual else np.clip(rhs, 0.0, None)
             cb = cost_full[np.asarray(basis_now, dtype=int)]
             objn = np.empty(total + 1)
             objn[:total] = cost_full - cb @ Binv_A
+            if keep_dual:
+                if float(objn[:total].min(initial=0.0)) < -1e-7:
+                    return None
+                objn[:total] = np.clip(objn[:total], 0.0, None)
             objn[-1] = -float(cb @ Tn[:, -1])
             return Tn, objn
         return refactor
 
-    # Phase 1: minimize the sum of artificials.
-    cost1 = np.zeros(total)
-    cost1[art0:] = 1.0
-    obj = np.append(cost1, 0.0)
-    for r in range(m):
-        obj -= T[r]
-    allowed = np.ones(total, dtype=bool)
-    status = _pivot_loop(T, obj, basis, allowed, bounded=True,
-                         refactor=make_refactor(cost1))
-    if status != OPTIMAL:
-        raise LPCyclingError("phase 1 reported unbounded, which is impossible")
-    allowed[:] = True
-    # The tableau estimate of the artificial sum drifts over many pivots;
-    # recompute it from the pristine system before judging feasibility.
-    art_sum = -obj[-1]
-    y_basic = _basic_solution(A_std, b_std, basis)
-    if y_basic is not None:
-        art_sum = sum(max(float(y_basic[r]), 0.0)
-                      for r in range(m) if basis[r] >= art0)
-    if art_sum > FEAS_TOL:
-        return LPOutcome(INFEASIBLE)
-
-    # Drive artificials out of the basis where possible; the rest sit on
-    # redundant rows at value zero and are barred from re-entering.
-    allowed[art0:] = False
-    for r in range(m):
-        if basis[r] >= art0:
-            nonzero = np.nonzero(np.abs(T[r, :art0]) > PIVOT_TOL)[0]
-            if nonzero.size:
-                basis[r] = int(nonzero[0])
-                _pivot(T, r, basis[r])
-
-    # Phase 2 objective (min form) in y-space.
     cost2 = np.zeros(total)
-    to_y(c0 if lp.sense == "min" else -c0, cost2[:ncols])
-    obj = np.append(cost2, 0.0)
-    for r in range(m):
-        cb = obj[basis[r]]
-        if cb != 0.0:
-            obj = obj - cb * T[r]
-    status = _pivot_loop(T, obj, basis, allowed, bounded=assume_bounded,
-                         refactor=make_refactor(cost2))
+    cost2[:ncols] = cost
+    allowed = np.ones(total, dtype=bool)
+    if dual:
+        obj = np.append(cost2, 0.0)
+        # A basic variable's scale is the largest rhs, or for a slack its
+        # own row's rhs; a row with rhs 0 takes 1e-4 of the largest, so
+        # that round-off on it does not count.
+        bmax = float(np.abs(b_std).max(initial=0.0))
+        basic_scale = np.full(total, bmax)
+        basic_scale[ncols:] = np.where(b_std != 0.0, np.abs(b_std), 1e-4 * bmax)
+        xtol = DUAL_TOL * basic_scale
+        status, pivots1 = _dual_loop(T, obj, basis, xtol,
+                                     make_refactor(cost2, keep_dual=True))
+        if status == INFEASIBLE:
+            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1)
+    else:
+        # Phase 1: minimize the sum of artificials.
+        cost1 = np.zeros(total)
+        cost1[art0:] = 1.0
+        obj = np.append(cost1, 0.0)
+        for r in range(m):
+            obj -= T[r]
+        status, pivots1 = _pivot_loop(T, obj, basis, allowed, True,
+                                      make_refactor(cost1))
+        if status != OPTIMAL:
+            raise LPCyclingError("phase 1 reported unbounded, which is impossible")
+        allowed[:] = True
+        # The tableau estimate of the artificial sum drifts over many pivots;
+        # recompute it from the pristine system before judging feasibility.
+        art_sum = -obj[-1]
+        y_basic = _basic_solution(A_std, b_std, basis)
+        if y_basic is not None:
+            art_sum = sum(max(float(y_basic[r]), 0.0)
+                          for r in range(m) if basis[r] >= art0)
+        if art_sum > FEAS_TOL:
+            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1)
+
+        # Drive artificials out of the basis where possible; the rest sit on
+        # redundant rows at value zero and are barred from re-entering.
+        allowed[art0:] = False
+        for r in range(m):
+            if basis[r] >= art0:
+                nonzero = np.nonzero(np.abs(T[r, :art0]) > PIVOT_TOL)[0]
+                if nonzero.size:
+                    basis[r] = int(nonzero[0])
+                    _pivot(T, r, basis[r])
+                    pivots1 += 1
+
+        obj = np.append(cost2, 0.0)
+        for r in range(m):
+            cb = obj[basis[r]]
+            if cb != 0.0:
+                obj = obj - cb * T[r]
+    status, pivots2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
+                                  make_refactor(cost2))
     if status == UNBOUNDED:
-        return LPOutcome(UNBOUNDED)
+        return LPOutcome(UNBOUNDED, phase1_pivots=pivots1, phase2_pivots=pivots2)
 
     # Recover the basic solution from the unpivoted system as well as the
     # tableau's.  When the basis matrix is ill conditioned the tableau
@@ -358,4 +488,4 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     if worst > 1e-6:
         raise LPCyclingError("solution violates constraints by %g" % worst)
 
-    return LPOutcome(OPTIMAL, float(c0 @ x), x)
+    return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2)

@@ -19,7 +19,7 @@ from polyrad import (
     stopping_check,
     verify,
 )
-from polyrad.datasets import random_family
+from polyrad.datasets import euler_binary, random_family
 from polyrad.engine import (
     ITERATION_CAPPED,
     TERMINATED,
@@ -313,3 +313,40 @@ class TestBoundaryTolerance:
     def test_out_of_range_rejected(self, example_pair_jsr, tol):
         with pytest.raises(ValueError, match="boundary_tol"):
             run(example_pair_jsr, RunConfig(mode=MODE_P, boundary_tol=tol))
+
+
+class TestModePCycling:
+    """Mode-P runs whose membership LPs cycled in the two-phase simplex."""
+
+    @pytest.mark.parametrize("dim, seed, iterations", [
+        (50, 4, 50), (20, 104, 20), (20, 105, 20), (20, 132, 20), (20, 146, 20),
+    ], ids=["d50-s4", "d20-s104", "d20-s105", "d20-s132", "d20-s146"])
+    def test_binary_family_finishes(self, dim, seed, iterations):
+        fam = random_family("binary", dim, 2, seed)
+        out = run(fam, RunConfig(mode=MODE_P, max_candidate_length=4,
+                                 max_iterations=iterations))
+        assert out.status in (TERMINATED, ITERATION_CAPPED)
+        lo, hi = out.bounds
+        assert lo <= hi <= lo * (1.0 + 1e-6)
+
+
+class TestPermutedCoordinates:
+    """A permutation similarity leaves the joint spectral radius unchanged,
+    so a permuted run must not fail, and one that terminates must give the
+    published value with a certificate that verifies.  Whether it
+    terminates may change with the permutation."""
+
+    @pytest.mark.parametrize("r, jsr", [(7, 3.511547), (11, 5.505892)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_permuted_euler_binary(self, r, jsr, seed):
+        fam = euler_binary(r)
+        perm = np.random.default_rng(seed).permutation(fam.dim)
+        permuted = MatrixFamily([A[np.ix_(perm, perm)] for A in fam.matrices])
+        out = run(permuted, RunConfig(mode=MODE_P, max_candidate_length=6))
+        assert out.status in (TERMINATED, ITERATION_CAPPED)
+        lo, hi = out.bounds
+        assert lo - 1e-6 <= jsr <= hi + 1e-6
+        if out.status == TERMINATED:
+            assert out.value == pytest.approx(jsr, abs=1e-6)
+            report = verify(permuted, out.certificate)
+            assert report.verdict, report.failures

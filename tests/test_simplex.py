@@ -202,6 +202,29 @@ class TestBasics:
                                    [(0.0, 1.0)]))
 
 
+class TestPivotCounts:
+    def test_slack_basis_start_counts_dual_pivots(self):
+        # Positive costs and only inequality rows: the dual simplex makes
+        # both rows feasible and phase 2 has nothing left to do.
+        lp = LinearProgram("min", [1.0, 1.0],
+                           [([1.0, 2.0], ">=", 2.0), ([3.0, 1.0], ">=", 3.0)],
+                           [(0.0, None), (0.0, None)])
+        out = solve_lp(lp)
+        assert out.value == pytest.approx(1.4)
+        assert (out.phase1_pivots, out.phase2_pivots) == (2, 0)
+
+    def test_two_phase_counts_both_phases(self):
+        lp = LinearProgram("max", [2.0, 3.0],
+                           [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0),
+                            ([1.0, 0.0], ">=", 1.0)],
+                           [(0.0, None), (0.0, None)])
+        out = solve_lp(lp)
+        assert out.value == pytest.approx(9.0)
+        assert (out.phase1_pivots, out.phase2_pivots) == (3, 1)
+        again = solve_lp(lp)
+        assert (again.phase1_pivots, again.phase2_pivots) == (3, 1)
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
         rng = np.random.default_rng(123)
