@@ -211,7 +211,8 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
 
     The tolerance is ten times the certificate's recorded run tolerance,
     which must lie in ``[0, MAX_TOLERANCE]``.  The verdict is valid only
-    when the family has the sign the mode needs, the recomputed candidate
+    when the family and the vertices have the sign the mode needs (modes P
+    and L live in the nonnegative orthant), the recomputed candidate
     radius matches, every vertex image passes its membership test (a zero
     image passes in modes R and P and fails in L), the cone (if any) is
     invariant, and the vertices span appropriately (full rank for mode R,
@@ -245,6 +246,9 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     d = family.dim
     if any(v.shape != (d,) for v in cert.vertices):
         failures.append("vertex dimension mismatch")
+        return report
+    if not spec.balanced and any(np.any(v < 0.0) for v in cert.vertices):
+        failures.append("mode %s requires nonnegative vertices" % cert.mode)
         return report
     if any(not 1 <= i <= family.size for i in cert.word):
         failures.append("word index out of range")

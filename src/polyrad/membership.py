@@ -132,10 +132,12 @@ def norm_membership_P(z, V) -> float:
     The value is the largest ``t`` with ``t z <= V^T w`` for convex weights
     ``w``.  It is solved as the covering program ``min{sum c : V^T c >= z,
     c >= 0}``, whose optimum is ``1/t``: its costs are all 1, so the solver
-    starts from the dual feasible slack basis, with no phase 1.  A
-    coordinate where ``z`` is positive and no vertex is leaves the program
-    infeasible and the value 0; a ``z`` with no positive coordinate has
-    the value ``inf``.  Neither needs an LP.
+    starts from the dual feasible slack basis, with no phase 1.  The
+    vertices must be nonnegative, as the body lies in the nonnegative
+    orthant.  A coordinate where ``z`` is positive and no vertex is leaves
+    the program infeasible and the value 0; a ``z`` with no positive
+    coordinate lies below every vertex and has the value ``inf``.  Neither
+    needs an LP.
 
     The returned value is certified: the solver's weights are projected to
     convex weights ``w = c / sum c`` and the value is recomputed from that
@@ -144,6 +146,8 @@ def norm_membership_P(z, V) -> float:
     roundoff in a handful of dot products.
     """
     z, Vm = _stack(z, V)
+    if np.any(Vm < 0.0):
+        raise ValueError("order-ideal vertices must be nonnegative")
     pos = z > 0.0
     if not np.any(pos):
         return _INF

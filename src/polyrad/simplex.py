@@ -99,6 +99,29 @@ def _basic_solution(A: np.ndarray, b: np.ndarray,
     return y if np.all(np.isfinite(y)) else None
 
 
+def _nonnegative(x: np.ndarray) -> Optional[np.ndarray]:
+    """``x`` with round-off below zero clipped away, or None when an entry
+    is truly negative.  A program without rows has no basic values, hence
+    ``initial``."""
+    if float(x.min(initial=0.0)) < -1e-7:
+        return None
+    return np.clip(x, 0.0, None)
+
+
+def _primal_feasible(rhs: np.ndarray, reduced: np.ndarray):
+    """A rebuilt tableau cleaned to the primal loop's invariant, nonnegative
+    basic values, or None when its basis drifted out of it."""
+    rhs = _nonnegative(rhs)
+    return None if rhs is None else (rhs, reduced)
+
+
+def _dual_feasible(rhs: np.ndarray, reduced: np.ndarray):
+    """As :func:`_primal_feasible`, for the dual loop's nonnegative reduced
+    costs."""
+    reduced = _nonnegative(reduced)
+    return None if reduced is None else (rhs, reduced)
+
+
 def _refresh(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor) -> None:
     """Replace the tableau and objective row by ``refactor``'s rebuild of
     them from the unpivoted system, unless it refused the basis."""
@@ -108,30 +131,28 @@ def _refresh(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor) -> None
         obj[:] = rebuilt[1]
 
 
-def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
-                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int]:
-    """Run primal simplex pivots until optimal or unbounded; returns the
-    status and the number of pivots.
+def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
+           choose) -> Tuple[str, int]:
+    """Pivot until ``choose`` reports a status; returns it and the number of
+    pivots.
 
     ``T`` is the constraint tableau with the right-hand side as the last
     column; ``obj`` is the reduced-cost row with ``obj[-1]`` holding the
-    negative of the current objective value.
-
-    Pricing is Dantzig's rule (most negative reduced cost) with the
-    leaving row chosen among minimum-ratio ties by the largest pivot
-    element, which keeps the tableau well conditioned.  After a long run
-    of degenerate pivots the loop switches to Bland's rule, which cannot
-    cycle.  Both phases are deterministic.
+    negative of the current objective value.  ``choose(bland)`` returns a
+    ``(leave, enter, degenerate)`` pivot, ``None`` to look again, or a
+    status.  An unbounded ray is final; any other status is confirmed on a
+    freshly rebuilt tableau first.  After a long run of degenerate pivots
+    ``bland`` turns on, and ``choose`` must then follow Bland's rule, which
+    cannot cycle.
 
     ``refactor`` maps the current basis to a tableau and objective row
     rebuilt from the unpivoted system.  It is applied every few pivots and
-    again before declaring optimality, so errors that accumulate across
+    again before a status is confirmed, so errors that accumulate across
     pivots on ill-conditioned problems are flushed instead of corrupting
     ratio tests and the reported objective.
     """
     m, width = T.shape
-    ncols = width - 1
-    cap = 2000 + 200 * (m + ncols)
+    cap = 2000 + 200 * (m + width - 1)
     bland = False
     stalled = 0
     since_refactor = 0
@@ -142,37 +163,18 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
             _refresh(T, obj, basis, refactor)
             since_refactor = 0
             fresh = True
-        negative = (obj[:ncols] < -PIVOT_TOL) & allowed
-        candidates = np.nonzero(negative)[0]
-        if candidates.size == 0:
-            if not fresh:
-                _refresh(T, obj, basis, refactor)
-                since_refactor = 0
-                fresh = True
-                continue
-            return OPTIMAL, pivots
-        if bland:
-            enter = int(candidates[0])
-        else:
-            enter = int(candidates[np.argmin(obj[candidates])])
-        column = T[:, enter]
-        eligible = np.nonzero(column > PIVOT_TOL)[0]
-        if eligible.size == 0:
-            if bounded:
-                # The problem is known to be bounded, so an "improving ray"
-                # is round-off noise; retire the column and move on.
-                allowed[enter] = False
-                continue
-            return UNBOUNDED, pivots
-        ratios = T[eligible, -1] / column[eligible]
-        best = float(ratios.min())
-        tie_tol = 1e-9 * max(1.0, abs(best))
-        tied = eligible[ratios <= best + tie_tol]
-        if bland:
-            leave = int(min(tied, key=lambda r: basis[r]))
-        else:
-            leave = int(tied[np.argmax(column[tied])])
-        if best <= tie_tol:
+        step = choose(bland)
+        if step is None:
+            continue
+        if isinstance(step, str):
+            if step == UNBOUNDED or fresh:
+                return step, pivots
+            _refresh(T, obj, basis, refactor)
+            since_refactor = 0
+            fresh = True
+            continue
+        leave, enter, degenerate = step
+        if degenerate:
             stalled += 1
             if stalled > 50 + m:
                 bland = True
@@ -187,52 +189,79 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
     raise LPCyclingError("pivot cap exceeded (%d iterations)" % cap)
 
 
+def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
+                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int]:
+    """Run primal simplex pivots from a primal feasible basis until optimal
+    or unbounded; returns the status and the number of pivots.
+
+    Pricing is Dantzig's rule (most negative reduced cost among the
+    ``allowed`` columns) with the leaving row chosen among minimum-ratio
+    ties by the largest pivot element, which keeps the tableau well
+    conditioned.  Under Bland's rule both are the smallest index.  A pivot
+    is degenerate when its ratio is zero.
+    """
+    ncols = T.shape[1] - 1
+
+    def choose(bland: bool):
+        negative = (obj[:ncols] < -PIVOT_TOL) & allowed
+        candidates = np.nonzero(negative)[0]
+        if candidates.size == 0:
+            return OPTIMAL
+        if bland:
+            enter = int(candidates[0])
+        else:
+            enter = int(candidates[np.argmin(obj[candidates])])
+        column = T[:, enter]
+        eligible = np.nonzero(column > PIVOT_TOL)[0]
+        if eligible.size == 0:
+            if bounded:
+                # The problem is known to be bounded, so an "improving ray"
+                # is round-off noise; retire the column and move on.
+                allowed[enter] = False
+                return None
+            return UNBOUNDED
+        ratios = T[eligible, -1] / column[eligible]
+        best = float(ratios.min())
+        tie_tol = 1e-9 * max(1.0, abs(best))
+        tied = eligible[ratios <= best + tie_tol]
+        if bland:
+            leave = int(min(tied, key=lambda r: basis[r]))
+        else:
+            leave = int(tied[np.argmax(column[tied])])
+        return leave, enter, best <= tie_tol
+
+    return _drive(T, obj, basis, refactor, choose)
+
+
 def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
                xtol: np.ndarray, refactor) -> Tuple[str, int]:
     """Run dual simplex pivots from a dual feasible basis until the basic
     solution is primal feasible (optimal) or a row proves the program
     infeasible; returns the status and the number of pivots.
 
-    The tableau and objective row are laid out as in :func:`_pivot_loop`,
-    whose refactoring schedule this loop shares; here ``refactor`` keeps
-    dual feasibility instead of primal feasibility.  A basic value counts
-    as negative below ``-xtol`` of its column.  The leaving row has the
-    most negative basic value, and the entering column comes from Harris's
-    ratio test.  After a long run of dual degenerate pivots (ratio zero)
-    the loop switches to the dual Bland rule: the negative row with the
-    smallest basic index, and the smallest column index the ratio test
-    allows.
+    A basic value counts as negative below ``-xtol`` of its column.  The
+    leaving row has the most negative basic value, and the entering column
+    comes from Harris's ratio test.  Under the dual Bland rule the leaving
+    row is the negative one with the smallest basic index, and the
+    entering column the smallest index the ratio test allows.  A pivot is
+    degenerate when its ratio is zero.
     """
-    m, width = T.shape
-    ncols = width - 1
-    cap = 2000 + 200 * (m + ncols)
-    bland = False
-    stalled = 0
-    since_refactor = 0
-    fresh = False
-    pivots = 0
-    for _ in range(cap):
-        if since_refactor >= 25:
-            _refresh(T, obj, basis, refactor)
-            since_refactor = 0
-            fresh = True
+    ncols = T.shape[1] - 1
+
+    def choose(bland: bool):
         rows = np.nonzero(T[:, -1] < -xtol[basis])[0]
-        if rows.size:
-            if bland:
-                leave = int(min(rows, key=lambda r: basis[r]))
-            else:
-                leave = int(rows[np.argmin(T[rows, -1])])
-            row = T[leave, :ncols]
-            eligible = np.nonzero(row < -PIVOT_TOL)[0]
-        if rows.size == 0 or eligible.size == 0:
-            # Primal feasible, or a row with a negative basic value that
-            # no nonnegative change of the nonbasic columns can raise.
-            if not fresh:
-                _refresh(T, obj, basis, refactor)
-                since_refactor = 0
-                fresh = True
-                continue
-            return (OPTIMAL if rows.size == 0 else INFEASIBLE), pivots
+        if rows.size == 0:
+            return OPTIMAL
+        if bland:
+            leave = int(min(rows, key=lambda r: basis[r]))
+        else:
+            leave = int(rows[np.argmin(T[rows, -1])])
+        row = T[leave, :ncols]
+        eligible = np.nonzero(row < -PIVOT_TOL)[0]
+        if eligible.size == 0:
+            # A negative basic value that no nonnegative change of the
+            # nonbasic columns can raise.
+            return INFEASIBLE
         # Harris's two-pass ratio test: the step that keeps every reduced
         # cost above -DUAL_TOL bounds the ratios allowed, and among them the
         # largest pivot element wins, which avoids tiny pivots.  Reduced
@@ -245,20 +274,9 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
             pick = int(np.argmax(tied))
         else:
             pick = int(np.argmin(np.where(tied, row[eligible], 0.0)))
-        enter = int(eligible[pick])
-        if ratios[pick] <= 1e-9:
-            stalled += 1
-            if stalled > 50 + m:
-                bland = True
-        else:
-            stalled = 0
-        _pivot(T, leave, enter)
-        obj -= obj[enter] * T[leave]
-        basis[leave] = enter
-        pivots += 1
-        since_refactor += 1
-        fresh = False
-    raise LPCyclingError("pivot cap exceeded (%d iterations)" % cap)
+        return leave, int(eligible[pick]), ratios[pick] <= 1e-9
+
+    return _drive(T, obj, basis, refactor, choose)
 
 
 def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
@@ -362,16 +380,10 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
 
-    def make_refactor(cost_full: np.ndarray, keep_dual: bool = False):
+    def make_refactor(cost_full: np.ndarray, invariant):
         def refactor(basis_now: List[int]):
             rhs = _basic_solution(A_std, b_std, basis_now)
-            # Rebuilding from a basis that drifted into infeasibility would
-            # break the loop's invariant (primal feasibility, or dual
-            # feasibility when ``keep_dual``), so the tableau is kept
-            # instead.  A program without rows has no basic values, hence
-            # ``initial``.
-            if rhs is None or (not keep_dual
-                               and float(rhs.min(initial=0.0)) < -1e-7):
+            if rhs is None:
                 return None
             try:
                 Binv_A = np.linalg.solve(A_std[:, basis_now], A_std)
@@ -379,18 +391,15 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
                 return None
             if not np.all(np.isfinite(Binv_A)):
                 return None
-            Tn = np.empty((m, total + 1))
-            Tn[:, :total] = Binv_A
-            Tn[:, -1] = rhs if keep_dual else np.clip(rhs, 0.0, None)
             cb = cost_full[np.asarray(basis_now, dtype=int)]
-            objn = np.empty(total + 1)
-            objn[:total] = cost_full - cb @ Binv_A
-            if keep_dual:
-                if float(objn[:total].min(initial=0.0)) < -1e-7:
-                    return None
-                objn[:total] = np.clip(objn[:total], 0.0, None)
-            objn[-1] = -float(cb @ Tn[:, -1])
-            return Tn, objn
+            # A basis that drifted out of the loop's invariant would break
+            # the loop if rebuilt from, so the tableau is kept instead.
+            kept = invariant(rhs, cost_full - cb @ Binv_A)
+            if kept is None:
+                return None
+            rhs, reduced = kept
+            return (np.column_stack((Binv_A, rhs)),
+                    np.append(reduced, -float(cb @ rhs)))
         return refactor
 
     cost2 = np.zeros(total)
@@ -406,7 +415,7 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
         basic_scale[ncols:] = np.where(b_std != 0.0, np.abs(b_std), 1e-4 * bmax)
         xtol = DUAL_TOL * basic_scale
         status, pivots1 = _dual_loop(T, obj, basis, xtol,
-                                     make_refactor(cost2, keep_dual=True))
+                                     make_refactor(cost2, _dual_feasible))
         if status == INFEASIBLE:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1)
     else:
@@ -417,7 +426,7 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
         for r in range(m):
             obj -= T[r]
         status, pivots1 = _pivot_loop(T, obj, basis, allowed, True,
-                                      make_refactor(cost1))
+                                      make_refactor(cost1, _primal_feasible))
         if status != OPTIMAL:
             raise LPCyclingError("phase 1 reported unbounded, which is impossible")
         allowed[:] = True
@@ -448,7 +457,7 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
             if cb != 0.0:
                 obj = obj - cb * T[r]
     status, pivots2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
-                                  make_refactor(cost2))
+                                  make_refactor(cost2, _primal_feasible))
     if status == UNBOUNDED:
         return LPOutcome(UNBOUNDED, phase1_pivots=pivots1, phase2_pivots=pivots2)
 

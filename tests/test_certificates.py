@@ -186,6 +186,25 @@ class TestSoundness:
         assert not report.verdict
         assert any("nonnegative" in f for f in report.failures)
 
+    @pytest.mark.parametrize("mode, second, vertices", [
+        # JSR 3: under I each vertex is its own image, and under the second
+        # matrix the images (-3, 0) and (0, -3) have no positive coordinate.
+        (MODE_P, [[1.0, 2.0], [2.0, 1.0]], ([1.0, -2.0], [-2.0, 1.0])),
+        # JSR 2: every image under the second matrix is exactly zero.
+        (MODE_P, [[1.0, 1.0], [1.0, 1.0]], ([1.0, -1.0], [-1.0, 1.0])),
+        (MODE_L, [[1.0, 1.0], [1.0, 1.0]], ([1.0, -1.0], [-1.0, 1.0])),
+    ])
+    def test_negative_vertices_rejected(self, mode, second, vertices):
+        # Modes P and L live in the nonnegative orthant; a forged
+        # certificate with signed vertices claims radius 1 and must be
+        # refused without raising.
+        fam = MatrixFamily([np.eye(2), np.array(second)])
+        cert = Certificate(1, mode, family_fingerprint(fam), (1,), 1.0,
+                           tuple(np.array(v) for v in vertices), None, 1, 1e-10)
+        report = verify(fam, cert)
+        assert not report.verdict
+        assert any("nonnegative vertices" in f for f in report.failures)
+
     def test_large_tolerance_rejected(self, jsr_outcome):
         # With a tolerance of 1.0 the unit box would pass as invariant
         # under a family whose joint spectral radius is 1.535.

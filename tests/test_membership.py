@@ -60,6 +60,18 @@ class TestMonotonePolytope:
         V = [np.array([1.0, 1.0])]
         assert norm_membership_P([0.5, 0.5], V) == pytest.approx(2.0)
 
+    def test_no_positive_coordinate_is_inside(self):
+        V = [np.array([1.0, 1.0])]
+        assert norm_membership_P([-1.0, 0.0], V) == INF
+
+    def test_rejects_negative_vertices(self):
+        # Below a vertex with a negative entry, "no positive coordinate"
+        # no longer means inside, and the covering program can be
+        # infeasible.
+        V = [np.array([1.0, -2.0]), np.array([-2.0, 1.0])]
+        with pytest.raises(ValueError):
+            norm_membership_P([-3.0, 0.0], V)
+
     def test_never_overshoots_optimum(self):
         # The reported value must correspond to an exactly feasible convex
         # decomposition; random spot check against a fine search.
