@@ -115,10 +115,6 @@ def serialize(cert: Certificate) -> str:
     return _render(payload)
 
 
-_REQUIRED = ("version", "mode", "family_fingerprint", "word", "rho_per_step",
-             "vertices", "cone_H", "iterations", "tolerance")
-
-
 def _number(literal) -> float:
     """``float(literal)``, refusing NaN, infinities and overflow (1e999)."""
     x = float(literal)
@@ -127,39 +123,60 @@ def _number(literal) -> float:
     return x
 
 
+def _integer(literal: str) -> int:
+    """``int(literal)``, refusing one too large for a float."""
+    _number(literal)
+    return int(literal)
+
+
+# Each field and the JSON types it may have, compared by ``type``: a bool
+# is not a number.
+_NUMBER = {int, float}
+_FIELDS = (("version", {int}), ("mode", {str}), ("family_fingerprint", {str}),
+           ("word", {list}), ("rho_per_step", _NUMBER), ("vertices", {list}),
+           ("cone_H", {list, type(None)}), ("iterations", {int}),
+           ("tolerance", _NUMBER))
+
+
+def _vectors(value: list, key: str) -> Tuple[np.ndarray, ...]:
+    """A list of lists of JSON numbers as float vectors."""
+    if not all(isinstance(v, list) and set(map(type, v)) <= _NUMBER for v in value):
+        raise CertificateFormatError("certificate %s must be lists of numbers" % key)
+    return tuple(np.asarray(v, dtype=float) for v in value)
+
+
 def deserialize(text: str) -> Certificate:
     try:
-        raw = json.loads(text, parse_float=_number, parse_constant=_number)
+        raw = json.loads(text, parse_float=_number, parse_int=_integer,
+                         parse_constant=_number)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError("certificate is not valid JSON: %s" % exc)
     if not isinstance(raw, dict):
         raise CertificateFormatError("certificate must be a JSON object")
-    for key in _REQUIRED:
+    for key, types in _FIELDS:
         if key not in raw:
             raise CertificateFormatError("certificate is missing field %r" % key)
+        if type(raw[key]) not in types:
+            raise CertificateFormatError("certificate %s has the wrong type" % key)
     if raw["mode"] not in MODES:
         raise CertificateFormatError("unknown certificate mode %r" % (raw["mode"],))
-    word = tuple(int(i) for i in raw["word"])
-    if not word or any(i < 1 for i in word):
+    word = tuple(raw["word"])
+    if not word or any(type(i) is not int or i < 1 for i in word):
         raise CertificateFormatError("certificate word must be positive indices")
-    vertices = tuple(np.asarray(v, dtype=float) for v in raw["vertices"])
+    vertices = _vectors(raw["vertices"], "vertices")
     if not vertices:
         raise CertificateFormatError("certificate must contain vertices")
     cone = raw["cone_H"]
-    cone_H = None if cone is None else tuple(np.asarray(h, dtype=float) for h in cone)
-    # Quoted numbers bypass the parse hook.
-    if not all(np.isfinite(x).all() for x in vertices + (cone_H or ())):
-        raise CertificateFormatError("certificate holds a non-finite number")
     return Certificate(
-        version=int(raw["version"]),
-        mode=str(raw["mode"]),
-        family_fingerprint=str(raw["family_fingerprint"]),
+        version=raw["version"],
+        mode=raw["mode"],
+        family_fingerprint=raw["family_fingerprint"],
         word=word,
-        rho_per_step=_number(raw["rho_per_step"]),
+        rho_per_step=float(raw["rho_per_step"]),
         vertices=vertices,
-        cone_H=cone_H,
-        iterations=int(raw["iterations"]),
-        tolerance=_number(raw["tolerance"]),
+        cone_H=None if cone is None else _vectors(cone, "cone_H"),
+        iterations=raw["iterations"],
+        tolerance=float(raw["tolerance"]),
     )
 
 

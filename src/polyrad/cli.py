@@ -70,15 +70,16 @@ def load_family(path: str) -> MatrixFamily:
     for key in ("version", "dim", "matrices"):
         if key not in raw:
             raise FamilyFileError("family file is missing field %r" % key)
-    if int(raw["version"]) != FAMILY_FILE_VERSION:
-        raise FamilyFileError("unsupported family file version %r" % raw["version"])
+    if type(raw["version"]) is not int or raw["version"] != FAMILY_FILE_VERSION:
+        raise FamilyFileError("unsupported family file version %r"
+                              % (raw["version"],))
     try:
         family = MatrixFamily(raw["matrices"], raw.get("labels"))
     except (MatrixError, TypeError, ValueError) as exc:
         raise FamilyFileError("bad matrices in %s: %s" % (path, exc))
-    if family.dim != int(raw["dim"]):
+    if type(raw["dim"]) is not int or family.dim != raw["dim"]:
         raise FamilyFileError("declared dim %r does not match the matrices"
-                              % raw["dim"])
+                              % (raw["dim"],))
     return family
 
 
@@ -114,6 +115,11 @@ def _engine_mode(mode: str, family: MatrixFamily) -> str:
     if mode == "lsr":
         return MODE_L
     return MODE_P if family.is_nonnegative() else MODE_R
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print("error: cannot write %s: %s" % (path, exc.strerror), file=sys.stderr)
+    return EXIT_ERROR
 
 
 def _exit_code(outcome: RunOutcome) -> int:
@@ -204,12 +210,7 @@ def cmd_compute(args) -> int:
         mode=_engine_mode(mode, family),
         max_candidate_length=args.max_length,
         max_iterations=args.max_iters,
-        boundary_tol=args.tol,
         remove_boundary=args.remove_boundary,
-        stopping_enabled=not args.no_stopping,
-        cone_delta=args.cone_delta,
-        cone_epsilon=args.cone_epsilon,
-        cone_probe_iters=args.cone_probe_iters,
     )
     try:
         outcome = run(family, config)
@@ -217,9 +218,11 @@ def cmd_compute(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     if args.certificate and outcome.certificate is not None:
-        with open(args.certificate, "w", encoding="utf-8") as handle:
-            handle.write(serialize(outcome.certificate))
-            handle.write("\n")
+        try:
+            with open(args.certificate, "w", encoding="utf-8") as handle:
+                handle.write(serialize(outcome.certificate) + "\n")
+        except OSError as exc:
+            return _cannot_write(args.certificate, exc)
     if args.output == "json":
         print(json.dumps(_outcome_json(outcome, mode), indent=2))
     elif args.output == "csv":
@@ -268,8 +271,11 @@ def cmd_dataset(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            dump_family(family, handle)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                dump_family(family, handle)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
         print("wrote %s (dim %d, %d matrices, fingerprint %s)"
               % (args.out, family.dim, family.size,
                  family_fingerprint(family)[:16]))
@@ -301,7 +307,6 @@ def cmd_bench(args) -> int:
                 mode=_engine_mode(args.mode, family),
                 max_candidate_length=args.max_length,
                 max_iterations=args.max_iters,
-                boundary_tol=args.tol,
             )
             outcome = run(family, config)
         except (ValueError, RuntimeError) as exc:
@@ -335,16 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="candidate word length cap (default 6, or 4 "
                               "above dimension 10)")
     compute.add_argument("--max-iters", type=int, default=defaults.max_iterations)
-    compute.add_argument("--tol", type=float, default=defaults.boundary_tol)
     compute.add_argument("--remove-boundary", action="store_true",
                          help="also discard new points on the unit sphere")
-    compute.add_argument("--no-stopping", action="store_true",
-                         help="disable the dual stopping tests")
-    compute.add_argument("--cone-delta", type=float, default=defaults.cone_delta)
-    compute.add_argument("--cone-epsilon", type=float,
-                         default=defaults.cone_epsilon)
-    compute.add_argument("--cone-probe-iters", type=int,
-                         default=defaults.cone_probe_iters)
     compute.add_argument("--certificate", default=None,
                          help="write the certificate here on termination")
     compute.add_argument("--output", choices=("text", "json", "csv"),
@@ -379,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--density", type=float, default=None)
     bench.add_argument("--max-length", type=int, default=None)
     bench.add_argument("--max-iters", type=int, default=defaults.max_iterations)
-    bench.add_argument("--tol", type=float, default=defaults.boundary_tol)
     bench.add_argument("--output", choices=("text", "csv"), default="csv")
     bench.set_defaults(func=cmd_bench)
     return parser

@@ -21,9 +21,11 @@ import numpy as np
 from .matrices import MatrixFamily
 from .membership import cone_ray_margin
 
-DELTA_DEFAULT = 1.0 / 200.0
-EPSILON_DEFAULT = 0.25
-PROBE_ITERS_DEFAULT = 10
+# Detection threshold, first ray epsilon, and the iteration the engine
+# probes for collapsing coordinates at.
+DELTA = 1.0 / 200.0
+EPSILON = 0.25
+PROBE_ITERS = 10
 
 _POS_TOL = 1e-10
 _MAX_HALVINGS = 4
@@ -40,12 +42,10 @@ class ConeExtension:
 
     rays: Tuple[np.ndarray, ...]
     index_sets: Tuple[Tuple[int, ...], ...]
-    delta: float
-    epsilon: float
 
 
 def detect_near_boundary(points: Sequence[np.ndarray],
-                         delta: float = DELTA_DEFAULT) -> List[Tuple[int, ...]]:
+                         delta: float = DELTA) -> List[Tuple[int, ...]]:
     """Index sets of coordinates that collapse relative to the peak entry.
 
     A point is near the orthant boundary when its smallest entry falls
@@ -89,7 +89,7 @@ def root_profile(vertices: Sequence[np.ndarray]) -> Optional[np.ndarray]:
 
 
 def rays_from_index_sets(index_sets: Sequence[Sequence[int]], dim: int,
-                         delta: float, epsilon: float,
+                         epsilon: float,
                          profile: Optional[np.ndarray] = None) -> ConeExtension:
     """Build the extension rays for the given 1-based index sets.
 
@@ -110,7 +110,7 @@ def rays_from_index_sets(index_sets: Sequence[Sequence[int]], dim: int,
         h[on_set] *= -epsilon
         rays.append(h)
         canonical.append(indices)
-    return ConeExtension(tuple(rays), tuple(canonical), delta, epsilon)
+    return ConeExtension(tuple(rays), tuple(canonical))
 
 
 def validate_cone(scaled: MatrixFamily, extension: ConeExtension):
@@ -131,11 +131,10 @@ def validate_cone(scaled: MatrixFamily, extension: ConeExtension):
 
 
 def negotiate_cone(scaled: MatrixFamily, index_sets: Sequence[Sequence[int]],
-                   delta: float, epsilon: float,
                    profile: Optional[np.ndarray] = None) -> Optional[ConeExtension]:
     """Search for a validating extension built from the detected index sets.
 
-    At each epsilon (halved up to four times on failure) the
+    At each epsilon (``EPSILON``, halved up to four times on failure) the
     full collection of rays is tried first; if a particular ray's image
     cannot be certified inside the cone, that ray is dropped and the
     smaller collection is retried, since a single uncoverable ray must not
@@ -143,12 +142,11 @@ def negotiate_cone(scaled: MatrixFamily, index_sets: Sequence[Sequence[int]],
     (see :func:`rays_from_index_sets`).  Returns a validated extension or
     ``None``, in which case the caller continues without the cone.
     """
-    eps = epsilon
+    eps = EPSILON
     for _ in range(_MAX_HALVINGS + 1):
         live = [tuple(sorted(int(q) for q in s)) for s in index_sets]
         while live:
-            extension = rays_from_index_sets(live, scaled.dim, delta, eps,
-                                             profile)
+            extension = rays_from_index_sets(live, scaled.dim, eps, profile)
             ok, failure = validate_cone(scaled, extension)
             if ok:
                 return extension

@@ -29,15 +29,12 @@ from .candidates import (
 )
 from .certificates import (
     CERT_VERSION,
-    MAX_TOLERANCE,
     Certificate,
     family_fingerprint,
     spans_check,
 )
 from .cone import (
-    DELTA_DEFAULT,
-    EPSILON_DEFAULT,
-    PROBE_ITERS_DEFAULT,
+    PROBE_ITERS,
     ConeExtension,
     detect_near_boundary,
     negotiate_cone,
@@ -59,6 +56,9 @@ TERMINATED = "terminated"
 ITERATION_CAPPED = "iteration_capped"
 INAPPLICABLE = "inapplicable"
 
+# The boundary tolerance tau: a value within tau of 1 is on the boundary.
+# Certificates record it as their tolerance.
+BOUNDARY_TOL = 1e-10
 _DUP_TOL = 1e-9
 # Restarts with a better candidate before the stopping tests are dropped.
 _RESTART_BUDGET = 10
@@ -86,12 +86,7 @@ class RunConfig:
     mode: str = MODE_P
     max_candidate_length: Optional[int] = None
     max_iterations: int = 50
-    boundary_tol: float = 1e-10
     remove_boundary: bool = False
-    stopping_enabled: bool = True
-    cone_delta: float = DELTA_DEFAULT
-    cone_epsilon: float = EPSILON_DEFAULT
-    cone_probe_iters: int = PROBE_ITERS_DEFAULT
     vertex_cap: int = 2000
 
 
@@ -157,12 +152,12 @@ def _membership(spec: Mode, z, points,
     return norm_membership_P(z, points)
 
 
-def _is_dead(spec: Mode, t: float, tau: float, remove_boundary: bool) -> bool:
+def _is_dead(spec: Mode, t: float, remove_boundary: bool) -> bool:
     """Whether value ``t`` is inside the body (or on it, ``remove_boundary``)."""
     s = spec.sign
     if remove_boundary:
-        return s * t >= s * (1.0 - s * tau)
-    return s * t > s * (1.0 + s * tau)
+        return s * t >= s * (1.0 - s * BOUNDARY_TOL)
+    return s * t > s * (1.0 + s * BOUNDARY_TOL)
 
 
 def stopping_check(mode: str, duals, z, tau: float) -> Optional[int]:
@@ -222,7 +217,6 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     :class:`VertexCapError` when the vertex cap is hit.
     """
     spec = MODES[config.mode]
-    tau = config.boundary_tol
     t_values: List[float] = []
     new_frontier: List[int] = []
     for vid, p in state.R:
@@ -238,10 +232,10 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                 "a generator maps a vertex to zero; the antinorm "
                 "construction does not apply")
         t_values.append(t)
-        if _is_dead(spec, t, tau, config.remove_boundary):
+        if _is_dead(spec, t, config.remove_boundary):
             continue
         if duals is not None:
-            j = stopping_check(config.mode, duals, z, tau)
+            j = stopping_check(config.mode, duals, z, BOUNDARY_TOL)
             if j is not None:
                 raise StoppingViolation(j, _path_word(state, vid, p, j))
         # A revisit may be culled only when its membership value certifies
@@ -308,14 +302,13 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
                            "of the space, so the family is reducible and the "
                            "candidate value is not certified" % span)
             break
-        if not probe_done and state.k >= config.cone_probe_iters:
+        if not probe_done and state.k >= PROBE_ITERS:
             probe_done = True
-            sets = detect_near_boundary(state.points(), config.cone_delta)
+            sets = detect_near_boundary(state.points())
             if sets:
                 cone_sets = tuple(tuple(s) for s in sets)
                 negotiated = negotiate_cone(
-                    scaled, sets, config.cone_delta, config.cone_epsilon,
-                    profile=root_profile(root.vertices))
+                    scaled, sets, profile=root_profile(root.vertices))
                 if negotiated is not None:
                     # Restart growth from the roots with the widened set.
                     extension = negotiated
@@ -334,7 +327,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
             family_fingerprint=family_fingerprint(family), word=candidate.word,
             rho_per_step=rho, vertices=tuple(state.points()),
             cone_H=tuple(extension.rays) if extension is not None else None,
-            iterations=state.k, tolerance=config.boundary_tol)
+            iterations=state.k, tolerance=BOUNDARY_TOL)
     return RunOutcome(
         status=status, mode=config.mode, value=value, bounds=bounds, t_N=t_N,
         certificate=certificate, iterations=state.k,
@@ -357,8 +350,6 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
         raise ValueError("mode must be one of 'R', 'P', 'L'")
     if not spec.balanced and not family.is_nonnegative():
         raise ValueError("mode %s requires a nonnegative family" % mode)
-    if not 0.0 <= config.boundary_tol <= MAX_TOLERANCE:
-        raise ValueError("boundary_tol must lie in [0, %g]" % MAX_TOLERANCE)
     sense = "max" if spec.sign > 0 else "min"
     max_length = config.max_candidate_length
     if max_length is None:
@@ -366,7 +357,7 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
 
     candidate = enumerate_candidates(family, max_length, sense)
     budget = _RESTART_BUDGET
-    stopping = config.stopping_enabled
+    stopping = True
     tried = {candidate.word}
     budget_exhausted = False
 

@@ -48,11 +48,13 @@ class LPFormatError(ValueError):
 
 @dataclass
 class LinearProgram:
-    """A general-form linear program.
+    """A linear program over nonnegative and free variables.
 
     ``rows`` is a list of ``(coefficients, relation, rhs)`` triples with
     relation one of ``"<="``, ``"="``, ``">="``.  ``bounds`` gives a
-    ``(lower, upper)`` pair per variable; infinities are allowed.
+    ``(lower, upper)`` pair per variable: ``(0, inf)`` for a nonnegative
+    one, ``(-inf, inf)`` for a free one, with ``None`` for either infinity.
+    Any other bound is written as a row.
     """
 
     sense: str
@@ -280,7 +282,8 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
 
 
 def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
-    """Solve a general-form LP; returns optimal/infeasible/unbounded.
+    """Solve an LP; returns optimal/infeasible/unbounded.  A variable
+    bounded other than ``(0, inf)`` or free raises :class:`LPFormatError`.
 
     ``assume_bounded`` tells the solver the objective is known to be
     bounded, so apparent improving rays are treated as round-off noise
@@ -294,34 +297,30 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     n0 = c0.size
     if len(lp.bounds) != n0:
         raise LPFormatError("bounds length must match the number of variables")
-    lo = np.array([-_INF if a is None else a for a, _ in lp.bounds], dtype=float)
-    hi = np.array([_INF if a is None else a for _, a in lp.bounds], dtype=float)
-    if np.any(lo > hi):
-        return LPOutcome(INFEASIBLE)
+    free = np.zeros(n0, dtype=bool)
+    for i, (lo, hi) in enumerate(lp.bounds):
+        if lo not in (0.0, None, -_INF) or hi not in (None, _INF):
+            raise LPFormatError("variable %d must be nonnegative or free, not "
+                                "bounded by %r" % (i, (lo, hi)))
+        free[i] = lo != 0.0
 
-    # Each variable is x = offset + sign * y[col] over standard-form y >= 0,
-    # minus y[col + 1] when it is free; a variable bounded on both sides
-    # also gets the row y[col] <= hi - lo.
-    free = (lo == -_INF) & (hi == _INF)
-    shifted = lo > -_INF
-    sign = np.where(free | shifted, 1.0, -1.0)
-    offset = np.where(shifted, lo, np.where(free, 0.0, hi))
+    # Each variable is y[col] over standard-form y >= 0, minus y[col + 1]
+    # when it is free.
     width = 1 + free
     col = width.cumsum() - width
     free_col = col[free] + 1
     ncols = int(width.sum())
-    upper = np.nonzero(shifted & (hi < _INF))[0]
 
     def to_y(M: np.ndarray, out: np.ndarray) -> None:
         # Writes the y-space coefficients of the x-space rows ``M`` into
         # ``out``.  Adding to 0.0 makes every zero coefficient +0.0, so no
         # -0.0 reaches the tableau or the reported solution.
-        out[..., col] = 0.0 + sign * M
+        out[..., col] = 0.0 + M
         out[..., free_col] = 0.0 - M[..., free]
 
-    k = len(lp.rows)
-    A0 = np.zeros((k, n0))
-    b0 = np.zeros(k)
+    m = len(lp.rows)
+    A0 = np.zeros((m, n0))
+    b0 = np.zeros(m)
     for r, (coeffs, rel, rhs) in enumerate(lp.rows):
         if rel not in (LE, EQ, GE):
             raise LPFormatError("unknown relation %r" % (rel,))
@@ -330,9 +329,8 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
             raise LPFormatError("row length must match the number of variables")
         A0[r] = coeffs
         b0[r] = rhs
-    rels = [rel for _, rel, _ in lp.rows] + [LE] * upper.size
-    le = np.array([rel == LE for rel in rels], dtype=bool)
-    ineq = np.array([rel != EQ for rel in rels], dtype=bool)
+    le = np.array([rel == LE for _, rel, _ in lp.rows], dtype=bool)
+    ineq = np.array([rel != EQ for _, rel, _ in lp.rows], dtype=bool)
 
     # Phase 2 objective (min form) in y-space.  When it is strictly positive
     # and every row is an inequality, the slack basis is dual feasible.
@@ -346,20 +344,12 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     # artificial per row, except on the dual path, which has none.
     # bench/tracing's ``tableau_bytes`` computes the tableau-size metric
     # from the two-phase layout.
-    m = k + upper.size
     nslack = int(np.count_nonzero(ineq))
     art0 = ncols + nslack
     total = art0 if dual else art0 + m
     T = np.zeros((m, total + 1))
-    to_y(A0, T[:k, :ncols])
-    T[k + np.arange(upper.size), col[upper]] = 1.0
-    # Each row's constant is a running sum in variable order, whose rounding,
-    # unlike a matrix-vector product's, does not depend on the BLAS build.
-    const = np.zeros(k)
-    for i in np.nonzero(offset)[0]:
-        const += A0[:, i] * offset[i]
-    T[:k, -1] = b0 - const
-    T[k:, -1] = hi[upper] - lo[upper]
+    to_y(A0, T[:, :ncols])
+    T[:, -1] = b0
     # Equilibrate: scaling a row changes neither the feasible set nor the
     # objective but keeps the tableau well conditioned.
     scale = np.abs(T[:, :ncols]).max(axis=1, initial=0.0)
@@ -468,13 +458,13 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     def to_x(y_basic: np.ndarray) -> np.ndarray:
         y = np.zeros(total)
         y[basis] = y_basic
-        x = offset + sign * y[col]
+        x = 0.0 + y[col]  # as in to_y, turns -0.0 into +0.0
         x[free] -= y[free_col]
         return x
 
     # Residuals are judged relative to the size of each row, since the rows
     # of one program can span many orders of magnitude.
-    le, ge = le[:k], ineq[:k] & ~le[:k]
+    ge = ineq & ~le
     row_mag = np.max(np.abs(A0), axis=1, initial=0.0)
 
     def violation(x: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from polyrad import (
     verify,
     word_matrix,
 )
+from polyrad.cone import PROBE_ITERS
 from polyrad.matrices import word_reading
 from polyrad.cli import dump_family, main
 from polyrad.datasets import (
@@ -157,7 +158,7 @@ def test_05_overlap_free_lsr_value_and_cone():
     root = build_cyclic_root(scaled, cand, with_duals=True)
     state = _initial_state(root, fam.size)
     config = RunConfig(mode=MODE_L)
-    for _ in range(config.cone_probe_iters):
+    for _ in range(PROBE_ITERS):
         iterate(state, scaled, config)
     detected = detect_near_boundary(state.points(), 1.0 / 200.0)
     assert (5, 10, 17, 18) in detected
@@ -181,8 +182,7 @@ def test_05_overlap_free_lsr_finite_termination():
     cand = enumerate_candidates(fam, 11, "min")
     scaled = normalize_family(fam, cand.rho_per_step)
     root = build_cyclic_root(scaled, cand, with_duals=False)
-    ext = rays_from_index_sets([(5, 10, 17, 18), (7, 8, 15, 20)], 20,
-                               1.0 / 200.0, 0.25,
+    ext = rays_from_index_sets([(5, 10, 17, 18), (7, 8, 15, 20)], 20, 0.25,
                                profile=root_profile(root.vertices))
     ok, _ = validate_cone(scaled, ext)
     assert ok, "the cone from both detected index sets is not invariant"
@@ -285,7 +285,7 @@ def test_08d_membership_extremes_monotone():
     scaled = normalize_family(fam, cand.rho_per_step)
     root = build_cyclic_root(scaled, cand, with_duals=False)
     state = _initial_state(root, fam.size)
-    config = RunConfig(mode=MODE_P, stopping_enabled=False)
+    config = RunConfig(mode=MODE_P)
     minima = []
     for _ in range(20):
         iterate(state, scaled, config)

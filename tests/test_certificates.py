@@ -239,6 +239,43 @@ class TestSoundness:
         with pytest.raises(CertificateFormatError):
             deserialize(text)
 
+    @pytest.mark.parametrize("field, value", [
+        ("word", 3),
+        ("word", ["a"]),
+        ("word", [1.5]),
+        ("word", [True]),
+        ("vertices", [["x", 1]]),
+        ("vertices", 5),
+        ("vertices", [[True, 1.0]]),
+        ("version", "v"),
+        ("version", True),
+        ("iterations", "many"),
+        ("cone_H", 7),
+        ("cone_H", [[None, 1.0]]),
+        ("mode", []),
+        ("rho_per_step", "1.5"),
+        ("tolerance", [1e-10]),
+        ("family_fingerprint", 5),
+    ])
+    def test_wrong_typed_field_rejected(self, jsr_outcome, field, value):
+        _, out = jsr_outcome
+        raw = json.loads(serialize(out.certificate))
+        raw[field] = value
+        with pytest.raises(CertificateFormatError):
+            deserialize(json.dumps(raw))
+
+    @pytest.mark.parametrize("field", ["vertex", "iterations", "rho_per_step"])
+    def test_integer_too_large_for_a_float_rejected(self, jsr_outcome, field):
+        _, out = jsr_outcome
+        raw = json.loads(serialize(out.certificate))
+        if field == "vertex":
+            raw["vertices"][0][0] = "@"
+        else:
+            raw[field] = "@"
+        text = json.dumps(raw).replace('"@"', "1" + "0" * 400)
+        with pytest.raises(CertificateFormatError, match="non-finite"):
+            deserialize(text)
+
     def test_tiny_vertices_rejected(self, jsr_outcome):
         # Every image of 1e-20 e1 and 1e-20 e2 is tiny but nonzero; it must
         # face its membership LP rather than pass as a zero image.  The

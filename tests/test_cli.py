@@ -73,6 +73,20 @@ class TestFamilyFiles:
         with pytest.raises(FamilyFileError, match="dim"):
             load_family(str(bad))
 
+    @pytest.mark.parametrize("field, value", [
+        ("version", "one"), ("version", True), ("version", 1.0),
+        ("version", [1]), ("dim", "2"), ("dim", True), ("dim", None),
+    ])
+    def test_wrong_typed_integer_field(self, tmp_path, capsys, field, value):
+        raw = {"version": 1, "dim": 2, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]}
+        raw[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(FamilyFileError, match=field):
+            load_family(str(bad))
+        assert main(["compute", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCompute:
     def test_jsr_exact_exit_zero(self, jsr_file, capsys):
@@ -124,6 +138,16 @@ class TestCompute:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/cert.json", "."])
+    def test_unwritable_certificate_path(self, jsr_file, tmp_path, capsys,
+                                         target):
+        code = main(["compute", "--input", jsr_file,
+                     "--certificate", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: cannot write ")
+        assert "Traceback" not in captured.err
+
     def test_lsr_rejects_signed_family(self, tmp_path, capsys):
         path = write_family(tmp_path / "s.json", [-np.eye(2)])
         code = main(["compute", "--input", path, "--mode", "lsr"])
@@ -152,6 +176,20 @@ class TestVerify:
         code = main(["verify", "--input", jsr_file, "--certificate", str(cert)])
         assert code == 1
         assert "INVALID" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value", [("word", [1.5]), ("mode", [])])
+    def test_wrong_typed_certificate_exit_one(self, jsr_file, tmp_path, capsys,
+                                              field, value):
+        cert = tmp_path / "cert.json"
+        assert main(["compute", "--input", jsr_file,
+                     "--certificate", str(cert)]) == 0
+        raw = json.loads(cert.read_text())
+        raw[field] = value
+        cert.write_text(json.dumps(raw))
+        capsys.readouterr()
+        code = main(["verify", "--input", jsr_file, "--certificate", str(cert)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_wrong_family_fails(self, jsr_file, lsr_file, tmp_path, capsys):
         cert = str(tmp_path / "cert.json")
@@ -192,6 +230,15 @@ class TestDataset:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/fam.json", "."])
+    def test_unwritable_out_path(self, tmp_path, capsys, target):
+        code = main(["dataset", "pascal-rhombus", "--out",
+                     str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.out == ""
+
 
 class TestBench:
     def test_csv_rows(self, capsys):
@@ -227,14 +274,25 @@ class TestDefaults:
         config = RunConfig()
         parser = _build_parser()
         compute = parser.parse_args(["compute", "--input", "family.json"])
-        assert (compute.max_iters, compute.tol, compute.cone_delta,
-                compute.cone_epsilon, compute.cone_probe_iters) == (
-            config.max_iterations, config.boundary_tol, config.cone_delta,
-            config.cone_epsilon, config.cone_probe_iters)
+        assert (compute.max_iters, compute.remove_boundary) == (
+            config.max_iterations, config.remove_boundary)
         bench = parser.parse_args(["bench", "--kind", "binary", "--d", "2",
                                    "--m", "2"])
-        assert (bench.max_iters, bench.tol) == (config.max_iterations,
-                                                config.boundary_tol)
+        assert bench.max_iters == config.max_iterations
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--input", "f.json", "--tol", "1e-9"],
+        ["compute", "--input", "f.json", "--no-stopping"],
+        ["compute", "--input", "f.json", "--cone-delta", "0.01"],
+        ["compute", "--input", "f.json", "--cone-epsilon", "0.5"],
+        ["compute", "--input", "f.json", "--cone-probe-iters", "5"],
+        ["bench", "--kind", "binary", "--d", "2", "--m", "2", "--tol", "1e-9"],
+    ])
+    def test_removed_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVersion:

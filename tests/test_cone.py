@@ -42,26 +42,26 @@ class TestDetection:
 
 class TestRays:
     def test_ray_shape(self):
-        ext = rays_from_index_sets([(2, 4)], 4, 1 / 200, 0.25)
+        ext = rays_from_index_sets([(2, 4)], 4, 0.25)
         assert np.allclose(ext.rays[0], [1.0, -0.25, 1.0, -0.25])
         assert ext.index_sets == ((2, 4),)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            rays_from_index_sets([(0,)], 3, 1 / 200, 0.25)
+            rays_from_index_sets([(0,)], 3, 0.25)
         with pytest.raises(ValueError):
-            rays_from_index_sets([(4,)], 3, 1 / 200, 0.25)
+            rays_from_index_sets([(4,)], 3, 0.25)
 
 
 class TestValidation:
     def test_empty_extension_vacuously_ok(self, scaled_overlap):
-        ext = ConeExtension((), (), 1 / 200, 0.25)
+        ext = ConeExtension((), ())
         ok, failure = validate_cone(scaled_overlap, ext)
         assert ok and failure is None
 
     def test_gross_epsilon_fails(self, scaled_overlap):
         ext = rays_from_index_sets([(5, 10, 17, 18), (7, 8, 15, 20)], 20,
-                                   1 / 200, 10.0)
+                                   10.0)
         ok, failure = validate_cone(scaled_overlap, ext)
         assert not ok
         assert failure is not None
@@ -70,7 +70,7 @@ class TestValidation:
         # Dropping coordinate 8 from the second detected set yields a cone
         # every generator maps strictly into itself.
         ext = rays_from_index_sets([(5, 10, 17, 18), (7, 15, 20)], 20,
-                                   1 / 200, 0.25)
+                                   0.25)
         ok, failure = validate_cone(scaled_overlap, ext)
         assert ok, failure
 
@@ -80,7 +80,7 @@ class TestNegotiation:
         # The full detected collection: negotiation must drop the ray the
         # generators cannot cover and keep a validating subset.
         sets = [(5, 10, 17, 18), (7, 8, 15, 20), (7, 15, 20), (5, 10, 17)]
-        ext = negotiate_cone(scaled_overlap, sets, 1 / 200, 0.25)
+        ext = negotiate_cone(scaled_overlap, sets)
         assert ext is not None
         ok, failure = validate_cone(scaled_overlap, ext)
         assert ok, failure
@@ -94,7 +94,7 @@ class TestNegotiation:
         # epsilon, so negotiation must give up.
         from polyrad import MatrixFamily
         fam = MatrixFamily([np.array([[0.0, 1.0], [1.0, 0.0]])])
-        assert negotiate_cone(fam, [(2,)], 1 / 200, 0.25) is None
+        assert negotiate_cone(fam, [(2,)]) is None
 
 
 class TestEngineActivation:

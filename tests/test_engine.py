@@ -21,6 +21,7 @@ from polyrad import (
 )
 from polyrad.datasets import euler_binary, random_family
 from polyrad.engine import (
+    BOUNDARY_TOL,
     ITERATION_CAPPED,
     TERMINATED,
     VertexCapError,
@@ -40,6 +41,7 @@ class TestKnownRuns:
         assert out.value == pytest.approx(math.sqrt(0.9) * GOLDEN, abs=1e-12)
         assert out.iterations == 2
         assert out.vertex_count == 3
+        assert out.certificate.tolerance == BOUNDARY_TOL == 1e-10
 
     def test_jsr_pair_vertices(self, example_pair_jsr):
         out = run(example_pair_jsr, RunConfig(mode=MODE_P, max_candidate_length=4))
@@ -145,7 +147,7 @@ class TestProperties:
         scaled = normalize_family(slow_converging_pair, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=False)
         state = _initial_state(root, slow_converging_pair.size)
-        config = RunConfig(mode=MODE_P, stopping_enabled=False)
+        config = RunConfig(mode=MODE_P)
         minima = []
         for _ in range(15):
             iterate(state, scaled, config)
@@ -306,13 +308,6 @@ class TestZeroImages:
         assert out.value == pytest.approx(value, abs=1e-12)
         report = verify(fam, out.certificate)
         assert report.verdict, report.failures
-
-
-class TestBoundaryTolerance:
-    @pytest.mark.parametrize("tol", [-1e-12, 1e-3, math.nan])
-    def test_out_of_range_rejected(self, example_pair_jsr, tol):
-        with pytest.raises(ValueError, match="boundary_tol"):
-            run(example_pair_jsr, RunConfig(mode=MODE_P, boundary_tol=tol))
 
 
 class TestModePCycling:

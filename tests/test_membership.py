@@ -8,6 +8,7 @@ from polyrad import (
     norm_membership_R,
 )
 from polyrad.membership import cone_ray_margin
+from polyrad.simplex import LPCyclingError
 
 INF = float("inf")
 
@@ -157,3 +158,22 @@ class TestConeRayMargin:
     def test_negative_margin_detected(self):
         margin = cone_ray_margin(np.array([1.0, -1.0]), [np.array([1.0, 1.0])])
         assert margin < 0.0
+
+
+class TestTinyEntries:
+    """Known defects: entries near 1e-9 break the two-phase simplex.  Each
+    program below is feasible and bounded; its true value is asserted."""
+
+    @pytest.mark.xfail(raises=LPCyclingError, strict=True,
+                       reason="the primal ratio test ties rows by an absolute "
+                              "1e-9, and the slack of a row scaled by 1e9 "
+                              "then leaves another row at -1")
+    def test_antinorm_with_tiny_ray_entry(self):
+        assert antinorm_membership_ext([1.0, 1.0, 0.0], [[1.0, 1.0, 0.0]],
+                                       [[0.0, 1.0, 1e-9]]) == pytest.approx(1.0)
+
+    @pytest.mark.xfail(raises=LPCyclingError, strict=True,
+                       reason="phase 2 hits the pivot cap")
+    def test_balanced_hull_with_tiny_entries(self):
+        V = [[0.0, 1e-9, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0]]
+        assert norm_membership_R([0.0, 1e-9, 1e-9, 0.0], V) == 0.0

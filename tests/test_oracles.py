@@ -11,7 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 pytest.importorskip("scipy")
 from scipy.optimize import linprog  # noqa: E402
 
-from polyrad import LinearProgram, norm_membership_P, solve_lp  # noqa: E402
+from polyrad import (  # noqa: E402
+    LinearProgram,
+    antinorm_membership_ext,
+    norm_membership_P,
+    norm_membership_R,
+    solve_lp,
+)
+from polyrad.membership import cone_ray_margin  # noqa: E402
 from polyrad import simplex  # noqa: E402
 from polyrad.simplex import INFEASIBLE, OPTIMAL  # noqa: E402
 
@@ -95,23 +102,22 @@ class TestOrderIdealMembership:
 
 def random_positive_cost_program(rng):
     """A program with only inequality rows and strictly positive costs in
-    min form, feasible or not: the shape that starts from the slack basis."""
+    min form, feasible or not: the shape that starts from the slack basis.
+    Its variables are nonnegative, and some have an upper bound as a row."""
     n = int(rng.integers(1, 6))
     sense = "min" if rng.random() < 0.5 else "max"
     cost = rng.uniform(0.1, 2.0, size=n)
     objective = cost if sense == "min" else -cost
-    bounds = []
-    for _ in range(n):
-        lo = float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.3 else 0.0
-        hi = lo + float(rng.uniform(0.5, 3.0)) if rng.random() < 0.3 else INF
-        bounds.append((lo, hi))
     rows = []
     for _ in range(int(rng.integers(1, 6))):
         a = rng.uniform(-1.0, 3.0, size=n)
         a[rng.random(n) < 0.3] = 0.0
         rel = "<=" if rng.random() < 0.3 else ">="
         rows.append((a, rel, float(rng.uniform(-1.0, 4.0))))
-    return LinearProgram(sense, objective, rows, bounds)
+    for e in np.eye(n):
+        if rng.random() < 0.3:
+            rows.append((e, "<=", float(rng.uniform(0.5, 3.0))))
+    return LinearProgram(sense, objective, rows, [(0.0, INF)] * n)
 
 
 def highs_solve(lp):
@@ -155,9 +161,135 @@ class TestSlackBasisStart:
 
     def test_signed_or_zero_cost_keeps_two_phases(self, monkeypatch):
         monkeypatch.setattr(simplex, "_dual_loop", None)
+        rows = [([1.0, 1.0], ">=", 1.0), ([1.0, 0.0], "<=", 2.0),
+                ([0.0, 1.0], "<=", 2.0)]
         for objective, expected in (([1.0, 0.0], 0.0), ([1.0, -1.0], -2.0)):
-            lp = LinearProgram("min", objective, [([1.0, 1.0], ">=", 1.0)],
-                               [(0.0, 2.0), (0.0, 2.0)])
+            lp = LinearProgram("min", objective, rows, [(0.0, INF)] * 2)
             out = solve_lp(lp)
             assert out.status == OPTIMAL
             assert out.value == pytest.approx(expected)
+
+
+# Entries of the programs below run from 1e-4 to 1 in magnitude, with
+# exact zeros.  Smaller entries lose both solvers: HiGHS drops matrix
+# entries below 1e-9, and with entries down to 1e-6 polyrad's simplex
+# still raises LPCyclingError on some mode-L programs
+# (TestTinyEntries in test_membership.py holds two reproducers).
+SMALL = 1e-4
+magnitudes = st.one_of(st.just(0.0), st.floats(SMALL, 1.0))
+signed = st.one_of(magnitudes, st.floats(-1.0, -SMALL))
+
+
+def vectors(draw, elements, k, d):
+    """A ``k`` by ``d`` array of drawn ``elements``."""
+    return np.array(draw(st.lists(st.lists(elements, min_size=d, max_size=d),
+                                  min_size=k, max_size=k))).reshape(k, d)
+
+
+def highs(objective, A, b, kinds, bounds):
+    """``linprog`` at HiGHS's tightest tolerances over the rows ``A x
+    (kinds) b``, each row divided by its largest entry; ``kinds`` holds
+    ``"<="``, ``">="`` or ``"="`` per row.  Returns the result."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    peak = np.abs(A).max(axis=1)
+    peak[peak == 0.0] = 1.0
+    A, b = A / peak[:, None], b / peak
+    kinds = np.asarray(kinds)
+    sign = np.where(kinds == ">=", -1.0, 1.0)
+    ub, eq = kinds != "=", kinds == "="
+    res = linprog(objective,
+                  A_ub=(sign[:, None] * A)[ub] if ub.any() else None,
+                  b_ub=(sign * b)[ub] if ub.any() else None,
+                  A_eq=A[eq] if eq.any() else None,
+                  b_eq=b[eq] if eq.any() else None,
+                  bounds=bounds, method="highs",
+                  options=dict(primal_feasibility_tolerance=1e-10,
+                               dual_feasibility_tolerance=1e-10))
+    assert res.status in (0, 2, 3), res.message
+    return res
+
+
+class TestConeRayMargin:
+    """``max t`` with ``t 1 + sum_h c_h h <= image``, ``c >= 0``: the only
+    program polyrad builds with a free variable."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_highs(self, data):
+        d = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(0, 4))
+        image = vectors(data.draw, signed, 1, d)[0]
+        H = vectors(data.draw, signed, k, d)
+        margin = cone_ray_margin(image, H)
+        objective = np.zeros(k + 1)
+        objective[0] = -1.0
+        A = np.hstack([np.ones((d, 1)), H.T])
+        res = highs(objective, A, image, ["<="] * d,
+                    [(None, None)] + [(0.0, None)] * k)
+        assert res.status != 2
+        if res.status == 3:
+            assert margin == INF
+        else:
+            assert margin == pytest.approx(-res.fun, rel=1e-9, abs=1e-9)
+
+    def test_unbounded_is_infinite(self):
+        # The ray -1 lowers every coordinate, so any margin is reachable.
+        assert cone_ray_margin([1.0, -2.0], [[-1.0, -1.0]]) == INF
+
+
+class TestBalancedHullMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_highs(self, data):
+        d = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 5))
+        V = vectors(data.draw, signed, k, d)
+        z = vectors(data.draw, signed, 1, d)[0]
+        assume(np.any(z != 0.0))
+        t = norm_membership_R(z, list(V))
+        # Columns t, c+ (k), c- (k): t z = V^T (c+ - c-), sum c <= 1.
+        A = np.zeros((d + 1, 2 * k + 1))
+        A[:d, 0] = z
+        A[:d, 1:k + 1] = -V.T
+        A[:d, k + 1:] = V.T
+        A[d, 1:] = 1.0
+        objective = np.zeros(2 * k + 1)
+        objective[0] = -1.0
+        res = highs(objective, A, np.append(np.zeros(d), 1.0),
+                    ["="] * d + ["<="], [(0.0, None)] * (2 * k + 1))
+        assert res.status == 0
+        assert t == pytest.approx(-res.fun, rel=1e-9, abs=1e-9)
+
+
+class TestAntinormMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_matches_highs(self, data, with_rays):
+        d = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 5))
+        V = vectors(data.draw, magnitudes, k, d)
+        z = vectors(data.draw, magnitudes, 1, d)[0]
+        assume(np.any(z > 0.0))
+        H = vectors(data.draw, signed, data.draw(st.integers(1, 3)), d) \
+            if with_rays else None
+        t = antinorm_membership_ext(z, list(V), None if H is None else list(H))
+        # Columns t, c (k), w (rays): t z - V^T c - H^T w >= 0, sum c >= 1.
+        A = np.hstack([z[:, None], -V.T] + ([] if H is None else [-H.T]))
+        budget = np.zeros(A.shape[1])
+        budget[1:k + 1] = 1.0
+        objective = np.zeros(A.shape[1])
+        objective[0] = 1.0
+        res = highs(objective, np.vstack([A, budget]), np.append(np.zeros(d), 1.0),
+                    [">="] * (d + 1), [(0.0, None)] * A.shape[1])
+        assert res.status != 3
+        if res.status == 2:
+            assert t == INF
+        else:
+            assert t == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+
+    def test_infeasible_is_infinite(self):
+        # t z is 0 on the second coordinate, where the vertex puts at least
+        # 1 and the ray only adds.
+        assert antinorm_membership_ext([1.0, 0.0], [[1.0, 1.0]],
+                                       [[-1.0, 0.5]]) == INF

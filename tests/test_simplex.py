@@ -67,10 +67,11 @@ def oracle_solve(lp: LinearProgram):
 
 
 def random_bounded_program(rng: np.random.Generator) -> LinearProgram:
-    """A random feasible bounded LP in up to 3 variables.
+    """A random feasible bounded LP in up to 3 free variables.
 
     Feasibility is guaranteed by construction: constraints are slack at a
-    random interior point, and a box keeps the region bounded.
+    random interior point, and box rows ``-5 <= x <= 5`` keep the region
+    bounded.
     """
     n = int(rng.integers(1, 4))
     x0 = rng.uniform(-2.0, 2.0, size=n)
@@ -79,38 +80,43 @@ def random_bounded_program(rng: np.random.Generator) -> LinearProgram:
         a = rng.uniform(-3.0, 3.0, size=n)
         slack = rng.uniform(0.1, 2.0)
         rows.append((a, "<=", float(a @ x0) + slack))
-    bounds = [(-5.0, 5.0)] * n
+    for e in np.eye(n):
+        rows.append((e, "<=", 5.0))
+        rows.append((e, ">=", -5.0))
     sense = "max" if rng.random() < 0.5 else "min"
     objective = rng.uniform(-2.0, 2.0, size=n)
-    return LinearProgram(sense, objective, rows, bounds)
+    return LinearProgram(sense, objective, rows, [(None, None)] * n)
 
 
 def random_mixed_bounds_program(rng: np.random.Generator) -> LinearProgram:
     """A random feasible bounded LP whose variables mix every bound kind.
 
-    Each variable is free, bounded below, bounded above or boxed, with
-    infinite sides spelled as either ``None`` or an infinity and bounds
-    that hold at a random point ``x0``.  Explicit box rows ``-5 <= x <= 5``
-    keep the region bounded whatever the variable bounds are.
+    Each variable is nonnegative, or free and bounded below, above, on both
+    sides or not at all by rows, with infinite sides spelled as either
+    ``None`` or an infinity and bounds that hold at a random point ``x0``.
+    Explicit box rows ``-5 <= x <= 5`` keep the region bounded whatever the
+    other bounds are.
     """
     n = int(rng.integers(1, 4))
     x0 = rng.uniform(-2.0, 2.0, size=n)
     bounds = []
-    for i in range(n):
-        open_lo = -INF if rng.random() < 0.5 else None
-        open_hi = INF if rng.random() < 0.5 else None
-        lo = float(x0[i] - rng.uniform(0.1, 2.0))
-        hi = float(x0[i] + rng.uniform(0.1, 2.0))
-        kind = int(rng.integers(4))
-        bounds.append([(open_lo, open_hi), (lo, open_hi),
-                       (open_lo, hi), (lo, hi)][kind])
     rows = []
+    for i, e in enumerate(np.eye(n)):
+        kind = int(rng.integers(5))
+        if kind == 4:
+            x0[i] = abs(x0[i])
+            bounds.append((0.0, INF if rng.random() < 0.5 else None))
+            continue
+        bounds.append((-INF if rng.random() < 0.5 else None,
+                       INF if rng.random() < 0.5 else None))
+        if kind in (1, 3):
+            rows.append((e, ">=", float(x0[i] - rng.uniform(0.1, 2.0))))
+        if kind in (2, 3):
+            rows.append((e, "<=", float(x0[i] + rng.uniform(0.1, 2.0))))
     for _ in range(int(rng.integers(0, 4))):
         a = rng.uniform(-3.0, 3.0, size=n)
         rows.append((a, "<=", float(a @ x0) + rng.uniform(0.1, 2.0)))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
+    for e in np.eye(n):
         rows.append((e, "<=", 5.0))
         rows.append((e, ">=", -5.0))
     sense = "max" if rng.random() < 0.5 else "min"
@@ -149,22 +155,28 @@ class TestBasics:
         assert out.value == pytest.approx(-3.0)
 
     def test_upper_bounded_variable(self):
-        lp = LinearProgram("max", [1.0], [], [(0.0, 2.5)])
+        # An upper bound is a row.
+        lp = LinearProgram("max", [1.0], [([1.0], "<=", 2.5)], [(0.0, INF)])
         out = solve_lp(lp)
         assert out.value == pytest.approx(2.5)
 
     def test_program_without_rows(self):
-        lp = LinearProgram("max", [-1.0, 1.0], [], [(0.0, None), (None, 2.0)])
+        lp = LinearProgram("max", [-1.0, -2.0], [], [(0.0, None), (0.0, INF)])
         out = solve_lp(lp)
         assert out.status == OPTIMAL
-        assert out.value == pytest.approx(2.0)
-        assert np.allclose(out.assignment, [0.0, 2.0])
+        assert out.value == 0.0
+        assert np.array_equal(out.assignment, [0.0, 0.0])
         lp = LinearProgram("max", [1.0], [], [(0.0, None)])
         assert solve_lp(lp).status == UNBOUNDED
 
-    def test_crossing_bounds_infeasible(self):
-        lp = LinearProgram("max", [1.0], [], [(2.0, 1.0)])
-        assert solve_lp(lp).status == INFEASIBLE
+    @pytest.mark.parametrize("bound", [(2.0, INF), (None, 2.0), (0.0, 2.5),
+                                       (2.0, 1.0)],
+                             ids=["shifted", "negated", "boxed", "crossing"])
+    def test_other_bound_kinds_rejected(self, bound):
+        lp = LinearProgram("max", [1.0, 1.0], [([1.0, 1.0], "<=", 3.0)],
+                           [(0.0, None), bound])
+        with pytest.raises(LPFormatError, match="variable 1"):
+            solve_lp(lp)
 
     def test_assignment_matches_value(self):
         lp = LinearProgram("max", [2.0, 3.0],
@@ -189,17 +201,17 @@ class TestBasics:
 
     def test_bad_sense_rejected(self):
         with pytest.raises(LPFormatError):
-            solve_lp(LinearProgram("best", [1.0], [], [(0.0, 1.0)]))
+            solve_lp(LinearProgram("best", [1.0], [], [(0.0, INF)]))
 
     def test_bad_relation_rejected(self):
         with pytest.raises(LPFormatError):
             solve_lp(LinearProgram("max", [1.0], [([1.0], "<", 1.0)],
-                                   [(0.0, 1.0)]))
+                                   [(0.0, INF)]))
 
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(LPFormatError):
             solve_lp(LinearProgram("max", [1.0], [([1.0, 2.0], "<=", 1.0)],
-                                   [(0.0, 1.0)]))
+                                   [(0.0, INF)]))
 
 
 class TestPivotCounts:
@@ -259,8 +271,6 @@ class TestAgainstOracle:
                     assert lhs <= rhs + 1e-8
                 else:
                     assert lhs >= rhs - 1e-8
-            for i, (lo, hi) in enumerate(lp.bounds):
-                assert lo - 1e-8 <= x[i] <= hi + 1e-8
 
     def test_every_bound_kind_matches_vertex_enumeration(self):
         rng = np.random.default_rng(4242)
