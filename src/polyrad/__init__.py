@@ -30,6 +30,7 @@ from .candidates import (
     make_candidate,
     normalize_family,
     restart_product,
+    symmetric_twins,
 )
 from .engine import (
     MODE_L,
@@ -96,6 +97,7 @@ __all__ = [
     "make_candidate",
     "normalize_family",
     "restart_product",
+    "symmetric_twins",
     "MODE_L",
     "MODE_P",
     "MODE_R",

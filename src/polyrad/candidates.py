@@ -1,4 +1,5 @@
-"""Candidate product search, family normalization, and cyclic root trees.
+"""Candidate product search, symmetric twins, family normalization, and
+cyclic root trees.
 
 A candidate is a primitive product word maximizing (or minimizing) the
 averaged spectral radius ``rho(P)^(1/n)`` over all words up to a length
@@ -125,6 +126,87 @@ def enumerate_candidates(family: MatrixFamily, max_length: int, sense: str,
                     best = (score, word)
     assert best is not None
     return make_candidate(family, best[1])
+
+
+def _coordinate_keys(family: MatrixFamily, letters: Sequence[int],
+                     vector: np.ndarray):
+    """One key per coordinate: the row and column sums of each generator in
+    ``letters`` (over sorted entries, so that equal multisets sum equally)
+    and the entry of ``vector`` rounded to 10 digits."""
+    columns = []
+    for i in letters:
+        A = family.matrix(i)
+        columns += [np.sort(A, axis=1).sum(axis=1), np.sort(A, axis=0).sum(axis=0)]
+    columns.append(np.round(vector, 10))
+    return [tuple(row) for row in np.column_stack(columns)]
+
+
+def _coordinate_permutation(family: MatrixFamily, tau, v: np.ndarray,
+                            u: np.ndarray) -> Optional[np.ndarray]:
+    """Index array ``p`` with ``A_tau(i)[p][:, p] == A_i`` exactly for each
+    letter ``i`` of ``tau`` that maps the whole family onto itself, or
+    ``None``.  ``p`` pairs the coordinates of equal keys, built from ``v``
+    on the candidate's side and from ``u`` on the image's; a repeated key
+    leaves ``p`` undetermined, and then there is none."""
+    letters = sorted(tau)
+    source = _coordinate_keys(family, letters, v)
+    target = {key: b for b, key in
+              enumerate(_coordinate_keys(family, [tau[i] for i in letters], u))}
+    if len(target) < family.dim or set(source) != target.keys():
+        return None
+    p = np.array([target[key] for key in source])
+    if not all(np.array_equal(family.matrix(tau[i])[np.ix_(p, p)], family.matrix(i))
+               for i in letters):
+        return None
+    # The other generators must permute among themselves; adding 0.0 turns
+    # -0.0 into 0.0 so that the bytes compare as the values do.
+    permuted = sorted((A[np.ix_(p, p)] + 0.0).tobytes() for A in family.matrices)
+    if permuted != sorted((A + 0.0).tobytes() for A in family.matrices):
+        return None
+    return p
+
+
+def symmetric_twins(family: MatrixFamily,
+                    candidate: Candidate) -> Tuple[Candidate, ...]:
+    """The candidate's images under the coordinate-permutation symmetries of
+    the family, other than its own rotations.
+
+    A symmetry is a coordinate permutation ``p`` and a letter permutation
+    ``sigma`` with ``A_sigma(i)[p][:, p] == A_i`` exactly for every
+    generator.  It maps the product of the candidate word ``w`` to that of
+    ``sigma(w)``, so ``sigma(w)`` attains the same averaged radius: it is
+    a second dominant product, and the extremal polytope is symmetric
+    under ``p``.  Only letters with equal sorted entries can be paired,
+    which for a generic family leaves no ``sigma`` but the identity.
+
+    Each twin keeps the word ``sigma(w)`` letter for letter, not its
+    canonical rotation, so that the cyclic root chain built from it is the
+    ``p``-image of the candidate's own chain, with the same weights.
+    """
+    v = candidate.eigen.leading_vector
+    if v is None:
+        return ()
+    word = candidate.word
+    letters = sorted(set(word))
+    entries = [np.sort(A, axis=None) for A in family.matrices]
+    partners = [[j for j in range(1, family.size + 1)
+                 if np.array_equal(entries[i - 1], entries[j - 1])] for i in letters]
+    seen = {canonical_word(word)}
+    twins = []
+    for images in itertools.product(*partners):
+        if len(set(images)) < len(images):
+            continue
+        tau = dict(zip(letters, images))
+        image = tuple(tau[i] for i in word)
+        if canonical_word(image) in seen:
+            continue
+        eigen = leading_eigen_analysis(word_matrix(family, image))
+        if (eigen.leading_vector is None
+                or _coordinate_permutation(family, tau, v, eigen.leading_vector) is None):
+            continue
+        seen.add(canonical_word(image))
+        twins.append(Candidate(image, candidate.rho, candidate.rho_per_step, eigen))
+    return tuple(twins)
 
 
 def normalize_family(family: MatrixFamily, rho_per_step: float) -> MatrixFamily:

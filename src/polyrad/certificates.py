@@ -223,6 +223,17 @@ def _dominance_value(z: np.ndarray, inside: np.ndarray,
     return float(t.min())
 
 
+def _vertex_value(z: np.ndarray, Vm: np.ndarray) -> float:
+    """Order-ideal value certified by the best single row of ``Vm``.
+
+    A vertex ``v`` with ``v >= t z`` puts ``t z`` in the mode-P body, an
+    order ideal, so ``max_v min_{z_i > 0} v_i / z_i`` is a lower bound on
+    the LP's own value.
+    """
+    pos = z > 0.0
+    return float(np.max(np.min(Vm[:, pos] / z[pos], axis=1, initial=np.inf)))
+
+
 def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     """Re-check a certificate against a family from first principles.
 
@@ -235,12 +246,14 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     invariant, and the vertices span appropriately (full rank for mode R,
     a positive entry per coordinate otherwise).
 
-    In mode L an image that dominates, up to the tolerance, a vertex or
-    an earlier image scaled by its LP value passes without an LP, and
-    under a nonnegative family the images of a vertex that dominates
-    another are implied by that vertex's images and are not re-checked.
-    ``worst_slack`` is then an upper bound on the largest slack rather
-    than its exact value.
+    In mode P an image that one vertex covers up to the tolerance passes
+    without an LP.  In mode L an image that dominates, up to the
+    tolerance, a vertex or an earlier image scaled by its LP value passes
+    without an LP, and under a nonnegative family the images of a vertex
+    that dominates another are implied by that vertex's images and are
+    not re-checked.  An image passed without an LP contributes its
+    one-point slack, so ``worst_slack`` is then an upper bound on the
+    largest slack rather than its exact value.
     """
     failures: List[str] = []
     report = VerificationReport(False, float("-inf"), False, float("nan"), failures)
@@ -286,8 +299,8 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     scaled = family.scaled(1.0 / per_step)
     points = list(cert.vertices)
     skip = np.zeros(len(points), dtype=bool)
+    Vm = np.asarray(points)
     if spec.sign < 0:
-        Vm = np.asarray(points)
         # An antinorm body is upward closed, so under a nonnegative family
         # the images of a vertex that dominates another are covered by the
         # images of the smaller one.
@@ -305,9 +318,12 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
             z = scaled.matrix(j) @ v
             if is_zero_image(z):
                 t = float("inf")
-            elif spec.sign > 0:  # the LPs are looked up by name, as in the engine
-                t = (norm_membership_R if spec.balanced
-                     else norm_membership_P)(z, points)
+            elif spec.balanced:  # the LPs are looked up by name, as in the engine
+                t = norm_membership_R(z, points)
+            elif spec.sign > 0:
+                t = _vertex_value(z, Vm)
+                if 1.0 - t > tolerance:
+                    t = norm_membership_P(z, points)
             else:
                 t = _dominance_value(z, inside[:n_inside], tolerance)
                 if t is None:

@@ -183,6 +183,7 @@ def _outcome_json(outcome: RunOutcome, mode: str) -> dict:
         "value_hi": None,
         "word": (None if outcome.candidate is None
                  else list(outcome.candidate.word)),
+        "root_words": [list(word) for word in outcome.root_words],
         "iterations": outcome.iterations,
         "vertex_count": outcome.vertex_count,
         "t_N": (None if outcome.t_N is None or np.isinf(outcome.t_N)

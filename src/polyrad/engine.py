@@ -7,13 +7,22 @@ rays, for minimal growth.  A run terminates exactly when an iteration adds
 no new vertex, in which case the candidate's averaged spectral radius is
 the exact answer and a certificate is emitted; capped runs report rigorous
 two-sided bounds instead.
+
+The polytope starts from the cyclic root chain of the candidate word and
+from one more chain per symmetric twin: when a coordinate permutation
+maps the family onto itself and the candidate to another word that is
+not one of its rotations (:func:`symmetric_twins`), that word is a second
+dominant product, and the polytope can close only if it holds that
+product's leading eigenvector too.  Every vertex node records the chain it
+descends from; the stopping tests pair a point with that chain's duals,
+and a violation restarts from that chain's candidate and root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from .candidates import (
     enumerate_candidates,
     normalize_family,
     restart_product,
+    symmetric_twins,
 )
 from .certificates import (
     CERT_VERSION,
@@ -71,14 +81,17 @@ class VertexCapError(RuntimeError):
 class StoppingViolation(Exception):
     """Internal signal: a dual stopping test failed for a new point.
 
-    ``j`` is the 1-based index of the violated dual; ``path`` is the word
-    (applied first to last) carrying the j-th root vertex to the point.
+    ``j`` is the 1-based index of the violated dual of root chain
+    ``chain``; ``path`` is the word (applied first to last) carrying that
+    chain's j-th root vertex to the point.
     """
 
-    def __init__(self, j: int, path: Word):
-        super().__init__("stopping test violated at dual %d" % j)
+    def __init__(self, j: int, path: Word, chain: int = 0):
+        super().__init__("stopping test violated at dual %d of chain %d"
+                         % (j, chain))
         self.j = j
         self.path = path
+        self.chain = chain
 
 
 @dataclass
@@ -92,15 +105,23 @@ class RunConfig:
 
 @dataclass
 class VertexNode:
+    """A vertex, the node it is the image of and by which generator, and
+    the root chain it descends from; a root (no parent) records its 1-based
+    place in that chain as ``root_index``."""
+
     point: np.ndarray
     parent: Optional[int]
     generator: Optional[int]
     root_index: Optional[int] = None
+    chain: int = 0
 
 
 @dataclass
 class PolytopeState:
-    word: Word
+    """Growth state; ``words[c]`` is the word of root chain ``c``, the
+    candidate's first and then its symmetric twins."""
+
+    words: Tuple[Word, ...]
     nodes: List[VertexNode] = field(default_factory=list)
     U: List[int] = field(default_factory=list)
     R: List[Tuple[int, int]] = field(default_factory=list)
@@ -126,17 +147,22 @@ class RunOutcome:
     cone_index_sets: Optional[Tuple[Tuple[int, ...], ...]] = None
     budget_exhausted: bool = False
     message: str = ""
+    # The word of every seeded root chain, the candidate's first.
+    root_words: Tuple[Word, ...] = ()
 
 
-def _initial_state(root: CyclicRoot, family_size: int) -> PolytopeState:
-    word = root.candidate.word
-    n = len(word)
-    state = PolytopeState(word=word)
-    for i in range(n):
-        state.nodes.append(VertexNode(root.vertices[i], None, None, i + 1))
-    state.U = list(range(n))
-    state.R = [(i, p) for i in range(n)
-               for p in range(1, family_size + 1) if p != word[i]]
+def _initial_state(roots: Sequence[CyclicRoot], family_size: int) -> PolytopeState:
+    """Seed every root chain; chain ``c``'s roots name ``c``.  A root's
+    image under its own next letter is the chain's next root, so that pair
+    is not pending."""
+    state = PolytopeState(words=tuple(root.candidate.word for root in roots))
+    for c, root in enumerate(roots):
+        word = root.candidate.word
+        for i, v in enumerate(root.vertices):
+            state.R.extend((len(state.nodes), p)
+                           for p in range(1, family_size + 1) if p != word[i])
+            state.nodes.append(VertexNode(v, None, None, i + 1, c))
+    state.U = list(range(len(state.nodes)))
     return state
 
 
@@ -177,8 +203,9 @@ def _path_word(state: PolytopeState, vid: int, generator: int, j: int) -> Word:
     """Word carrying root vertex ``j`` to ``A_generator @ nodes[vid]``.
 
     Ancestry generators are collected up to the root the point descends
-    from; when that root differs from ``j``, the cycle segment from ``j``
-    around the candidate word to the ancestor root is prepended.
+    from, and ``j`` indexes that root's chain; when the root differs from
+    ``j``, the segment from ``j`` around the chain's word to the root is
+    prepended.
     """
     gens: List[int] = [generator]
     node = state.nodes[vid]
@@ -187,7 +214,7 @@ def _path_word(state: PolytopeState, vid: int, generator: int, j: int) -> Word:
         node = state.nodes[node.parent]
     gens.reverse()
     i = node.root_index
-    word = state.word
+    word = state.words[node.chain]
     if i == j:
         prefix: Tuple[int, ...] = ()
     elif i > j:
@@ -211,7 +238,9 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
 
     New points are classified against the polytope as it grows within the
     iteration; alive points become vertices and seed the next iteration's
-    pairs; a zero image is dead in modes R and P without an LP.  Raises
+    pairs; a zero image is dead in modes R and P without an LP.  ``duals``,
+    when given, holds each root chain's duals, and an alive point is
+    tested against those of the chain it descends from.  Raises
     :class:`StoppingViolation` when a dual test fails,
     :class:`InapplicableError` on a zero image in mode L, and
     :class:`VertexCapError` when the vertex cap is hit.
@@ -220,8 +249,8 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     t_values: List[float] = []
     new_frontier: List[int] = []
     for vid, p in state.R:
-        v = state.nodes[vid].point
-        z = scaled.matrix(p) @ v
+        node = state.nodes[vid]
+        z = scaled.matrix(p) @ node.point
         points = state.points()
         if not is_zero_image(z):
             t = _membership(spec, z, points, extension)
@@ -235,15 +264,16 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
         if _is_dead(spec, t, config.remove_boundary):
             continue
         if duals is not None:
-            j = stopping_check(config.mode, duals, z, BOUNDARY_TOL)
+            j = stopping_check(config.mode, duals[node.chain], z, BOUNDARY_TOL)
             if j is not None:
-                raise StoppingViolation(j, _path_word(state, vid, p, j))
+                raise StoppingViolation(j, _path_word(state, vid, p, j),
+                                        node.chain)
         # A revisit may be culled only when its membership value certifies
         # it on or inside the current polytope; otherwise it is a genuinely
         # new (if nearby) point and must stay alive.
         if _is_duplicate(z, points) and spec.sign * t >= spec.sign:
             continue
-        state.nodes.append(VertexNode(z, vid, p))
+        state.nodes.append(VertexNode(z, vid, p, chain=node.chain))
         new_frontier.append(len(state.nodes) - 1)
         if len(state.nodes) > config.vertex_cap:
             raise VertexCapError("vertex cap %d exceeded" % config.vertex_cap)
@@ -275,17 +305,19 @@ def final_bounds(state: PolytopeState, mode: str,
     return min(lower, rho_per_step), rho_per_step, t_N
 
 
-def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
-          candidate: Candidate, config: RunConfig,
+def _grow(family: MatrixFamily, scaled: MatrixFamily,
+          roots: Sequence[CyclicRoot], config: RunConfig,
           duals) -> RunOutcome:
-    """Grow the polytope for one candidate until termination or the cap."""
+    """Grow the polytope from the candidate's root chain and its twins'
+    (``roots``, the candidate's first) until termination or the cap."""
     spec = MODES[config.mode]
+    candidate = roots[0].candidate
     extension: Optional[ConeExtension] = None
     cone_sets: Optional[Tuple[Tuple[int, ...], ...]] = None
     probe_done = spec.sign > 0  # cone rays widen antinorm bodies only
     status, message = ITERATION_CAPPED, ""
 
-    state = _initial_state(root, family.size)
+    state = _initial_state(roots, family.size)
     while state.k < config.max_iterations:
         try:
             iterate(state, scaled, config, duals, extension)
@@ -308,12 +340,13 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
             if sets:
                 cone_sets = tuple(tuple(s) for s in sets)
                 negotiated = negotiate_cone(
-                    scaled, sets, profile=root_profile(root.vertices))
+                    scaled, sets, profile=root_profile(
+                        [v for root in roots for v in root.vertices]))
                 if negotiated is not None:
                     # Restart growth from the roots with the widened set.
                     extension = negotiated
                     cone_sets = negotiated.index_sets
-                    state = _initial_state(root, family.size)
+                    state = _initial_state(roots, family.size)
 
     rho = candidate.rho_per_step
     value = bounds = t_N = certificate = None
@@ -332,17 +365,19 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily, root: CyclicRoot,
         status=status, mode=config.mode, value=value, bounds=bounds, t_N=t_N,
         certificate=certificate, iterations=state.k,
         vertex_count=len(state.nodes), candidate=candidate, cone=extension,
-        cone_index_sets=cone_sets, message=message)
+        cone_index_sets=cone_sets, message=message, root_words=state.words)
 
 
 def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     """Full pipeline: candidate search, polytope growth, restarts.
 
-    Stopping violations trigger a restart with a provably better candidate,
-    up to ten restarts; when the restart machinery cannot improve the
-    candidate (numerically marginal violations) the run continues with the
-    stopping tests disabled, which preserves correctness at the cost of
-    possibly slower termination.
+    Growth starts from the candidate's root chain and one chain per
+    symmetric twin (:func:`symmetric_twins`).  Stopping violations
+    trigger a restart with a provably better candidate, up to ten
+    restarts; when the restart machinery cannot improve the candidate
+    (numerically marginal violations) the run continues with the stopping
+    tests disabled, which preserves correctness at the cost of possibly
+    slower termination.
     """
     mode = config.mode
     spec = MODES.get(mode)
@@ -377,9 +412,12 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
             scaled = normalize_family(family, candidate.rho_per_step)
             with_duals = (stopping and
                           candidate.eigen.classification == REAL_SIMPLE_UNIQUE)
-            root = build_cyclic_root(scaled, candidate, with_duals)
-            duals = root.duals if with_duals else None
-            outcome = _grow(family, scaled, root, candidate, config, duals)
+            roots = [build_cyclic_root(scaled, c, with_duals)
+                     for c in (candidate,) + symmetric_twins(family, candidate)]
+            duals = [root.duals for root in roots]
+            if any(chain_duals is None for chain_duals in duals):
+                duals = None
+            outcome = _grow(family, scaled, roots, config, duals)
         except InapplicableError as exc:
             return RunOutcome(status=INAPPLICABLE, mode=mode,
                               candidate=candidate, message=str(exc))
@@ -389,10 +427,11 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
                 stopping = False
                 continue
             budget -= 1
+            root = roots[violation.chain]
             try:
                 replacement = restart_product(
-                    family, candidate, root, (violation.j, violation.path),
-                    sense)
+                    family, root.candidate, root,
+                    (violation.j, violation.path), sense)
             except RestartFailedError:
                 # The violation is numerically marginal: re-enumerate with a
                 # longer cap once, otherwise keep the candidate and continue

@@ -127,10 +127,16 @@ def test_04_euler_binary_table(r):
         start = time.monotonic()
         out = run(fam, RunConfig(mode=mode, max_candidate_length=6))
         elapsed = time.monotonic() - start
+        # Where the other letter's word ties with the candidate (the two
+        # generators are similar through the coordinate reversal), its
+        # twin root chain lets the run terminate as well.
+        assert out.status == TERMINATED
         lo, hi = out.bounds
         assert abs(lo - value) <= 1e-6
         assert abs(hi - value) <= 1e-6
         assert tuple(reading) in _rotations(out.candidate.word)
+        report = verify(fam, out.certificate)
+        assert report.verdict, report.failures
         assert elapsed < 120.0
 
 
@@ -156,7 +162,7 @@ def test_05_overlap_free_lsr_value_and_cone():
     # collapse together; the cone extension is negotiated from them.
     scaled = normalize_family(fam, cand.rho_per_step)
     root = build_cyclic_root(scaled, cand, with_duals=True)
-    state = _initial_state(root, fam.size)
+    state = _initial_state([root], fam.size)
     config = RunConfig(mode=MODE_L)
     for _ in range(PROBE_ITERS):
         iterate(state, scaled, config)
@@ -284,7 +290,7 @@ def test_08d_membership_extremes_monotone():
     cand = enumerate_candidates(fam, 4, "max")
     scaled = normalize_family(fam, cand.rho_per_step)
     root = build_cyclic_root(scaled, cand, with_duals=False)
-    state = _initial_state(root, fam.size)
+    state = _initial_state([root], fam.size)
     config = RunConfig(mode=MODE_P)
     minima = []
     for _ in range(20):

@@ -12,9 +12,11 @@ from polyrad import (
     normalize_family,
     restart_product,
     spectral_radius,
+    symmetric_twins,
     word_matrix,
 )
-from polyrad.candidates import RestartFailedError
+from polyrad.candidates import RestartFailedError, _coordinate_permutation
+from polyrad.datasets import euler_binary
 from polyrad.matrices import MatrixError
 
 from conftest import brute_force_rates
@@ -172,3 +174,50 @@ class TestMakeCandidate:
     def test_power_reduced(self, example_pair_jsr):
         a = make_candidate(example_pair_jsr, (2, 1, 2, 1))
         assert len(a.word) == 2
+
+
+class TestSymmetricTwins:
+    """The coordinate reversal J gives euler_binary(r) its symmetry
+    A2 = J A1 J, which maps the word (1) to (2)."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("r", [7, 9])
+    def test_reversal_found_in_any_coordinate_order(self, r, seed):
+        fam = euler_binary(r)
+        perm = np.arange(fam.dim)
+        if seed is not None:
+            perm = np.random.default_rng(seed).permutation(fam.dim)
+            fam = MatrixFamily([A[np.ix_(perm, perm)] for A in fam.matrices])
+        cand = make_candidate(fam, (1,))
+        twins = symmetric_twins(fam, cand)
+        assert [twin.word for twin in twins] == [(2,)]
+        assert twins[0].rho_per_step == cand.rho_per_step
+        # The coordinate map is the reversal, seen through the permutation.
+        v = cand.eigen.leading_vector
+        p = _coordinate_permutation(fam, {1: 2}, v, twins[0].eigen.leading_vector)
+        assert np.array_equal(p, np.argsort(perm)[fam.dim - 1 - perm])
+        assert np.array_equal(fam.matrix(2)[np.ix_(p, p)], fam.matrix(1))
+
+    def test_image_that_is_a_rotation_adds_nothing(self):
+        # The swap maps (1, 2) to (2, 1), a rotation of the same word.
+        fam = euler_binary(9)
+        assert symmetric_twins(fam, make_candidate(fam, (1, 2))) == ()
+
+    def test_every_generator_must_be_permuted(self):
+        # A third generator that the reversal does not map into the family
+        # leaves the pair (1), (2) without a symmetry of the whole family.
+        fam = euler_binary(7)
+        A3 = np.zeros((fam.dim, fam.dim))
+        A3[0, 1] = 1.0
+        triple = MatrixFamily(list(fam.matrices) + [A3])
+        assert symmetric_twins(triple, make_candidate(triple, (1,))) == ()
+        # With its reversal added as a fourth generator, the symmetry is back.
+        J = np.eye(fam.dim)[::-1]
+        quad = MatrixFamily(list(triple.matrices) + [J @ A3 @ J])
+        assert ([t.word for t in symmetric_twins(quad, make_candidate(quad, (1,)))]
+                == [(2,)])
+
+    def test_generic_family_has_no_twin(self, example_pair_jsr):
+        for word in ((1,), (2,), (2, 1)):
+            cand = make_candidate(example_pair_jsr, word)
+            assert symmetric_twins(example_pair_jsr, cand) == ()

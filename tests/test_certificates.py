@@ -147,6 +147,21 @@ class TestVerification:
         report = verify(fam, out.certificate)
         assert report.verdict, report.failures
 
+    def test_mode_P_lp_only_for_images_no_vertex_covers(self, jsr_outcome,
+                                                         monkeypatch):
+        # An image that one vertex covers up to the tolerance passes without
+        # an LP; here 5 of the 6 images are covered, and one needs its LP.
+        import polyrad.certificates as certificates
+        solve = certificates.norm_membership_P
+        calls = []
+        monkeypatch.setattr(certificates, "norm_membership_P",
+                            lambda z, V: calls.append(z) or solve(z, V))
+        fam, out = jsr_outcome
+        report = verify(fam, out.certificate)
+        assert report.verdict, report.failures
+        assert len(out.certificate.vertices) * fam.size == 6
+        assert len(calls) == 1
+
     def test_engine_independence(self, jsr_outcome):
         # Verification uses only the certificate text and the family.
         fam, out = jsr_outcome

@@ -122,7 +122,18 @@ class TestCompute:
         assert payload["status"] == "terminated"
         assert payload["value"] == pytest.approx(1.535001822, abs=1e-8)
         assert payload["word"] == [2, 1]
+        assert payload["root_words"] == [[2, 1]]
         assert payload["vertex_count"] == 3
+
+    def test_json_lists_twin_root_chains(self, tmp_path, capsys):
+        path = str(tmp_path / "eb7.json")
+        assert main(["dataset", "euler-binary", "--r", "7", "--out", path]) == 0
+        capsys.readouterr()
+        code = main(["compute", "--input", path, "--output", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["status"] == "terminated"
+        assert payload["root_words"] == [[1], [2]]
 
     def test_csv_output(self, jsr_file, capsys):
         code = main(["compute", "--input", jsr_file, "--output", "csv"])

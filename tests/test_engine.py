@@ -10,6 +10,7 @@ from polyrad import (
     MatrixFamily,
     PolytopeState,
     RunConfig,
+    VertexNode,
     build_cyclic_root,
     enumerate_candidates,
     final_bounds,
@@ -17,6 +18,7 @@ from polyrad import (
     normalize_family,
     run,
     stopping_check,
+    symmetric_twins,
     verify,
 )
 from polyrad.datasets import euler_binary, random_family
@@ -24,8 +26,10 @@ from polyrad.engine import (
     BOUNDARY_TOL,
     ITERATION_CAPPED,
     TERMINATED,
+    StoppingViolation,
     VertexCapError,
     _initial_state,
+    _path_word,
 )
 
 from conftest import brute_force_rates
@@ -146,7 +150,7 @@ class TestProperties:
         cand = enumerate_candidates(slow_converging_pair, 4, "max")
         scaled = normalize_family(slow_converging_pair, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=False)
-        state = _initial_state(root, slow_converging_pair.size)
+        state = _initial_state([root], slow_converging_pair.size)
         config = RunConfig(mode=MODE_P)
         minima = []
         for _ in range(15):
@@ -268,7 +272,7 @@ class TestFinalBounds:
         (MODE_R, (1.5, math.inf, None)),
     ])
     def test_empty_history_leaves_far_side_open(self, mode, expected):
-        state = PolytopeState(word=(1,))
+        state = PolytopeState(words=((1,),))
         assert final_bounds(state, mode, 1.5) == expected
 
 
@@ -290,7 +294,7 @@ class TestModeRecord:
         (MODE_L, [[2.0, 4.0]], (0.375, 1.5, 4.0)),
     ])
     def test_final_bounds_from_history(self, mode, history, expected):
-        state = PolytopeState(word=(1,), t_history=history)
+        state = PolytopeState(words=((1,),), t_history=history)
         assert final_bounds(state, mode, 1.5) == expected
 
 
@@ -326,22 +330,90 @@ class TestModePCycling:
 
 
 class TestPermutedCoordinates:
-    """A permutation similarity leaves the joint spectral radius unchanged,
-    so a permuted run must not fail, and one that terminates must give the
-    published value with a certificate that verifies.  Whether it
-    terminates may change with the permutation."""
+    """A permutation similarity leaves both radii unchanged.  The symmetric
+    twin chain is found in any coordinate order, so every permuted run
+    terminates, with the published value, a certificate that verifies,
+    and the iteration and vertex counts of the unpermuted run."""
 
-    @pytest.mark.parametrize("r, jsr", [(7, 3.511547), (11, 5.505892)])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_permuted_euler_binary(self, r, jsr, seed):
+    @staticmethod
+    def _check(r, mode, value, seed):
         fam = euler_binary(r)
         perm = np.random.default_rng(seed).permutation(fam.dim)
         permuted = MatrixFamily([A[np.ix_(perm, perm)] for A in fam.matrices])
-        out = run(permuted, RunConfig(mode=MODE_P, max_candidate_length=6))
-        assert out.status in (TERMINATED, ITERATION_CAPPED)
-        lo, hi = out.bounds
-        assert lo - 1e-6 <= jsr <= hi + 1e-6
-        if out.status == TERMINATED:
-            assert out.value == pytest.approx(jsr, abs=1e-6)
-            report = verify(permuted, out.certificate)
-            assert report.verdict, report.failures
+        config = RunConfig(mode=mode, max_candidate_length=6)
+        base = run(fam, config)
+        out = run(permuted, config)
+        assert out.status == TERMINATED
+        assert out.value == pytest.approx(value, abs=1e-6)
+        assert ((out.iterations, out.vertex_count)
+                == (base.iterations, base.vertex_count))
+        report = verify(permuted, out.certificate)
+        assert report.verdict, report.failures
+
+    @pytest.mark.parametrize("r, jsr", [(7, 3.511547), (11, 5.505892),
+                                        (13, 6.502167)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_permuted_euler_binary(self, r, jsr, seed):
+        self._check(r, MODE_P, jsr, seed)
+
+    @pytest.mark.parametrize("r, lsr", [(7, 3.491891), (11, 5.497042),
+                                        (13, 6.498946)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_permuted_euler_binary_lsr(self, r, lsr, seed):
+        self._check(r, MODE_L, lsr, seed)
+
+
+class TestRootChains:
+    def test_path_word_follows_the_twin_chain(self):
+        # Chain 1 has the word (2, 1, 1); node 5 is A_2 applied to its
+        # third root.  A chain-less root made this lookup fail.
+        point = np.ones(2)
+        state = PolytopeState(words=((1, 2), (2, 1, 1)))
+        state.nodes = [VertexNode(point, None, None, 1, 0),
+                       VertexNode(point, None, None, 2, 0),
+                       VertexNode(point, None, None, 1, 1),
+                       VertexNode(point, None, None, 2, 1),
+                       VertexNode(point, None, None, 3, 1),
+                       VertexNode(point, 4, 2, chain=1)]
+        assert _path_word(state, 5, 1, 1) == (2, 1, 2, 1)
+        assert _path_word(state, 5, 1, 2) == (1, 2, 1)
+        assert _path_word(state, 5, 1, 3) == (2, 1)
+
+    def test_initial_state_seeds_every_chain(self):
+        fam = euler_binary(7)
+        cand = enumerate_candidates(fam, 6, "max")
+        scaled = normalize_family(fam, cand.rho_per_step)
+        roots = [build_cyclic_root(scaled, c, with_duals=True)
+                 for c in (cand,) + symmetric_twins(fam, cand)]
+        state = _initial_state(roots, fam.size)
+        assert state.words == ((1,), (2,))
+        assert [(n.chain, n.root_index) for n in state.nodes] == [(0, 1), (1, 1)]
+        # Each root's own letter leads back to it, so one pair per root.
+        assert state.R == [(0, 2), (1, 1)]
+
+    def test_violation_names_the_twin_chain(self):
+        # Chain 0's duals never fire; chain 1's are scaled so that any
+        # alive descendant of the twin root violates its test.
+        fam = euler_binary(7)
+        cand = enumerate_candidates(fam, 6, "max")
+        scaled = normalize_family(fam, cand.rho_per_step)
+        roots = [build_cyclic_root(scaled, c, with_duals=True)
+                 for c in (cand,) + symmetric_twins(fam, cand)]
+        duals = [tuple(0.0 * d for d in roots[0].duals),
+                 tuple(1e3 * d for d in roots[1].duals)]
+        state = _initial_state(roots, fam.size)
+        with pytest.raises(StoppingViolation) as caught:
+            iterate(state, scaled, RunConfig(mode=MODE_P), duals)
+        assert caught.value.chain == 1
+        assert (caught.value.j, caught.value.path) == (1, (1,))
+
+    def test_tie_without_symmetry_seeds_one_chain(self):
+        # Words (1) and (2) tie at radius 1, but no coordinate permutation
+        # relates the generators, so only the candidate's chain is seeded.
+        fam = random_family("binary", 20, 2, 2)
+        cand = enumerate_candidates(fam, 4, "max")
+        assert symmetric_twins(fam, cand) == ()
+        out = run(fam, RunConfig(mode=MODE_P, max_candidate_length=4))
+        assert out.status == TERMINATED
+        assert out.root_words == (cand.word,)
+        assert (out.iterations, out.vertex_count) == (25, 48)
