@@ -189,7 +189,7 @@ def spans_check(vertices, mode: str) -> bool:
     """
     if mode not in ("linear", "positive"):
         raise ValueError("mode must be 'linear' or 'positive'")
-    V = np.asarray(list(vertices), dtype=float)
+    V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.size == 0:
         raise ValueError("vertices must form a non-empty 2-D array")
     if mode == "linear":
@@ -297,9 +297,8 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
 
     tolerance = 10.0 * cert.tolerance
     scaled = family.scaled(1.0 / per_step)
-    points = list(cert.vertices)
-    skip = np.zeros(len(points), dtype=bool)
-    Vm = np.asarray(points)
+    Vm = np.asarray(cert.vertices, dtype=float)
+    skip = np.zeros(len(Vm), dtype=bool)
     if spec.sign < 0:
         # An antinorm body is upward closed, so under a nonnegative family
         # the images of a vertex that dominates another are covered by the
@@ -307,11 +306,11 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
         skip = _dominating_rows(Vm)
         # Points known to lie in the body: the vertices, then t * z for
         # every image z whose LP gave a finite value t.
-        inside = np.zeros((len(points) * (scaled.size + 1), d))
-        inside[:len(points)] = Vm
-        n_inside = len(points)
+        inside = np.zeros((len(Vm) * (scaled.size + 1), d))
+        inside[:len(Vm)] = Vm
+        n_inside = len(Vm)
     worst = float("-inf")
-    for idx, v in enumerate(points):
+    for idx, v in enumerate(Vm):
         if skip[idx]:
             continue
         for j in range(1, scaled.size + 1):
@@ -319,15 +318,15 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
             if is_zero_image(z):
                 t = float("inf")
             elif spec.balanced:  # the LPs are looked up by name, as in the engine
-                t = norm_membership_R(z, points)
+                t = norm_membership_R(z, Vm)
             elif spec.sign > 0:
                 t = _vertex_value(z, Vm)
                 if 1.0 - t > tolerance:
-                    t = norm_membership_P(z, points)
+                    t = norm_membership_P(z, Vm)
             else:
                 t = _dominance_value(z, inside[:n_inside], tolerance)
                 if t is None:
-                    t = antinorm_membership_ext(z, points, cert.cone_H)
+                    t = antinorm_membership_ext(z, Vm, cert.cone_H)
                     if np.isfinite(t):
                         inside[n_inside] = t * z
                         n_inside += 1
@@ -349,7 +348,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                                     "matrix %d" % (hidx + 1, j))
 
     span = "linear" if spec.balanced else "positive"
-    report.span_ok = spans_check(points, span)
+    report.span_ok = spans_check(Vm, span)
     if not report.span_ok:
         failures.append("vertices fail the %s span requirement" % span)
 

@@ -16,6 +16,9 @@ dominant product, and the polytope can close only if it holds that
 product's leading eigenvector too.  Every vertex node records the chain it
 descends from; the stopping tests pair a point with that chain's duals,
 and a violation restarts from that chain's candidate and root.
+
+The vertex set is one ``(n, d)`` array, ``PolytopeState.vertices``, which
+the membership LPs, the span check, the cone probe and the certificate read.
 """
 
 from __future__ import annotations
@@ -105,11 +108,10 @@ class RunConfig:
 
 @dataclass
 class VertexNode:
-    """A vertex, the node it is the image of and by which generator, and
-    the root chain it descends from; a root (no parent) records its 1-based
-    place in that chain as ``root_index``."""
+    """The ancestry of a vertex: the node it is the image of and by which
+    generator, and the root chain it descends from; a root (no parent)
+    records its 1-based place in that chain as ``root_index``."""
 
-    point: np.ndarray
     parent: Optional[int]
     generator: Optional[int]
     root_index: Optional[int] = None
@@ -119,17 +121,16 @@ class VertexNode:
 @dataclass
 class PolytopeState:
     """Growth state; ``words[c]`` is the word of root chain ``c``, the
-    candidate's first and then its symmetric twins."""
+    candidate's first and then its symmetric twins, and row ``i`` of
+    ``vertices`` is the point of ``nodes[i]``."""
 
     words: Tuple[Word, ...]
     nodes: List[VertexNode] = field(default_factory=list)
+    vertices: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     U: List[int] = field(default_factory=list)
     R: List[Tuple[int, int]] = field(default_factory=list)
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
-
-    def points(self) -> List[np.ndarray]:
-        return [node.point for node in self.nodes]
 
 
 @dataclass
@@ -158,24 +159,25 @@ def _initial_state(roots: Sequence[CyclicRoot], family_size: int) -> PolytopeSta
     state = PolytopeState(words=tuple(root.candidate.word for root in roots))
     for c, root in enumerate(roots):
         word = root.candidate.word
-        for i, v in enumerate(root.vertices):
+        for i in range(len(word)):
             state.R.extend((len(state.nodes), p)
                            for p in range(1, family_size + 1) if p != word[i])
-            state.nodes.append(VertexNode(v, None, None, i + 1, c))
+            state.nodes.append(VertexNode(None, None, i + 1, c))
+    state.vertices = np.vstack([root.vertices for root in roots])
     state.U = list(range(len(state.nodes)))
     return state
 
 
-def _membership(spec: Mode, z, points,
+def _membership(spec: Mode, z, V,
                 extension: Optional[ConeExtension]) -> float:
     # Looked up by name per call, so that wrapping the module attribute works.
     if spec.sign < 0:
         if extension is not None and extension.rays:
-            return antinorm_membership_ext(z, points, extension.rays)
-        return antinorm_membership_L(z, points)
+            return antinorm_membership_ext(z, V, extension.rays)
+        return antinorm_membership_L(z, V)
     if spec.balanced:
-        return norm_membership_R(z, points)
-    return norm_membership_P(z, points)
+        return norm_membership_R(z, V)
+    return norm_membership_P(z, V)
 
 
 def _is_dead(spec: Mode, t: float, remove_boundary: bool) -> bool:
@@ -224,12 +226,10 @@ def _path_word(state: PolytopeState, vid: int, generator: int, j: int) -> Word:
     return prefix + tuple(gens)
 
 
-def _is_duplicate(z: np.ndarray, points) -> bool:
+def _is_duplicate(z: np.ndarray, V: np.ndarray) -> bool:
+    """Whether a row of ``V`` is within ``_DUP_TOL * max(1, |z|)`` of ``z``."""
     scale = max(1.0, float(np.max(np.abs(z))))
-    for p in points:
-        if p.shape == z.shape and float(np.max(np.abs(p - z))) <= _DUP_TOL * scale:
-            return True
-    return False
+    return bool(np.any(np.max(np.abs(V - z), axis=1) <= _DUP_TOL * scale))
 
 
 def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
@@ -250,10 +250,9 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     new_frontier: List[int] = []
     for vid, p in state.R:
         node = state.nodes[vid]
-        z = scaled.matrix(p) @ node.point
-        points = state.points()
+        z = scaled.matrix(p) @ state.vertices[vid]
         if not is_zero_image(z):
-            t = _membership(spec, z, points, extension)
+            t = _membership(spec, z, state.vertices, extension)
         elif spec.sign > 0:
             t = math.inf
         else:
@@ -271,9 +270,10 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
         # A revisit may be culled only when its membership value certifies
         # it on or inside the current polytope; otherwise it is a genuinely
         # new (if nearby) point and must stay alive.
-        if _is_duplicate(z, points) and spec.sign * t >= spec.sign:
+        if _is_duplicate(z, state.vertices) and spec.sign * t >= spec.sign:
             continue
-        state.nodes.append(VertexNode(z, vid, p, chain=node.chain))
+        state.nodes.append(VertexNode(vid, p, chain=node.chain))
+        state.vertices = np.vstack((state.vertices, z))
         new_frontier.append(len(state.nodes) - 1)
         if len(state.nodes) > config.vertex_cap:
             raise VertexCapError("vertex cap %d exceeded" % config.vertex_cap)
@@ -326,7 +326,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily,
             break
         if not state.U:
             span = "linear" if spec.balanced else "positive"
-            if spans_check(state.points(), span):
+            if spans_check(state.vertices, span):
                 status = TERMINATED
             else:
                 status = INAPPLICABLE
@@ -336,7 +336,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily,
             break
         if not probe_done and state.k >= PROBE_ITERS:
             probe_done = True
-            sets = detect_near_boundary(state.points())
+            sets = detect_near_boundary(state.vertices)
             if sets:
                 cone_sets = tuple(tuple(s) for s in sets)
                 negotiated = negotiate_cone(
@@ -358,7 +358,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily,
         certificate = Certificate(
             version=CERT_VERSION, mode=config.mode,
             family_fingerprint=family_fingerprint(family), word=candidate.word,
-            rho_per_step=rho, vertices=tuple(state.points()),
+            rho_per_step=rho, vertices=tuple(state.vertices),
             cone_H=tuple(extension.rays) if extension is not None else None,
             iterations=state.k, tolerance=BOUNDARY_TOL)
     return RunOutcome(

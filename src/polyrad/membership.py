@@ -1,7 +1,8 @@
 """Membership linear programs for polytope norms and antinorms.
 
 Each function returns the largest (or, for antinorms, smallest) ``t`` such
-that ``t * z`` lies in the hull generated by the vertex list ``V``:
+that ``t * z`` lies in the hull generated by the vertices ``V``, a list of
+vectors or an ``(n, d)`` array read without a copy:
 
 - ``norm_membership_R``: balanced hull (symmetric convex combinations with
   coefficient 1-norm at most 1);
@@ -73,9 +74,9 @@ def _stack(z, V):
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError("z must be a vector")
-    if not V:
+    Vm = np.asarray(V, dtype=float)  # no copy for a float array
+    if Vm.size == 0:
         raise ValueError("the vertex list must be non-empty")
-    Vm = np.asarray(V, dtype=float)
     if Vm.ndim != 2 or Vm.shape[1] != z.size:
         raise ValueError("vertices must match the dimension of z")
     if is_zero_image(z):

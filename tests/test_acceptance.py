@@ -166,7 +166,7 @@ def test_05_overlap_free_lsr_value_and_cone():
     config = RunConfig(mode=MODE_L)
     for _ in range(PROBE_ITERS):
         iterate(state, scaled, config)
-    detected = detect_near_boundary(state.points(), 1.0 / 200.0)
+    detected = detect_near_boundary(state.vertices, 1.0 / 200.0)
     assert (5, 10, 17, 18) in detected
     assert (7, 8, 15, 20) in detected
 

@@ -26,9 +26,11 @@ from polyrad.engine import (
     BOUNDARY_TOL,
     ITERATION_CAPPED,
     TERMINATED,
+    _DUP_TOL,
     StoppingViolation,
     VertexCapError,
     _initial_state,
+    _is_duplicate,
     _path_word,
 )
 
@@ -367,14 +369,13 @@ class TestRootChains:
     def test_path_word_follows_the_twin_chain(self):
         # Chain 1 has the word (2, 1, 1); node 5 is A_2 applied to its
         # third root.  A chain-less root made this lookup fail.
-        point = np.ones(2)
         state = PolytopeState(words=((1, 2), (2, 1, 1)))
-        state.nodes = [VertexNode(point, None, None, 1, 0),
-                       VertexNode(point, None, None, 2, 0),
-                       VertexNode(point, None, None, 1, 1),
-                       VertexNode(point, None, None, 2, 1),
-                       VertexNode(point, None, None, 3, 1),
-                       VertexNode(point, 4, 2, chain=1)]
+        state.nodes = [VertexNode(None, None, 1, 0),
+                       VertexNode(None, None, 2, 0),
+                       VertexNode(None, None, 1, 1),
+                       VertexNode(None, None, 2, 1),
+                       VertexNode(None, None, 3, 1),
+                       VertexNode(4, 2, chain=1)]
         assert _path_word(state, 5, 1, 1) == (2, 1, 2, 1)
         assert _path_word(state, 5, 1, 2) == (1, 2, 1)
         assert _path_word(state, 5, 1, 3) == (2, 1)
@@ -417,3 +418,38 @@ class TestRootChains:
         assert out.status == TERMINATED
         assert out.root_words == (cand.word,)
         assert (out.iterations, out.vertex_count) == (25, 48)
+
+
+class TestVertexArray:
+    def test_is_duplicate_reads_the_rows(self):
+        z = np.array([4.0, -1.0, 0.5])
+        tol = _DUP_TOL * 4.0  # the tolerance scales with max |z_i|
+        near = np.array([[0.0, 0.0, 0.0], z + [0.0, 0.5 * tol, -0.5 * tol]])
+        far = np.array([[0.0, 0.0, 0.0], z + [0.0, 2.0 * tol, 0.0]])
+        assert _is_duplicate(z, near)
+        assert not _is_duplicate(z, far)
+
+    def test_duplicate_tolerance_is_at_least_absolute(self):
+        offset = np.array([[2.0 * _DUP_TOL, 0.0]])
+        small = np.array([0.5, 0.25])  # max |z_i| < 1: absolute tolerance
+        large = np.array([4.0, 0.25])
+        assert not _is_duplicate(small, small + offset)
+        assert _is_duplicate(large, large + offset)
+
+    def test_vertices_stay_aligned_with_nodes(self):
+        fam = euler_binary(7)
+        cand = enumerate_candidates(fam, 6, "max")
+        scaled = normalize_family(fam, cand.rho_per_step)
+        roots = [build_cyclic_root(scaled, c, with_duals=True)
+                 for c in (cand,) + symmetric_twins(fam, cand)]
+        state = _initial_state(roots, fam.size)
+        for _ in range(3):
+            iterate(state, scaled, RunConfig(mode=MODE_P))
+        V = state.vertices
+        assert V.shape == (len(state.nodes), fam.dim) and len(V) > len(roots)
+        for i, node in enumerate(state.nodes):
+            if node.parent is None:
+                expected = roots[node.chain].vertices[node.root_index - 1]
+            else:
+                expected = scaled.matrix(node.generator) @ V[node.parent]
+            assert np.array_equal(V[i], expected)

@@ -43,8 +43,26 @@ class TestBalancedHull:
             norm_membership_R([0.0, 0.0], [np.array([1.0, 0.0])])
 
     def test_rejects_empty_vertex_list(self):
-        with pytest.raises(ValueError):
-            norm_membership_R([1.0, 0.0], [])
+        for V in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="non-empty"):
+                norm_membership_R([1.0, 0.0], V)
+
+
+class TestArrayInput:
+    # The engine passes its vertex set as one (n, d) array; every membership
+    # LP must read it as it reads the list of its rows.
+    V = np.array([[1.0, 0.2, 0.5], [0.3, 1.0, 0.1], [0.6, 0.4, 0.9]])
+    z = np.array([0.7, 0.8, 0.3])
+
+    @pytest.mark.parametrize("fn", [norm_membership_R, norm_membership_P,
+                                    antinorm_membership_L])
+    def test_array_equals_list_of_rows(self, fn):
+        assert fn(self.z, self.V) == fn(self.z, list(self.V))
+
+    def test_ext_array_equals_list_of_rows(self):
+        H = [np.array([0.1, 0.1, -1.0])]
+        assert (antinorm_membership_ext(self.z, self.V, H)
+                == antinorm_membership_ext(self.z, list(self.V), H))
 
 
 class TestMonotonePolytope:
