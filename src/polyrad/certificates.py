@@ -31,6 +31,7 @@ from .membership import (
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
+    one_vertex_bound,
 )
 
 CERT_VERSION = 1
@@ -223,17 +224,6 @@ def _dominance_value(z: np.ndarray, inside: np.ndarray,
     return float(t.min())
 
 
-def _vertex_value(z: np.ndarray, Vm: np.ndarray) -> float:
-    """Order-ideal value certified by the best single row of ``Vm``.
-
-    A vertex ``v`` with ``v >= t z`` puts ``t z`` in the mode-P body, an
-    order ideal, so ``max_v min_{z_i > 0} v_i / z_i`` is a lower bound on
-    the LP's own value.
-    """
-    pos = z > 0.0
-    return float(np.max(np.min(Vm[:, pos] / z[pos], axis=1, initial=np.inf)))
-
-
 def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     """Re-check a certificate against a family from first principles.
 
@@ -320,7 +310,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
             elif spec.balanced:  # the LPs are looked up by name, as in the engine
                 t = norm_membership_R(z, Vm)
             elif spec.sign > 0:
-                t = _vertex_value(z, Vm)
+                t = one_vertex_bound(spec, z, Vm)[0]
                 if 1.0 - t > tolerance:
                     t = norm_membership_P(z, Vm)
             else:

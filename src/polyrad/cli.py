@@ -189,6 +189,8 @@ def _outcome_json(outcome: RunOutcome, mode: str) -> dict:
         "t_N": (None if outcome.t_N is None or np.isinf(outcome.t_N)
                 else float(_sig(outcome.t_N, 17))),
         "budget_exhausted": outcome.budget_exhausted,
+        "lps_solved": outcome.lps_solved,
+        "lps_skipped": outcome.lps_skipped,
         "cone_index_sets": (None if outcome.cone_index_sets is None
                             else [list(s) for s in outcome.cone_index_sets]),
         "message": outcome.message,

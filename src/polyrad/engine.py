@@ -19,6 +19,15 @@ and a violation restarts from that chain's candidate and root.
 
 The vertex set is one ``(n, d)`` array, ``PolytopeState.vertices``, which
 the membership LPs, the span check, the cone probe and the certificate read.
+
+In modes P and L the best single vertex bounds an image's membership value
+(:func:`one_vertex_bound`): from below in P, from above in L.  When that
+bound already puts the image inside the body, it is recorded as the
+image's value and no LP runs; the verdict is the LP's, since the bound
+lies on the inside of the LP value.  Only ``t_N`` of a terminated run can
+differ from the LP values (it can be a one-vertex bound): in a capped run
+the alive points, which always get their LP, set the last iteration's
+extreme.
 """
 
 from __future__ import annotations
@@ -63,6 +72,7 @@ from .membership import (
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
+    one_vertex_bound,
 )
 
 TERMINATED = "terminated"
@@ -134,11 +144,22 @@ class PolytopeState:
 
 
 @dataclass
+class MembershipCounts:
+    """Images whose membership LP a run solved, and images a one-vertex
+    bound settled without one."""
+
+    solved: int = 0
+    skipped: int = 0
+
+
+@dataclass
 class RunOutcome:
     status: str
     mode: str
     value: Optional[float] = None
     bounds: Optional[Tuple[float, float]] = None
+    # The last complete iteration's extreme membership value; in a
+    # terminated run of mode P or L it can be a one-vertex bound.
     t_N: Optional[float] = None
     certificate: Optional[Certificate] = None
     iterations: int = 0
@@ -150,6 +171,10 @@ class RunOutcome:
     message: str = ""
     # The word of every seeded root chain, the candidate's first.
     root_words: Tuple[Word, ...] = ()
+    # Membership LPs solved, and images settled by one vertex without an
+    # LP, over every growth of the run (restarts included).
+    lps_solved: int = 0
+    lps_skipped: int = 0
 
 
 def _initial_state(roots: Sequence[CyclicRoot], family_size: int) -> PolytopeState:
@@ -233,32 +258,43 @@ def _is_duplicate(z: np.ndarray, V: np.ndarray) -> bool:
 
 
 def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
-            duals=None, extension: Optional[ConeExtension] = None) -> None:
+            duals=None, extension: Optional[ConeExtension] = None,
+            counts: Optional[MembershipCounts] = None) -> None:
     """Process every pending (vertex, generator) pair once.
 
     New points are classified against the polytope as it grows within the
     iteration; alive points become vertices and seed the next iteration's
-    pairs; a zero image is dead in modes R and P without an LP.  ``duals``,
-    when given, holds each root chain's duals, and an alive point is
-    tested against those of the chain it descends from.  Raises
+    pairs; a zero image is dead in modes R and P without an LP, and in
+    modes P and L so is an image whose one-vertex bound puts it inside the
+    body.  ``counts``, when given, tallies the LPs solved and skipped.
+    ``duals``, when given, holds each root chain's duals, and an alive
+    point is tested against those of the chain it descends from.  Raises
     :class:`StoppingViolation` when a dual test fails,
     :class:`InapplicableError` on a zero image in mode L, and
     :class:`VertexCapError` when the vertex cap is hit.
     """
     spec = MODES[config.mode]
+    if counts is None:
+        counts = MembershipCounts()
     t_values: List[float] = []
     new_frontier: List[int] = []
     for vid, p in state.R:
         node = state.nodes[vid]
         z = scaled.matrix(p) @ state.vertices[vid]
-        if not is_zero_image(z):
-            t = _membership(spec, z, state.vertices, extension)
-        elif spec.sign > 0:
+        if is_zero_image(z):
+            if spec.sign < 0:
+                raise InapplicableError(
+                    "a generator maps a vertex to zero; the antinorm "
+                    "construction does not apply")
             t = math.inf
         else:
-            raise InapplicableError(
-                "a generator maps a vertex to zero; the antinorm "
-                "construction does not apply")
+            t = (None if spec.balanced
+                 else one_vertex_bound(spec, z, state.vertices)[0])
+            if t is not None and _is_dead(spec, t, config.remove_boundary):
+                counts.skipped += 1
+            else:
+                t = _membership(spec, z, state.vertices, extension)
+                counts.solved += 1
         t_values.append(t)
         if _is_dead(spec, t, config.remove_boundary):
             continue
@@ -307,7 +343,7 @@ def final_bounds(state: PolytopeState, mode: str,
 
 def _grow(family: MatrixFamily, scaled: MatrixFamily,
           roots: Sequence[CyclicRoot], config: RunConfig,
-          duals) -> RunOutcome:
+          duals, counts: MembershipCounts) -> RunOutcome:
     """Grow the polytope from the candidate's root chain and its twins'
     (``roots``, the candidate's first) until termination or the cap."""
     spec = MODES[config.mode]
@@ -320,7 +356,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily,
     state = _initial_state(roots, family.size)
     while state.k < config.max_iterations:
         try:
-            iterate(state, scaled, config, duals, extension)
+            iterate(state, scaled, config, duals, extension, counts)
         except VertexCapError as exc:
             message = str(exc)
             break
@@ -377,8 +413,17 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     restarts; when the restart machinery cannot improve the candidate
     (numerically marginal violations) the run continues with the stopping
     tests disabled, which preserves correctness at the cost of possibly
-    slower termination.
+    slower termination.  The outcome counts the membership LPs solved and
+    skipped over every growth.
     """
+    counts = MembershipCounts()
+    outcome = _run(family, config, counts)
+    outcome.lps_solved, outcome.lps_skipped = counts.solved, counts.skipped
+    return outcome
+
+
+def _run(family: MatrixFamily, config: RunConfig,
+         counts: MembershipCounts) -> RunOutcome:
     mode = config.mode
     spec = MODES.get(mode)
     if spec is None:
@@ -417,7 +462,7 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
             duals = [root.duals for root in roots]
             if any(chain_duals is None for chain_duals in duals):
                 duals = None
-            outcome = _grow(family, scaled, roots, config, duals)
+            outcome = _grow(family, scaled, roots, config, duals, counts)
         except InapplicableError as exc:
             return RunOutcome(status=INAPPLICABLE, mode=mode,
                               candidate=candidate, message=str(exc))

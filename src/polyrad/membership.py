@@ -15,12 +15,17 @@ vectors or an ``(n, d)`` array read without a copy:
 
 For a point strictly inside the unit ball the returned value exceeds 1; for
 a point strictly outside it is below 1 (reversed for the antinorm variants).
+
+The bodies of modes P and L are monotone, so a single vertex already
+bounds the value (:func:`one_vertex_bound`).  The engine records that
+bound without an LP when it settles a point, and every antinorm LP starts
+from the best vertex's basis, with no phase 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,7 +89,37 @@ def _stack(z, V):
     return z, Vm
 
 
-def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray]):
+def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
+    """The membership value of ``z`` that the best single row of ``Vm``
+    proves, and that row (``-1`` for none).
+
+    Mode P's body is an order ideal: a vertex ``v`` holds ``t z`` for
+    ``t = min_{z_i > 0} v_i / z_i``, so the best such ``t`` bounds the
+    value from below (``inf`` when ``z`` has no positive coordinate).  Mode
+    L's body is upward closed: a vertex that covers ``z`` (``v_i = 0``
+    wherever ``z_i = 0``) lies below ``t z`` for ``t = max_{z_i > 0} v_i /
+    z_i``, so the best such ``t`` bounds the value from above, with or
+    without cone rays; with no covering vertex, or a negative coordinate
+    in ``z``, the bound is ``(inf, -1)``.  Mode R has no such bound.
+    """
+    if spec.balanced:
+        raise ValueError("the balanced body has no one-vertex bound")
+    pos = z > 0.0
+    ratios = Vm[:, pos] / z[pos]
+    if spec.sign > 0:
+        values = np.min(ratios, axis=1, initial=_INF)
+        best = int(np.argmax(values))
+        return float(values[best]), best
+    covers = ~np.any(Vm[:, ~pos], axis=1)
+    if np.any(z < 0.0) or not np.any(covers):
+        return _INF, -1
+    values = np.where(covers, np.max(ratios, axis=1, initial=0.0), _INF)
+    best = int(np.argmin(values))
+    return float(values[best]), best
+
+
+def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray],
+                   start: Optional[Sequence[Optional[int]]] = None):
     """Solve one membership LP over the columns ``[z | -V | +V | -H]``.
 
     Each coordinate gives the row ``t z_i - sum_x c_x x_i - sum_h c_h h_i``
@@ -93,6 +128,9 @@ def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray]):
     ``-H`` block is present only when ``rays`` (one ray per column) is
     given.  One budget row bounds the sum of the vertex weights: at most 1
     when maximizing ``t`` (``=``), at least 1 when minimizing it (``>=``).
+    ``start`` is passed to :func:`solve_lp`: per row, its basic variable
+    (``t`` is variable 0, the weight of row ``x`` of ``Vm`` is ``1 + x``)
+    or ``None`` for its slack.
     """
     blocks = [z[:, None], -Vm.T]
     if rel == EQ:
@@ -111,7 +149,7 @@ def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray]):
     rows.append((budget, GE if minimize else LE, 1.0))
     lp = LinearProgram("min" if minimize else "max", objective, rows,
                        [(0.0, _INF)] * nvar)
-    return solve_lp(lp, assume_bounded=True)
+    return solve_lp(lp, assume_bounded=True, start=start)
 
 
 def norm_membership_R(z, V) -> float:
@@ -168,6 +206,18 @@ def norm_membership_P(z, V) -> float:
     return float(np.min(rhs[pos] / z[pos]))
 
 
+def _vertex_basis(z, Vm, best: int) -> list:
+    """The antinorm LP's basis at row ``best`` of ``Vm``, a vertex that
+    covers ``z``, as a ``start`` for :func:`_membership_lp`: ``t`` on the
+    coordinate row where ``v_i / z_i`` is largest, the vertex's weight on
+    the budget row, and every other coordinate row's own surplus."""
+    pos = np.flatnonzero(z > 0.0)
+    start = [None] * (z.size + 1)
+    start[pos[np.argmax(Vm[best, pos] / z[pos])]] = 0
+    start[-1] = 1 + best
+    return start
+
+
 def antinorm_membership_L(z, V) -> float:
     """Antinorm membership value: infeasible programs return ``inf``."""
     return antinorm_membership_ext(z, V, None)
@@ -179,17 +229,26 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
     Minimizes ``t`` subject to ``t z >= sum_x c_x x + sum_h c_h h`` with
     ``sum_x c_x >= 1`` and all coefficients nonnegative.  Returns ``inf``
     when no multiple of ``z`` dominates the hull.
+
+    When a vertex ``v*`` covers ``z`` (:func:`one_vertex_bound`), the LP
+    starts from its basis (:func:`_vertex_basis`), so no phase 1 runs: at
+    ``c_v* = 1`` and ``t = max_{z_i > 0} v*_i / z_i`` every surplus
+    ``t z_i - v*_i`` is nonnegative, so that basis is primal feasible.  The
+    returned value is the smaller of the certified LP value and the
+    one-vertex bound; both bound the true minimum from above.
     """
     z, Vm = _stack(z, V)
     k = Vm.shape[0]
-    rays = [np.asarray(h, dtype=float) for h in (H or [])]
+    rays = [np.asarray(h, dtype=float) for h in (() if H is None else H)]
     for h in rays:
         if h.shape != (z.size,):
             raise ValueError("ray dimension mismatch")
     Hm = np.column_stack(rays) if rays else None
-    outcome = _membership_lp(z, Vm, GE, Hm)
+    bound, best = one_vertex_bound(MODES[MODE_L], z, Vm)
+    start = None if best < 0 else _vertex_basis(z, Vm, best)
+    outcome = _membership_lp(z, Vm, GE, Hm, start)
     if outcome.status == INFEASIBLE:
-        return _INF
+        return bound
     if outcome.status != OPTIMAL:
         raise MembershipError("antinorm membership LP ended %s" % outcome.status)
     t = float(outcome.value)
@@ -210,7 +269,7 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
             blocked = (~pos) & (rhs > 1e-12 * max(1.0, float(rhs.max())))
             if np.any(pos) and not np.any(blocked):
                 t = max(0.0, float(np.max(rhs[pos] / z[pos])))
-    return t
+    return min(t, bound)
 
 
 def cone_ray_margin(image, H) -> float:

@@ -6,7 +6,10 @@ its slack basis, which is then dual feasible: a dual simplex runs until
 the basis is primal feasible, with no artificial variables and no phase 1,
 and the primal simplex then finishes as phase 2.  The covering programs
 of the mode-P norm, ``min{sum c : V^T c >= z, c >= 0}``, take this path.
-Every other program runs the two-phase primal simplex.
+A caller that knows a primal feasible basis may pass it as ``start``; the
+primal simplex then runs as phase 2 alone, which is how the mode-L
+antinorm programs start from their best single vertex.  Every other
+program runs the two-phase primal simplex.
 
 The solver is deterministic: identical inputs produce identical pivot
 sequences and outcomes.  After a long run of degenerate pivots either
@@ -65,14 +68,16 @@ class LinearProgram:
 
 @dataclass
 class LPOutcome:
-    """A solve's status, value and assignment, and its pivot counts: phase
-    1 (the dual simplex, on the slack-basis path) and phase 2."""
+    """A solve's status, value and assignment, its pivot counts (phase 1,
+    the dual simplex on the slack-basis path, and phase 2), and whether
+    phase 2 started from the caller's basis, with no phase 1."""
 
     status: str
     value: Optional[float] = None
     assignment: Optional[np.ndarray] = None
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    started: bool = False
 
 
 def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
@@ -281,14 +286,54 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
     return _drive(T, obj, basis, refactor, choose)
 
 
-def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
+def _start_columns(start: Sequence[Optional[int]], ineq: np.ndarray,
+                   col: np.ndarray, ncols: int) -> List[int]:
+    """Tableau columns of a caller's starting basis (see :func:`solve_lp`):
+    a variable's first standard-form column, or the row's slack."""
+    if len(start) != ineq.size:
+        raise LPFormatError("the start basis needs one entry per row")
+    slack = ncols + np.cumsum(ineq) - 1
+    basis = []
+    for r, var in enumerate(start):
+        if var is None:
+            if not ineq[r]:
+                raise LPFormatError("row %d is an equality and has no slack" % r)
+            basis.append(int(slack[r]))
+        elif 0 <= var < col.size:
+            basis.append(int(col[var]))
+        else:
+            raise LPFormatError("start variable %r out of range" % (var,))
+    return basis
+
+
+def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
+             start: Optional[Sequence[Optional[int]]] = None) -> LPOutcome:
     """Solve an LP; returns optimal/infeasible/unbounded.  A variable
     bounded other than ``(0, inf)`` or free raises :class:`LPFormatError`.
 
     ``assume_bounded`` tells the solver the objective is known to be
     bounded, so apparent improving rays are treated as round-off noise
     instead of reporting an unbounded problem.
+
+    ``start`` names a starting basis, one entry per row: the index of the
+    variable basic in that row (a free variable's nonnegative part), or
+    ``None`` for the row's own slack, which needs an inequality row.
+    When that basis is nonsingular and primal feasible, phase 2 runs from
+    it alone, with the artificial variables barred; otherwise the solve
+    takes its usual path.  A solve from ``start`` that raises
+    :class:`LPCyclingError` (the ratio test's absolute tie tolerance can
+    pick a pivot that leaves a row negative) is repeated without it.
     """
+    if start is not None:
+        try:
+            return _solve(lp, assume_bounded, start)
+        except LPCyclingError:
+            pass
+    return _solve(lp, assume_bounded, None)
+
+
+def _solve(lp: LinearProgram, assume_bounded: bool,
+           start: Optional[Sequence[Optional[int]]]) -> LPOutcome:
     if lp.sense not in ("max", "min"):
         raise LPFormatError("sense must be 'max' or 'min'")
     c0 = np.asarray(lp.objective, dtype=float)
@@ -331,6 +376,8 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
         b0[r] = rhs
     le = np.array([rel == LE for _, rel, _ in lp.rows], dtype=bool)
     ineq = np.array([rel != EQ for _, rel, _ in lp.rows], dtype=bool)
+    if start is not None:
+        start_basis = _start_columns(start, ineq, col, ncols)
 
     # Phase 2 objective (min form) in y-space.  When it is strictly positive
     # and every row is an inequality, the slack basis is dual feasible.
@@ -395,7 +442,15 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     cost2 = np.zeros(total)
     cost2[:ncols] = cost
     allowed = np.ones(total, dtype=bool)
-    if dual:
+    refactor2 = make_refactor(cost2, _primal_feasible)
+    pivots1 = 0
+    rebuilt = None if start is None else refactor2(start_basis)
+    if rebuilt is not None:
+        basis = start_basis
+        T[:] = rebuilt[0]
+        obj = rebuilt[1]
+        allowed[art0:] = False
+    elif dual:
         obj = np.append(cost2, 0.0)
         # A basic variable's scale is the largest rhs, or for a slack its
         # own row's rhs; a row with rhs 0 takes 1e-4 of the largest, so
@@ -446,10 +501,11 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
             cb = obj[basis[r]]
             if cb != 0.0:
                 obj = obj - cb * T[r]
+    started = rebuilt is not None
     status, pivots2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
-                                  make_refactor(cost2, _primal_feasible))
+                                  refactor2)
     if status == UNBOUNDED:
-        return LPOutcome(UNBOUNDED, phase1_pivots=pivots1, phase2_pivots=pivots2)
+        return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started)
 
     # Recover the basic solution from the unpivoted system as well as the
     # tableau's.  When the basis matrix is ill conditioned the tableau
@@ -487,4 +543,4 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False) -> LPOutcome:
     if worst > 1e-6:
         raise LPCyclingError("solution violates constraints by %g" % worst)
 
-    return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2)
+    return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2, started)

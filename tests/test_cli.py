@@ -135,6 +135,17 @@ class TestCompute:
         assert payload["status"] == "terminated"
         assert payload["root_words"] == [[1], [2]]
 
+    def test_json_counts_solved_and_skipped_lps(self, tmp_path, capsys):
+        path = str(tmp_path / "eb9.json")
+        assert main(["dataset", "euler-binary", "--r", "9", "--out", path]) == 0
+        capsys.readouterr()
+        code = main(["compute", "--input", path, "--mode", "lsr",
+                     "--output", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert type(payload["lps_solved"]) is int and payload["lps_solved"] > 0
+        assert type(payload["lps_skipped"]) is int and payload["lps_skipped"] > 0
+
     def test_csv_output(self, jsr_file, capsys):
         code = main(["compute", "--input", jsr_file, "--output", "csv"])
         lines = capsys.readouterr().out.strip().splitlines()

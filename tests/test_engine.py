@@ -27,12 +27,15 @@ from polyrad.engine import (
     ITERATION_CAPPED,
     TERMINATED,
     _DUP_TOL,
+    MembershipCounts,
     StoppingViolation,
     VertexCapError,
     _initial_state,
     _is_duplicate,
     _path_word,
 )
+
+from polyrad.membership import MODES
 
 from conftest import brute_force_rates
 
@@ -453,3 +456,50 @@ class TestVertexArray:
             else:
                 expected = scaled.matrix(node.generator) @ V[node.parent]
             assert np.array_equal(V[i], expected)
+
+
+class TestOneVertexSkip:
+    """An image that one vertex already puts inside the body gets no LP."""
+
+    @pytest.mark.parametrize("mode, iterations, vertices", [
+        (MODE_P, 4, 16), (MODE_L, 6, 28)])
+    def test_euler_binary_13_skips_lps(self, mode, iterations, vertices):
+        out = run(euler_binary(13), RunConfig(mode=mode, max_candidate_length=6))
+        assert out.status == TERMINATED
+        assert (out.iterations, out.vertex_count) == (iterations, vertices)
+        assert out.lps_skipped > 0 and out.lps_solved > 0
+        # Every image of the last iteration is dead, one-vertex bound or not.
+        assert MODES[mode].sign * out.t_N > MODES[mode].sign
+
+    def test_mode_r_solves_every_lp(self):
+        out = run(euler_binary(13), RunConfig(mode=MODE_R, max_candidate_length=6,
+                                              max_iterations=3))
+        assert out.lps_skipped == 0 and out.lps_solved > 0
+
+    @pytest.mark.parametrize("mode, matrix, t, solved", [
+        (MODE_P, [[0.5, 0.0], [0.0, 0.5]], 2.0, 0),
+        (MODE_L, [[2.0, 0.0], [0.0, 2.0]], 0.5, 0),
+        # The bound 1 leaves the image on the boundary: the LP decides.
+        (MODE_P, [[1.0, 0.0], [0.0, 0.5]], 1.0, 1),
+    ], ids=["P-inside", "L-inside", "P-boundary"])
+    def test_iterate_records_the_bound_when_it_decides(self, mode, matrix, t,
+                                                       solved):
+        state = PolytopeState(words=((1,),), nodes=[VertexNode(None, None, 1)],
+                              vertices=np.ones((1, 2)), R=[(0, 1)])
+        counts = MembershipCounts()
+        iterate(state, MatrixFamily([np.array(matrix)]), RunConfig(mode=mode),
+                counts=counts)
+        assert state.t_history == [[t]]
+        assert (counts.solved, counts.skipped) == (solved, 1 - solved)
+
+    def test_nonneg_uniform_lsr_without_tie_failure(self):
+        # The two-phase antinorm LP raised "LPCyclingError: solution
+        # violates constraints by 0.0048687" here; started from the best
+        # vertex it needs no phase 1.
+        fam = random_family("nonneg-uniform", 6, 2, 216816280)
+        out = run(fam, RunConfig(mode=MODE_L, max_candidate_length=2,
+                                 max_iterations=2))
+        assert out.status == ITERATION_CAPPED
+        lo, hi = out.bounds
+        assert lo == pytest.approx(3.2199818, abs=1e-6)
+        assert hi == pytest.approx(3.2200121, abs=1e-6)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyrad import (
     antinorm_membership_L,
@@ -7,10 +8,48 @@ from polyrad import (
     norm_membership_P,
     norm_membership_R,
 )
-from polyrad.membership import cone_ray_margin
+from polyrad.membership import (
+    GE,
+    MODE_L,
+    MODE_P,
+    MODE_R,
+    MODES,
+    _membership_lp,
+    _vertex_basis,
+    cone_ray_margin,
+    one_vertex_bound,
+)
 from polyrad.simplex import LPCyclingError
 
 INF = float("inf")
+
+# Nonnegative entries from 1e-10 to 1, with exact zeros.
+TINY = st.one_of(st.just(0.0), st.floats(1e-10, 1.0))
+# Entries from 1e-4 to 1: smaller ones can make the two-phase simplex raise
+# LPCyclingError or end at a wrong vertex.
+SMALL = 1e-4
+MODEST = st.one_of(st.just(0.0), st.floats(SMALL, 1.0))
+
+
+@st.composite
+def instances(draw, entries=TINY):
+    """Vertices ``V``, a point ``z`` with a positive coordinate, and cone
+    rays ``H`` (one per column, signed entries) or ``None``."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+
+    def matrix(rows, elements):
+        return np.array(draw(st.lists(st.lists(elements, min_size=d, max_size=d),
+                                      min_size=rows, max_size=rows))).reshape(rows, d)
+
+    V = matrix(k, entries)
+    z = matrix(1, entries)[0]
+    assume(np.any(z > 0.0))
+    H = None
+    if draw(st.booleans()):
+        signed = st.one_of(entries, entries.map(lambda x: -x))
+        H = matrix(draw(st.integers(1, 3)), signed).T
+    return V, z, H
 
 
 class TestBalancedHull:
@@ -179,14 +218,13 @@ class TestConeRayMargin:
 
 
 class TestTinyEntries:
-    """Known defects: entries near 1e-9 break the two-phase simplex.  Each
-    program below is feasible and bounded; its true value is asserted."""
+    """Entries near 1e-9 against the simplex.  Each program below is
+    feasible and bounded; its true value is asserted."""
 
-    @pytest.mark.xfail(raises=LPCyclingError, strict=True,
-                       reason="the primal ratio test ties rows by an absolute "
-                              "1e-9, and the slack of a row scaled by 1e9 "
-                              "then leaves another row at -1")
     def test_antinorm_with_tiny_ray_entry(self):
+        # The two-phase path ties rows by an absolute 1e-9, and the slack of
+        # a row scaled by 1e9 then leaves another row at -1; the start from
+        # the covering vertex needs no phase 1 and no such pivot.
         assert antinorm_membership_ext([1.0, 1.0, 0.0], [[1.0, 1.0, 0.0]],
                                        [[0.0, 1.0, 1e-9]]) == pytest.approx(1.0)
 
@@ -195,3 +233,109 @@ class TestTinyEntries:
     def test_balanced_hull_with_tiny_entries(self):
         V = [[0.0, 1e-9, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0]]
         assert norm_membership_R([0.0, 1e-9, 1e-9, 0.0], V) == 0.0
+
+
+class TestOneVertexBound:
+    """The best single vertex bounds the LP value: from below in mode P,
+    from above in mode L."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances())
+    def test_order_ideal_bound_is_below_the_lp(self, instance):
+        V, z, _ = instance
+        bound, best = one_vertex_bound(MODES[MODE_P], z, V)
+        assert bound <= norm_membership_P(z, V) * (1.0 + 1e-12)
+        pos = z > 0.0
+        assert bound == np.min(V[best, pos] / z[pos])
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances())
+    def test_antinorm_bound_is_the_best_covering_vertex(self, instance):
+        V, z, _ = instance
+        bound, best = one_vertex_bound(MODES[MODE_L], z, V)
+        pos = z > 0.0
+        values = [np.max(v[pos] / z[pos]) for v in V if not np.any(v[~pos])]
+        assert bound == min(values, default=INF)
+        if best >= 0:
+            assert not np.any(V[best, ~pos])
+            assert bound == np.max(V[best, pos] / z[pos])
+
+    # Entries below 1e-4 can make the antinorm LP itself raise
+    # LPCyclingError, with or without the vertex start (the ratio test's
+    # absolute 1e-9 tie, and a t coefficient near PIVOT_TOL).
+    @settings(max_examples=300, deadline=None)
+    @given(instances(MODEST))
+    def test_antinorm_bound_is_above_the_lp(self, instance):
+        V, z, H = instance
+        bound, _ = one_vertex_bound(MODES[MODE_L], z, V)
+        assert bound >= antinorm_membership_ext(z, V, None if H is None else H.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(), st.data())
+    def test_antinorm_without_covering_vertex_is_inf(self, instance, data):
+        V, z, _ = instance
+        i = data.draw(st.integers(0, z.size - 1))
+        z[i] = 0.0
+        V[:, i] = data.draw(st.floats(1e-10, 1.0))
+        assume(np.any(z > 0.0))
+        assert one_vertex_bound(MODES[MODE_L], z, V) == (INF, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(MODEST), st.data())
+    def test_without_rays_or_covering_vertex_the_lp_is_infeasible(self, instance,
+                                                                   data):
+        # Every feasible weight sits on vertices that cover z.
+        V, z, _ = instance
+        i = data.draw(st.integers(0, z.size - 1))
+        z[i] = 0.0
+        V[:, i] = data.draw(st.floats(SMALL, 1.0))
+        assume(np.any(z > 0.0))
+        assert antinorm_membership_L(z, V) == INF
+
+    def test_balanced_body_has_none(self):
+        with pytest.raises(ValueError):
+            one_vertex_bound(MODES[MODE_R], np.ones(2), np.eye(2))
+
+
+class TestVertexStart:
+    """The antinorm LP started from its covering vertex's basis runs no
+    phase 1 and ends where the two-phase solve does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances(MODEST))
+    def test_matches_two_phases(self, instance):
+        V, z, H = instance
+        _, best = one_vertex_bound(MODES[MODE_L], z, V)
+        assume(best >= 0)
+        started = _membership_lp(z, V, GE, H, _vertex_basis(z, V, best))
+        plain = _membership_lp(z, V, GE, H)
+        assert not plain.started
+        if started.started:
+            assert started.phase1_pivots == 0
+        assert started.status == plain.status == "optimal"
+        assert started.value == pytest.approx(plain.value, rel=1e-12, abs=1e-12)
+
+    def test_start_skips_phase_1(self):
+        # Vertex 1 settles the point exactly: phase 2 finds nothing to do.
+        z = np.array([2.0, 1.0, 0.0])
+        V = np.array([[1.0, 1.0, 1.0], [1.0, 0.25, 0.0]])
+        assert one_vertex_bound(MODES[MODE_L], z, V) == (0.5, 1)
+        assert _vertex_basis(z, V, 1) == [0, None, None, 2]
+        out = _membership_lp(z, V, GE, None, _vertex_basis(z, V, 1))
+        assert out.started
+        assert (out.phase1_pivots, out.phase2_pivots) == (0, 0)
+        assert out.value == antinorm_membership_L(z, V) == 0.5
+
+    def test_failed_start_is_solved_again_in_two_phases(self):
+        # Found by Hypothesis: from vertex 6's basis, two leaving rows tie
+        # within the ratio test's absolute 1e-9, and the larger pivot
+        # leaves t at -2e-7.  The started solve raises, and the two-phase
+        # solve gives the true value 0.
+        V = np.array([[0.0, 0.0, 0.0, 1.0]] * 5 + [[0.0, 0.5, 0.0, 0.0]])
+        z = np.array([0.0, 1.0, 0.0, 0.0])
+        H = np.array([[2.0 ** -9, -1.0], [0.0, -1e-4], [0.0, 0.0], [-1.0, 0.0]])
+        assert _vertex_basis(z, V, 5) == [None, 0, None, None, 6]
+        out = _membership_lp(z, V, GE, H, _vertex_basis(z, V, 5))
+        assert not out.started and out.phase1_pivots > 0
+        assert out.value == 0.0
+        assert antinorm_membership_ext(z, V, H.T) == 0.0

@@ -19,7 +19,7 @@ from polyrad import (  # noqa: E402
     solve_lp,
 )
 from polyrad.membership import cone_ray_margin  # noqa: E402
-from polyrad import simplex  # noqa: E402
+from polyrad import membership, simplex  # noqa: E402
 from polyrad.simplex import INFEASIBLE, OPTIMAL  # noqa: E402
 
 INF = float("inf")
@@ -173,8 +173,8 @@ class TestSlackBasisStart:
 # Entries of the programs below run from 1e-4 to 1 in magnitude, with
 # exact zeros.  Smaller entries lose both solvers: HiGHS drops matrix
 # entries below 1e-9, and with entries down to 1e-6 polyrad's simplex
-# still raises LPCyclingError on some mode-L programs
-# (TestTinyEntries in test_membership.py holds two reproducers).
+# still raises LPCyclingError on some programs (TestTinyEntries in
+# test_membership.py holds a mode-R reproducer).
 SMALL = 1e-4
 magnitudes = st.one_of(st.just(0.0), st.floats(SMALL, 1.0))
 signed = st.one_of(magnitudes, st.floats(-1.0, -SMALL))
@@ -286,6 +286,40 @@ class TestAntinormMembership:
         if res.status == 2:
             assert t == INF
         else:
+            assert t == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+
+    def test_vertex_start_matches_highs(self, monkeypatch):
+        # Every program has a vertex that covers z, so every solve starts
+        # from that vertex's basis and skips phase 1.
+        outcomes = []
+        solve = membership.solve_lp
+
+        def recording(*args, **kwargs):
+            outcomes.append(solve(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(membership, "solve_lp", recording)
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            V = rng.uniform(SMALL, 1.0, size=(k, d)) * (rng.random((k, d)) < 0.7)
+            z = rng.uniform(SMALL, 1.0, size=d) * (rng.random(d) < 0.7)
+            z[int(rng.integers(d))] = 1.0
+            V[0] *= z > 0.0  # the first vertex covers z
+            H = None
+            if rng.random() < 0.5:
+                H = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 4)), d))
+            t = antinorm_membership_ext(z, list(V), None if H is None else list(H))
+            assert outcomes[-1].started and outcomes[-1].phase1_pivots == 0
+            A = np.hstack([z[:, None], -V.T] + ([] if H is None else [-H.T]))
+            budget = np.zeros(A.shape[1])
+            budget[1:k + 1] = 1.0
+            objective = np.zeros(A.shape[1])
+            objective[0] = 1.0
+            res = highs(objective, np.vstack([A, budget]),
+                        np.append(np.zeros(d), 1.0), [">="] * (d + 1),
+                        [(0.0, None)] * A.shape[1])
+            assert res.status == 0
             assert t == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
 
     def test_infeasible_is_infinite(self):

@@ -237,6 +237,52 @@ class TestPivotCounts:
         assert (again.phase1_pivots, again.phase2_pivots) == (3, 1)
 
 
+class TestStartBasis:
+    """A caller's basis, named per row by variable (or ``None`` for the
+    row's slack): phase 2 alone when it is feasible, two phases otherwise."""
+
+    # min t subject to t - c >= 0 and c >= 1: the optimum is t = c = 1.
+    LP = LinearProgram("min", [1.0, 0.0],
+                       [([1.0, -1.0], ">=", 0.0), ([0.0, 1.0], ">=", 1.0)],
+                       [(0.0, None), (0.0, None)])
+
+    def test_feasible_start_runs_phase_2_alone(self):
+        out = solve_lp(self.LP, start=[0, 1])
+        assert out.started
+        assert (out.phase1_pivots, out.phase2_pivots) == (0, 0)
+        assert out.value == pytest.approx(1.0)
+        assert not solve_lp(self.LP).started
+
+    @pytest.mark.parametrize("start", [[0, 0], [None, 1]],
+                             ids=["singular", "infeasible"])
+    def test_refused_start_takes_two_phases(self, start):
+        # [0, 0] names t twice; [None, 1] sets c = 1 with t = 0, leaving
+        # the first row's surplus at -1.
+        out = solve_lp(self.LP, start=start)
+        assert not out.started
+        assert out.phase1_pivots > 0
+        assert out.value == pytest.approx(1.0)
+
+    def test_free_variable_starts_from_its_first_column(self):
+        lp = LinearProgram("min", [1.0, 0.0], self.LP.rows,
+                           [(None, None), (0.0, None)])
+        out = solve_lp(lp, start=[0, 1])
+        assert out.started and out.value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("start", [[0], [0, 2], [0, -1]],
+                             ids=["short", "past-the-end", "negative"])
+    def test_malformed_start_rejected(self, start):
+        with pytest.raises(LPFormatError):
+            solve_lp(self.LP, start=start)
+
+    def test_equality_row_has_no_slack(self):
+        lp = LinearProgram("min", [1.0, 0.0],
+                           [([1.0, -1.0], "=", 0.0), ([0.0, 1.0], ">=", 1.0)],
+                           [(0.0, None), (0.0, None)])
+        with pytest.raises(LPFormatError):
+            solve_lp(lp, start=[None, 1])
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
         rng = np.random.default_rng(123)
