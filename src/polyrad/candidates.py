@@ -31,6 +31,12 @@ from .matrices import (
 )
 
 
+# The most words an enumeration may visit, and the most turns of a cyclic
+# permutation a restart may append.
+_ENUMERATION_BUDGET = 500000
+_RESTART_TURNS = 50
+
+
 class EnumerationBudgetError(RuntimeError):
     """Raised when the word enumeration would exceed its budget."""
 
@@ -81,8 +87,8 @@ def make_candidate(family: MatrixFamily, word: Sequence[int]) -> Candidate:
     return Candidate(word, rho, per_step, eigen)
 
 
-def enumerate_candidates(family: MatrixFamily, max_length: int, sense: str,
-                         budget: int = 500000) -> Candidate:
+def enumerate_candidates(family: MatrixFamily, max_length: int,
+                         sense: str) -> Candidate:
     """Best candidate word of length at most ``max_length``.
 
     ``sense`` is ``"max"`` (joint spectral radius) or ``"min"`` (lower
@@ -97,9 +103,9 @@ def enumerate_candidates(family: MatrixFamily, max_length: int, sense: str,
         raise ValueError("max_length must be at least 1")
     m = family.size
     total = sum(m ** k for k in range(1, max_length + 1))
-    if total > budget:
-        raise EnumerationBudgetError(
-            "enumerating %d words exceeds the budget of %d" % (total, budget))
+    if total > _ENUMERATION_BUDGET:
+        raise EnumerationBudgetError("enumerating %d words exceeds the budget of %d"
+                                     % (total, _ENUMERATION_BUDGET))
     best: Optional[Tuple[float, Word]] = None
     rel = 1e-12
     for length in range(1, max_length + 1):
@@ -284,20 +290,21 @@ def _dual_chain(scaled: MatrixFamily, word: Word, product: np.ndarray,
     return tuple(chain)
 
 
-def restart_product(family: MatrixFamily, candidate: Candidate,
-                    root: CyclicRoot, violation, sense: str,
-                    r_max: int = 50) -> Candidate:
-    """Derive a strictly better candidate from a stopping violation.
+def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
+                    sense: str) -> Candidate:
+    """Derive a candidate strictly better than ``root.candidate`` from a
+    stopping violation.
 
     ``violation`` is ``(j, path)`` where ``j`` is the 1-based index of the
     violated dual and ``path`` is the word (applied first to last) carrying
     the j-th root vertex to the violating point.  The new candidate is the
     smallest power ``r`` such that appending ``r`` turns of the j-th cyclic
     permutation to the path crosses spectral radius 1 in the normalized
-    family.
+    family, up to ``_RESTART_TURNS`` turns.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
+    candidate = root.candidate
     j, path = violation
     path = tuple(int(i) for i in path)
     if not path:
@@ -306,7 +313,7 @@ def restart_product(family: MatrixFamily, candidate: Candidate,
     cycle = cyclic_word(candidate.word, j)
     current = word_matrix(scaled, path)
     turn = word_matrix(scaled, cycle)
-    for r in range(1, r_max + 1):
+    for r in range(1, _RESTART_TURNS + 1):
         current = turn @ current
         rho = spectral_radius(current)
         crossed = rho > 1.0 + 1e-12 if sense == "max" else rho < 1.0 - 1e-12
@@ -324,4 +331,4 @@ def restart_product(family: MatrixFamily, candidate: Candidate,
             return replacement
     raise RestartFailedError(
         "no power up to %d crossed the unit radius; the violation is "
-        "numerically marginal" % r_max)
+        "numerically marginal" % _RESTART_TURNS)

@@ -5,7 +5,7 @@ the sense ("R", "P", or "L"), a fingerprint of the input family, the
 candidate word, its averaged spectral radius, the polytope vertices (in
 the coordinates of the normalized family), any cone rays, and the run's
 boundary tolerance.  Verification re-derives the normalization from the
-family and the word and replays every membership test from scratch; it
+family and the word and re-checks every vertex image from scratch; it
 never trusts engine state.
 
 Serialization is canonical: keys appear in a fixed order and every float
@@ -64,6 +64,10 @@ class VerificationReport:
     span_ok: bool
     rho_recomputed: float
     failures: List[str] = field(default_factory=list)
+    # Images whose membership LP verify solved, and images a point already
+    # known to lie in the body settled without one.
+    lps_solved: int = 0
+    lps_skipped: int = 0
 
 
 def _render(obj) -> str:
@@ -198,32 +202,6 @@ def spans_check(vertices, mode: str) -> bool:
     return bool((V > POS_TOL_DEFAULT).any(axis=0).all())
 
 
-def _dominating_rows(Vm: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``Vm`` that dominate another, distinct row."""
-    mask = np.zeros(len(Vm), dtype=bool)
-    for i, x in enumerate(Vm):
-        mask[i] = bool(np.any(np.all(Vm <= x, axis=1) & np.any(Vm != x, axis=1)))
-    return mask
-
-
-def _dominance_value(z: np.ndarray, inside: np.ndarray,
-                     tol: float) -> Optional[float]:
-    """Antinorm value certified by one point of the body, or ``None``.
-
-    A row ``w`` of ``inside`` (a point known to lie in the antinorm body)
-    with ``w <= (1 + tol) z`` makes ``t = 1 + tol`` feasible in the
-    antinorm LP, since the body is upward closed, so the image passes
-    without solving it.  The returned value is the smallest ``t`` any such
-    row certifies, an upper bound on the LP's own value.
-    """
-    covered = inside[np.all(inside <= (1.0 + tol) * z, axis=1)]
-    if not covered.size:
-        return None
-    pos = z > 0.0
-    t = np.max(covered[:, pos] / z[pos], axis=1, initial=0.0)
-    return float(t.min())
-
-
 def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     """Re-check a certificate against a family from first principles.
 
@@ -236,14 +214,21 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     invariant, and the vertices span appropriately (full rank for mode R,
     a positive entry per coordinate otherwise).
 
-    In mode P an image that one vertex covers up to the tolerance passes
-    without an LP.  In mode L an image that dominates, up to the
-    tolerance, a vertex or an earlier image scaled by its LP value passes
-    without an LP, and under a nonnegative family the images of a vertex
-    that dominates another are implied by that vertex's images and are
-    not re-checked.  An image passed without an LP contributes its
-    one-point slack, so ``worst_slack`` is then an upper bound on the
-    largest slack rather than its exact value.
+    Modes P and L settle an image ``z`` by one rule.  Points known to lie
+    in the body are the vertices and ``t z`` for every earlier image whose
+    LP gave a finite value ``t``; when the best single one of them
+    (:func:`~polyrad.membership.one_vertex_bound`) puts ``z`` inside up to
+    the tolerance, ``z`` passes without an LP.  The body is an order ideal
+    in P and upward closed in L, so a vertex that dominates another in the
+    body's direction (``x <= y`` in P, ``x >= y`` in L) has images that
+    the other's settle; vertices are visited from the body's boundary
+    inwards (largest coordinate sum first in P, smallest in L), which puts
+    that other vertex first.  An image passed without an LP contributes
+    its one-point slack, so ``worst_slack`` is then an upper bound on the
+    largest slack rather than its exact value.  ``lps_solved`` and
+    ``lps_skipped`` count the images that needed their membership LP and
+    the images settled without one; zero images and cone margins count
+    as neither.
     """
     failures: List[str] = []
     report = VerificationReport(False, float("-inf"), False, float("nan"), failures)
@@ -288,35 +273,28 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     tolerance = 10.0 * cert.tolerance
     scaled = family.scaled(1.0 / per_step)
     Vm = np.asarray(cert.vertices, dtype=float)
-    skip = np.zeros(len(Vm), dtype=bool)
-    if spec.sign < 0:
-        # An antinorm body is upward closed, so under a nonnegative family
-        # the images of a vertex that dominates another are covered by the
-        # images of the smaller one.
-        skip = _dominating_rows(Vm)
-        # Points known to lie in the body: the vertices, then t * z for
-        # every image z whose LP gave a finite value t.
-        inside = np.zeros((len(Vm) * (scaled.size + 1), d))
-        inside[:len(Vm)] = Vm
-        n_inside = len(Vm)
+    # Points known to lie in the body (modes P and L): the vertices, then
+    # t * z for every image z whose LP gave a finite value t.
+    inside = np.zeros((len(Vm) * (scaled.size + 1), d))
+    inside[:len(Vm)] = Vm
+    n_inside = len(Vm)
     worst = float("-inf")
-    for idx, v in enumerate(Vm):
-        if skip[idx]:
-            continue
+    for idx in np.argsort(-spec.sign * Vm.sum(axis=1), kind="stable"):
         for j in range(1, scaled.size + 1):
-            z = scaled.matrix(j) @ v
+            z = scaled.matrix(j) @ Vm[idx]
             if is_zero_image(z):
                 t = float("inf")
             elif spec.balanced:  # the LPs are looked up by name, as in the engine
                 t = norm_membership_R(z, Vm)
-            elif spec.sign > 0:
-                t = one_vertex_bound(spec, z, Vm)[0]
-                if 1.0 - t > tolerance:
-                    t = norm_membership_P(z, Vm)
+                report.lps_solved += 1
             else:
-                t = _dominance_value(z, inside[:n_inside], tolerance)
-                if t is None:
-                    t = antinorm_membership_ext(z, Vm, cert.cone_H)
+                t = one_vertex_bound(spec, z, inside[:n_inside])[0]
+                if spec.sign * (1.0 - t) <= tolerance:
+                    report.lps_skipped += 1
+                else:
+                    t = (norm_membership_P(z, Vm) if spec.sign > 0
+                         else antinorm_membership_ext(z, Vm, cert.cone_H))
+                    report.lps_solved += 1
                     if np.isfinite(t):
                         inside[n_inside] = t * z
                         n_inside += 1

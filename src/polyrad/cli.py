@@ -258,6 +258,8 @@ def cmd_verify(args) -> int:
               % (cert.mode, _format_word(cert.word),
                  _sig(cert.rho_per_step, 9)))
         print("worst membership slack: %s" % _sig(report.worst_slack, 9))
+        print("membership LPs: %d solved, %d skipped"
+              % (report.lps_solved, report.lps_skipped))
         return EXIT_OK
     print("certificate INVALID")
     for failure in report.failures:

@@ -213,15 +213,16 @@ def _is_dead(spec: Mode, t: float, remove_boundary: bool) -> bool:
     return s * t > s * (1.0 + s * BOUNDARY_TOL)
 
 
-def stopping_check(mode: str, duals, z, tau: float) -> Optional[int]:
+def stopping_check(mode: str, duals, z) -> Optional[int]:
     """Smallest 1-based dual index whose pairing with ``z`` leaves the
-    admissible range, or ``None`` when all pairings pass."""
+    admissible range, by more than ``BOUNDARY_TOL``, or ``None`` when all
+    pairings pass."""
     spec = MODES[mode]
     for j, dual in enumerate(duals, start=1):
         s = float(dual @ z)
         if spec.balanced:
             s = abs(s)
-        if spec.sign * s > spec.sign * (1.0 + spec.sign * tau):
+        if spec.sign * s > spec.sign * (1.0 + spec.sign * BOUNDARY_TOL):
             return j
     return None
 
@@ -299,7 +300,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
         if _is_dead(spec, t, config.remove_boundary):
             continue
         if duals is not None:
-            j = stopping_check(config.mode, duals[node.chain], z, BOUNDARY_TOL)
+            j = stopping_check(config.mode, duals[node.chain], z)
             if j is not None:
                 raise StoppingViolation(j, _path_word(state, vid, p, j),
                                         node.chain)
@@ -475,8 +476,7 @@ def _run(family: MatrixFamily, config: RunConfig,
             root = roots[violation.chain]
             try:
                 replacement = restart_product(
-                    family, root.candidate, root,
-                    (violation.j, violation.path), sense)
+                    family, root, (violation.j, violation.path), sense)
             except RestartFailedError:
                 # The violation is numerically marginal: re-enumerate with a
                 # longer cap once, otherwise keep the candidate and continue

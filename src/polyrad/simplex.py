@@ -138,6 +138,19 @@ def _refresh(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor) -> None
         obj[:] = rebuilt[1]
 
 
+def _refusal_raises(refactor):
+    """``refactor`` for a solve from a caller's basis: a basis it refuses
+    raises :class:`LPCyclingError`, so that :func:`solve_lp` solves the
+    program again in two phases rather than going on from a tableau that
+    drifted out of feasibility."""
+    def strict(basis: List[int]):
+        rebuilt = refactor(basis)
+        if rebuilt is None:
+            raise LPCyclingError("the refactor refused a basis of the started solve")
+        return rebuilt
+    return strict
+
+
 def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
            choose) -> Tuple[str, int]:
     """Pivot until ``choose`` reports a status; returns it and the number of
@@ -322,7 +335,8 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
     it alone, with the artificial variables barred; otherwise the solve
     takes its usual path.  A solve from ``start`` that raises
     :class:`LPCyclingError` (the ratio test's absolute tie tolerance can
-    pick a pivot that leaves a row negative) is repeated without it.
+    pick a pivot that leaves a row negative), or whose refactor refuses a
+    later basis as singular or infeasible, is repeated without it.
     """
     if start is not None:
         try:
@@ -450,6 +464,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         T[:] = rebuilt[0]
         obj = rebuilt[1]
         allowed[art0:] = False
+        refactor2 = _refusal_raises(refactor2)
     elif dual:
         obj = np.append(cost2, 0.0)
         # A basic variable's scale is the largest rhs, or for a slack its

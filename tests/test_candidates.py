@@ -59,9 +59,10 @@ class TestEnumeration:
         assert cand.rho == 0.0
 
     def test_budget_enforced(self):
+        # Two letters up to length 18 make 2^19 - 2 = 524,286 words.
         fam = MatrixFamily([np.eye(2), np.eye(2)])
         with pytest.raises(EnumerationBudgetError):
-            enumerate_candidates(fam, 10, "max", budget=100)
+            enumerate_candidates(fam, 18, "max")
 
     def test_candidate_word_is_primitive_and_canonical(self):
         fam = MatrixFamily([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
@@ -142,7 +143,7 @@ class TestRestart:
         assert cand.word == (1,)
         scaled = normalize_family(fam, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=True)
-        better = restart_product(fam, cand, root, (1, (2,)), "max")
+        better = restart_product(fam, root, (1, (2,)), "max")
         assert better.rho_per_step > cand.rho_per_step
         exhaustive = enumerate_candidates(fam, 2, "max")
         assert better.rho_per_step <= exhaustive.rho_per_step + 1e-12
@@ -153,15 +154,14 @@ class TestRestart:
         root = build_cyclic_root(scaled, cand, with_duals=True)
         # The candidate is already optimal; no restart can improve on it.
         with pytest.raises(RestartFailedError):
-            restart_product(example_pair_jsr, cand, root, (1, (1,)), "max",
-                            r_max=10)
+            restart_product(example_pair_jsr, root, (1, (1,)), "max")
 
     def test_empty_path_rejected(self, example_pair_jsr):
         cand = enumerate_candidates(example_pair_jsr, 2, "max")
         scaled = normalize_family(example_pair_jsr, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=True)
         with pytest.raises(RestartFailedError):
-            restart_product(example_pair_jsr, cand, root, (1, ()), "max")
+            restart_product(example_pair_jsr, root, (1, ()), "max")
 
 
 class TestMakeCandidate:

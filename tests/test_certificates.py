@@ -19,6 +19,7 @@ from polyrad import (
     spans_check,
     verify,
 )
+from polyrad.membership import MODES, one_vertex_bound
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +168,89 @@ class TestVerification:
         fam, out = jsr_outcome
         cert = deserialize(serialize(out.certificate))
         assert verify(fam, cert).verdict
+
+
+def doubly_stochastic_certificate(mode, vertices):
+    """A certificate for the one-matrix family ``[[0.6, 0.4], [0.4, 0.6]]``
+    (radius 1, eigenvalues 1 and 0.2) and the given vertices."""
+    fam = MatrixFamily([np.array([[0.6, 0.4], [0.4, 0.6]])])
+    cert = Certificate(1, mode, family_fingerprint(fam), (1,), 1.0,
+                       tuple(np.array(v) for v in vertices), None, 1, 1e-10)
+    return fam, cert
+
+
+# Per mode, two vertices whose images need their LPs and a third vertex that
+# dominates the first in the body's direction (below it in P, above it in
+# L); its image lies inside the first vertex's image scaled by its LP
+# value, and no vertex settles it alone.
+ONE_RULE = {
+    MODE_P: ([1.0, 0.25], [0.25, 1.0], [0.9, 0.1]),
+    MODE_L: ([1.0, 0.0], [0.0, 1.0], [1.2, 0.1]),
+}
+
+
+class TestOneRule:
+    """Modes P and L settle an image without an LP when one point already
+    known to lie in the body does: a vertex, or an earlier image scaled by
+    its LP value."""
+
+    @pytest.mark.parametrize("mode", [MODE_P, MODE_L])
+    def test_earlier_image_settles_a_later_one(self, mode):
+        fam, cert = doubly_stochastic_certificate(mode, ONE_RULE[mode])
+        Vm = np.array(cert.vertices)
+        z = fam.matrix(1) @ Vm[2]
+        t, _ = one_vertex_bound(MODES[mode], z, Vm)
+        assert MODES[mode].sign * (1.0 - t) > 1e-3
+        report = verify(fam, cert)
+        assert report.verdict, report.failures
+        assert (report.lps_solved, report.lps_skipped) == (2, 1)
+
+    @pytest.mark.parametrize("mode", [MODE_P, MODE_L])
+    def test_dominating_vertex_needs_no_lp(self, mode, monkeypatch):
+        # Listed first, the dominating vertex is still visited last; in
+        # list order its image would take an LP and leave the other two
+        # images unsettled by the point it adds, three LPs in all.
+        import polyrad.certificates as certificates
+        calls = []
+        for name in ("norm_membership_P", "antinorm_membership_ext"):
+            solve = getattr(certificates, name)
+            monkeypatch.setattr(
+                certificates, name,
+                lambda z, *args, solve=solve: calls.append(z) or solve(z, *args))
+        first, second, dominating = ONE_RULE[mode]
+        fam, cert = doubly_stochastic_certificate(mode, (dominating, first, second))
+        report = verify(fam, cert)
+        assert report.verdict, report.failures
+        assert (report.lps_solved, report.lps_skipped) == (2, 1)
+        A = fam.matrix(1)
+        assert np.array_equal(calls, [A @ first, A @ second])
+
+    @pytest.mark.parametrize("mode, factor", [(MODE_P, 1.3), (MODE_L, 0.7)])
+    def test_failure_names_the_vertex_by_its_place(self, mode, factor):
+        # Moved out of the body, the first vertex is visited first, and its
+        # image fails under its own number.
+        first, second, dominating = ONE_RULE[mode]
+        fam, cert = doubly_stochastic_certificate(
+            mode, (factor * np.array(dominating), first, second))
+        report = verify(fam, cert)
+        assert not report.verdict
+        assert report.failures[0].startswith("vertex 1, matrix 1:")
+
+    def test_zero_images_and_mode_R_counts(self, jsr_outcome):
+        # Mode R solves an LP for every nonzero image; a zero image counts
+        # as neither kind.
+        fam, out = jsr_outcome
+        cert = dataclasses.replace(out.certificate, mode=MODE_R)
+        report = verify(fam, cert)
+        assert (report.lps_solved, report.lps_skipped) == (6, 0)
+        # N maps the first vertex to zero: 3 of the 4 images count.
+        N = MatrixFamily([np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        nil = Certificate(1, MODE_P, family_fingerprint(N), (2,), 1.0,
+                          (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+                          None, 1, 1e-10)
+        report = verify(N, nil)
+        assert report.verdict, report.failures
+        assert report.lps_solved + report.lps_skipped == 3
 
 
 class TestSpansCheck:

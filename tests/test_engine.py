@@ -227,22 +227,20 @@ class TestStoppingCheck:
         scaled = normalize_family(example_pair_jsr, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=True)
         for v in root.vertices:
-            assert stopping_check(MODE_P, root.duals, v, 1e-10) is None
+            assert stopping_check(MODE_P, root.duals, v) is None
 
     def test_scaled_vertex_violates(self, example_pair_jsr):
         cand = enumerate_candidates(example_pair_jsr, 2, "max")
         scaled = normalize_family(example_pair_jsr, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=True)
-        assert stopping_check(MODE_R, root.duals, 2.0 * root.vertices[0],
-                              1e-10) == 1
+        assert stopping_check(MODE_R, root.duals, 2.0 * root.vertices[0]) == 1
 
     def test_mode_L_direction(self, example_pair_lsr):
         cand = enumerate_candidates(example_pair_lsr, 8, "min")
         scaled = normalize_family(example_pair_lsr, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=True)
         # Shrinking a vertex lowers the pairing below 1: a violation in L.
-        assert stopping_check(MODE_L, root.duals, 0.5 * root.vertices[0],
-                              1e-10) == 1
+        assert stopping_check(MODE_L, root.duals, 0.5 * root.vertices[0]) == 1
 
 
 class TestFinalBounds:
@@ -289,8 +287,8 @@ class TestModeRecord:
         scaled = normalize_family(example_pair_jsr, cand.rho_per_step)
         root = build_cyclic_root(scaled, cand, with_duals=True)
         z = -2.0 * root.vertices[0]
-        assert stopping_check(MODE_R, root.duals, z, 1e-10) == 1
-        assert stopping_check(MODE_P, root.duals, z, 1e-10) is None
+        assert stopping_check(MODE_R, root.duals, z) == 1
+        assert stopping_check(MODE_P, root.duals, z) is None
 
     @pytest.mark.parametrize("mode, history, expected", [
         (MODE_P, [[0.5, 0.8]], (1.5, 3.0, 0.5)),

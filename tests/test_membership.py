@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyrad import (
     antinorm_membership_L,
@@ -303,6 +303,13 @@ class TestVertexStart:
 
     @settings(max_examples=300, deadline=None)
     @given(instances(MODEST))
+    # From the second vertex's basis the drifted tableau reached a basis
+    # whose refactor the confirming step refused (a weight of -3.4e-4 and a
+    # ray weight of 2.9e9); the started solve reported the value 0.
+    @example((np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.15625, 0.0],
+                        [0.0, 1.0, 0.0, 1.0000000000000002e-04]]),
+              np.array([0.0, 1.0, 1.0000000000000002e-04, 0.0]),
+              np.array([[0.0], [0.0], [0.0], [-0.1875]])))
     def test_matches_two_phases(self, instance):
         V, z, H = instance
         _, best = one_vertex_bound(MODES[MODE_L], z, V)

@@ -4,6 +4,8 @@ HiGHS is an independent LP solver and serves here only as a test oracle;
 the package itself never imports scipy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,11 +14,22 @@ pytest.importorskip("scipy")
 from scipy.optimize import linprog  # noqa: E402
 
 from polyrad import (  # noqa: E402
+    MODE_L,
+    MODE_P,
     LinearProgram,
+    RunConfig,
     antinorm_membership_ext,
     norm_membership_P,
     norm_membership_R,
+    run,
     solve_lp,
+    verify,
+)
+from polyrad.datasets import (  # noqa: E402
+    euler_binary,
+    euler_ternary_14,
+    overlap_free,
+    pascal_rhombus,
 )
 from polyrad.membership import cone_ray_margin  # noqa: E402
 from polyrad import membership, simplex  # noqa: E402
@@ -327,3 +340,99 @@ class TestAntinormMembership:
         # 1 and the ray only adds.
         assert antinorm_membership_ext([1.0, 0.0], [[1.0, 1.0]],
                                        [[-1.0, 0.5]]) == INF
+
+
+def replay_worst_slack(family, cert):
+    """The largest membership slack of a certificate's vertex images, each
+    solved by HiGHS with no shortcut, under the family scaled by the word's
+    averaged radius from ``np.linalg.eigvals``: ``1 - t`` for the largest
+    ``t`` with ``t z <= V^T w``, ``sum w <= 1`` in mode P, and ``t - 1``
+    for the least ``t`` with ``t z >= V^T c + H^T w``, ``sum c >= 1`` in
+    mode L (``inf`` when infeasible, as for a zero image)."""
+    product = np.eye(family.dim)
+    for i in cert.word:
+        product = family.matrices[i - 1] @ product
+    rho = np.max(np.abs(np.linalg.eigvals(product))) ** (1.0 / len(cert.word))
+    V = np.array(cert.vertices)
+    k, d = V.shape
+    H = np.zeros((0, d)) if cert.cone_H is None else np.array(cert.cone_H)
+    worst = -INF
+    for v in V:
+        for M in family.matrices:
+            z = M @ v / rho
+            if cert.mode == MODE_P:
+                A = np.vstack([np.hstack([z[:, None], -V.T]),
+                               np.append(0.0, np.ones(k))])
+                objective = np.zeros(k + 1)
+                objective[0] = -1.0
+                res = highs(objective, A, np.append(np.zeros(d), 1.0),
+                            ["<="] * (d + 1), [(0.0, None)] * (k + 1))
+                assert res.status in (0, 3)
+                slack = -INF if res.status == 3 else 1.0 + res.fun
+            else:
+                A = np.hstack([z[:, None], -V.T, -H.T])
+                budget = np.zeros(A.shape[1])
+                budget[1:k + 1] = 1.0
+                objective = np.zeros(A.shape[1])
+                objective[0] = 1.0
+                res = highs(objective, np.vstack([A, budget]),
+                            np.append(np.zeros(d), 1.0), [">="] * (d + 1),
+                            [(0.0, None)] * A.shape[1])
+                assert res.status in (0, 2)
+                slack = INF if res.status == 2 else res.fun - 1.0
+            worst = max(worst, slack)
+    return worst
+
+
+# Runs that terminate with a certificate: the binary partial-sum pairs, the
+# transposed Pascal rhombus, the ternary partial sums and the overlap-free
+# pair, all in the mode and at the settings of the benchmark.
+REPLAYED = {
+    "euler-binary-7/P": (lambda: euler_binary(7),
+                         dict(mode=MODE_P, max_candidate_length=6)),
+    "euler-binary-9/L": (lambda: euler_binary(9),
+                         dict(mode=MODE_L, max_candidate_length=6)),
+    "pascal-rhombus-T/L": (lambda: pascal_rhombus().transposed(),
+                           dict(mode=MODE_L, max_candidate_length=6,
+                                remove_boundary=True)),
+    "euler-ternary-14/L": (euler_ternary_14,
+                           dict(mode=MODE_L, max_candidate_length=6)),
+    "overlap-free/P": (overlap_free, dict(mode=MODE_P, max_candidate_length=8)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REPLAYED))
+def terminated(request):
+    make, config = REPLAYED[request.param]
+    family = make()
+    out = run(family, RunConfig(**config))
+    assert out.status == "terminated"
+    return family, out.certificate
+
+
+class TestVerifyReplay:
+    """``verify`` settles most P and L images without an LP; replaying
+    every image with HiGHS must give the same verdict."""
+
+    def test_genuine_certificate(self, terminated):
+        family, cert = terminated
+        report = verify(family, cert)
+        worst = replay_worst_slack(family, cert)
+        assert worst <= 10.0 * cert.tolerance and report.verdict
+        assert report.lps_skipped > 0
+        # verify's slack bounds the true one from above, up to HiGHS's
+        # feasibility tolerance.
+        assert report.worst_slack >= worst - 1e-9
+
+    def test_vertex_moved_into_the_body_is_rejected(self, terminated):
+        # The first vertex is a root: the image of the chain's last root.
+        # Moving it into the body (inwards in P, outwards in L) leaves that
+        # image outside the smaller body.
+        family, cert = terminated
+        vertices = list(cert.vertices)
+        vertices[0] = vertices[0] * (0.9 if cert.mode == MODE_P else 1.1)
+        forged = dataclasses.replace(cert, vertices=tuple(vertices))
+        report = verify(family, forged)
+        worst = replay_worst_slack(family, forged)
+        assert worst > 10.0 * forged.tolerance and not report.verdict
+        assert report.worst_slack >= worst - 1e-9
