@@ -40,7 +40,7 @@ from .engine import (
     RunOutcome,
     run,
 )
-from .matrices import MatrixError, MatrixFamily, word_reading
+from .matrices import MatrixFamily, word_reading
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -75,7 +75,7 @@ def load_family(path: str) -> MatrixFamily:
                               % (raw["version"],))
     try:
         family = MatrixFamily(raw["matrices"], raw.get("labels"))
-    except (MatrixError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FamilyFileError("bad matrices in %s: %s" % (path, exc))
     if type(raw["dim"]) is not int or family.dim != raw["dim"]:
         raise FamilyFileError("declared dim %r does not match the matrices"
@@ -178,7 +178,7 @@ def _outcome_json(outcome: RunOutcome, mode: str) -> dict:
         "mode": mode,
         "engine_mode": outcome.mode,
         "status": outcome.status,
-        "value": None if outcome.value is None else float(_sig(outcome.value, 17)),
+        "value": None if outcome.value is None else float(outcome.value),
         "value_lo": None,
         "value_hi": None,
         "word": (None if outcome.candidate is None
@@ -187,7 +187,7 @@ def _outcome_json(outcome: RunOutcome, mode: str) -> dict:
         "iterations": outcome.iterations,
         "vertex_count": outcome.vertex_count,
         "t_N": (None if outcome.t_N is None or np.isinf(outcome.t_N)
-                else float(_sig(outcome.t_N, 17))),
+                else float(outcome.t_N)),
         "budget_exhausted": outcome.budget_exhausted,
         "lps_solved": outcome.lps_solved,
         "lps_skipped": outcome.lps_skipped,
@@ -196,9 +196,9 @@ def _outcome_json(outcome: RunOutcome, mode: str) -> dict:
         "message": outcome.message,
     }
     if outcome.bounds is not None:
-        payload["value_lo"] = float(_sig(outcome.bounds[0], 17))
+        payload["value_lo"] = float(outcome.bounds[0])
         payload["value_hi"] = (None if np.isinf(outcome.bounds[1])
-                               else float(_sig(outcome.bounds[1], 17)))
+                               else float(outcome.bounds[1]))
     return payload
 
 
@@ -217,7 +217,7 @@ def cmd_compute(args) -> int:
     )
     try:
         outcome = run(family, config)
-    except (MatrixError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     if args.certificate and outcome.certificate is not None:

@@ -154,6 +154,9 @@ class MembershipCounts:
 
 @dataclass
 class RunOutcome:
+    """A run's result.  ``iteration_capped`` also ends a run stopped by the
+    vertex cap; ``message`` then names the cap."""
+
     status: str
     mode: str
     value: Optional[float] = None
@@ -411,11 +414,13 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     Growth starts from the candidate's root chain and one chain per
     symmetric twin (:func:`symmetric_twins`).  Stopping violations
     trigger a restart with a provably better candidate, up to ten
-    restarts; when the restart machinery cannot improve the candidate
-    (numerically marginal violations) the run continues with the stopping
-    tests disabled, which preserves correctness at the cost of possibly
-    slower termination.  The outcome counts the membership LPs solved and
-    skipped over every growth.
+    restarts.  Each time the restart machinery cannot improve the
+    candidate (numerically marginal violations), the candidates are
+    enumerated again with a cap two letters longer; when that gives a word
+    already tried, the run continues with the stopping tests disabled,
+    which preserves correctness at the cost of possibly slower
+    termination.  The outcome counts the membership LPs solved and skipped
+    over every growth.
     """
     counts = MembershipCounts()
     outcome = _run(family, config, counts)
@@ -479,14 +484,10 @@ def _run(family: MatrixFamily, config: RunConfig,
                     family, root, (violation.j, violation.path), sense)
             except RestartFailedError:
                 # The violation is numerically marginal: re-enumerate with a
-                # longer cap once, otherwise keep the candidate and continue
-                # without the (optional) stopping tests.
-                longer = max_length + 2
-                replacement = enumerate_candidates(family, longer, sense)
-                if replacement.word == candidate.word:
-                    stopping = False
-                    continue
-                max_length = longer
+                # longer cap, after every failed restart; a word already
+                # tried (the candidate among them) ends the stopping tests.
+                max_length += 2
+                replacement = enumerate_candidates(family, max_length, sense)
             if replacement.word in tried:
                 stopping = False
                 continue

@@ -18,8 +18,10 @@ a point strictly outside it is below 1 (reversed for the antinorm variants).
 
 The bodies of modes P and L are monotone, so a single vertex already
 bounds the value (:func:`one_vertex_bound`).  The engine records that
-bound without an LP when it settles a point, and every antinorm LP starts
-from the best vertex's basis, with no phase 1.
+bound without an LP when it settles a point.  Each body builds its own
+program; the antinorm LP starts from the best covering vertex's basis and
+runs phase 2 alone, unless :func:`solve_lp` has to solve it again in two
+phases.
 """
 
 from __future__ import annotations
@@ -118,40 +120,6 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
     return float(values[best]), best
 
 
-def _membership_lp(z, Vm, rel: str, rays: Optional[np.ndarray],
-                   start: Optional[Sequence[Optional[int]]] = None):
-    """Solve one membership LP over the columns ``[z | -V | +V | -H]``.
-
-    Each coordinate gives the row ``t z_i - sum_x c_x x_i - sum_h c_h h_i``
-    related to 0 by ``rel``: ``=`` for the balanced hull, whose signed
-    weights need the ``+V`` block, and ``>=`` for the antinorm, whose
-    ``-H`` block is present only when ``rays`` (one ray per column) is
-    given.  One budget row bounds the sum of the vertex weights: at most 1
-    when maximizing ``t`` (``=``), at least 1 when minimizing it (``>=``).
-    ``start`` is passed to :func:`solve_lp`: per row, its basic variable
-    (``t`` is variable 0, the weight of row ``x`` of ``Vm`` is ``1 + x``)
-    or ``None`` for its slack.
-    """
-    blocks = [z[:, None], -Vm.T]
-    if rel == EQ:
-        blocks.append(Vm.T)
-    if rays is not None:
-        blocks.append(-rays)
-    A = np.hstack(blocks)
-    nvar = A.shape[1]
-    nweights = (2 if rel == EQ else 1) * Vm.shape[0]
-    objective = np.zeros(nvar)
-    objective[0] = 1.0
-    budget = np.zeros(nvar)
-    budget[1:1 + nweights] = 1.0
-    minimize = rel == GE
-    rows = [(row, rel, 0.0) for row in A]
-    rows.append((budget, GE if minimize else LE, 1.0))
-    lp = LinearProgram("min" if minimize else "max", objective, rows,
-                       [(0.0, _INF)] * nvar)
-    return solve_lp(lp, assume_bounded=True, start=start)
-
-
 def norm_membership_R(z, V) -> float:
     """Membership value of ``z`` in the balanced hull of ``V``.
 
@@ -159,7 +127,15 @@ def norm_membership_R(z, V) -> float:
     the signed coefficients are split into positive and negative parts.
     """
     z, Vm = _stack(z, V)
-    outcome = _membership_lp(z, Vm, EQ, None)
+    A = np.hstack([z[:, None], -Vm.T, Vm.T])
+    nvar = A.shape[1]
+    objective = np.zeros(nvar)
+    objective[0] = 1.0
+    budget = np.ones(nvar)
+    budget[0] = 0.0
+    rows = [(row, EQ, 0.0) for row in A] + [(budget, LE, 1.0)]
+    lp = LinearProgram("max", objective, rows, [(0.0, _INF)] * nvar)
+    outcome = solve_lp(lp, assume_bounded=True)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
     return float(outcome.value)
@@ -206,9 +182,28 @@ def norm_membership_P(z, V) -> float:
     return float(np.min(rhs[pos] / z[pos]))
 
 
+def _antinorm_lp(z, Vm, rays: Optional[np.ndarray], start=None):
+    """Solve :func:`antinorm_membership_ext`'s LP over the columns ``[z | -V
+    | -H]``, the last block only when ``rays`` (one per column) is given,
+    from ``start``: per row, its basic variable (``t`` is variable 0, the
+    weight of row ``x`` of ``Vm`` is ``1 + x``) or ``None`` for its slack."""
+    blocks = [z[:, None], -Vm.T]
+    if rays is not None:
+        blocks.append(-rays)
+    A = np.hstack(blocks)
+    nvar = A.shape[1]
+    objective = np.zeros(nvar)
+    objective[0] = 1.0
+    budget = np.zeros(nvar)
+    budget[1:1 + Vm.shape[0]] = 1.0
+    rows = [(row, GE, 0.0) for row in A] + [(budget, GE, 1.0)]
+    lp = LinearProgram("min", objective, rows, [(0.0, _INF)] * nvar)
+    return solve_lp(lp, assume_bounded=True, start=start)
+
+
 def _vertex_basis(z, Vm, best: int) -> list:
     """The antinorm LP's basis at row ``best`` of ``Vm``, a vertex that
-    covers ``z``, as a ``start`` for :func:`_membership_lp`: ``t`` on the
+    covers ``z``, as a ``start`` for :func:`_antinorm_lp`: ``t`` on the
     coordinate row where ``v_i / z_i`` is largest, the vertex's weight on
     the budget row, and every other coordinate row's own surplus."""
     pos = np.flatnonzero(z > 0.0)
@@ -246,7 +241,7 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
     Hm = np.column_stack(rays) if rays else None
     bound, best = one_vertex_bound(MODES[MODE_L], z, Vm)
     start = None if best < 0 else _vertex_basis(z, Vm, best)
-    outcome = _membership_lp(z, Vm, GE, Hm, start)
+    outcome = _antinorm_lp(z, Vm, Hm, start)
     if outcome.status == INFEASIBLE:
         return bound
     if outcome.status != OPTIMAL:

@@ -7,9 +7,10 @@ the basis is primal feasible, with no artificial variables and no phase 1,
 and the primal simplex then finishes as phase 2.  The covering programs
 of the mode-P norm, ``min{sum c : V^T c >= z, c >= 0}``, take this path.
 A caller that knows a primal feasible basis may pass it as ``start``; the
-primal simplex then runs as phase 2 alone, which is how the mode-L
-antinorm programs start from their best single vertex.  Every other
-program runs the two-phase primal simplex.
+primal simplex then runs as phase 2 alone, with no artificial variables,
+which is how the mode-L antinorm programs start from their best single
+vertex.  A started solve that fails is solved again without its start.
+Every other program runs the two-phase primal simplex.
 
 The solver is deterministic: identical inputs produce identical pivot
 sequences and outcomes.  After a long run of degenerate pivots either
@@ -139,10 +140,10 @@ def _refresh(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor) -> None
 
 
 def _refusal_raises(refactor):
-    """``refactor`` for a solve from a caller's basis: a basis it refuses
-    raises :class:`LPCyclingError`, so that :func:`solve_lp` solves the
-    program again in two phases rather than going on from a tableau that
-    drifted out of feasibility."""
+    """``refactor`` for a solve from a caller's basis: a basis it refuses,
+    the start or a later one, raises :class:`LPCyclingError`, so that
+    :func:`solve_lp` solves the program again without the start rather than
+    pivot from a basis that is singular or out of feasibility."""
     def strict(basis: List[int]):
         rebuilt = refactor(basis)
         if rebuilt is None:
@@ -331,12 +332,12 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
     ``start`` names a starting basis, one entry per row: the index of the
     variable basic in that row (a free variable's nonnegative part), or
     ``None`` for the row's own slack, which needs an inequality row.
-    When that basis is nonsingular and primal feasible, phase 2 runs from
-    it alone, with the artificial variables barred; otherwise the solve
-    takes its usual path.  A solve from ``start`` that raises
-    :class:`LPCyclingError` (the ratio test's absolute tie tolerance can
-    pick a pivot that leaves a row negative), or whose refactor refuses a
-    later basis as singular or infeasible, is repeated without it.
+    Phase 2 runs from that basis alone, on a tableau without artificial
+    columns.  The started solve raises :class:`LPCyclingError` when its
+    refactor refuses that basis or a later one as singular or infeasible,
+    or when its pivots cycle (the ratio test's absolute tie tolerance can
+    pick a pivot that leaves a row negative); the program is then solved
+    again without the start, so the outcome is the unstarted one.
     """
     if start is not None:
         try:
@@ -390,8 +391,6 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         b0[r] = rhs
     le = np.array([rel == LE for _, rel, _ in lp.rows], dtype=bool)
     ineq = np.array([rel != EQ for _, rel, _ in lp.rows], dtype=bool)
-    if start is not None:
-        start_basis = _start_columns(start, ineq, col, ncols)
 
     # Phase 2 objective (min form) in y-space.  When it is strictly positive
     # and every row is an inequality, the slack basis is dual feasible.
@@ -402,12 +401,13 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     # The tableau's columns are, in this order, [y | slacks | artificials |
     # rhs]: the y columns of each variable in turn (two adjacent ones for a
     # free variable), one slack per inequality row in row order, and one
-    # artificial per row, except on the dual path, which has none.
-    # bench/tracing's ``tableau_bytes`` computes the tableau-size metric
-    # from the two-phase layout.
+    # artificial per row, only when phase 1 runs: neither the dual path nor
+    # a started solve has any.  bench/tracing's ``tableau_bytes`` computes
+    # the tableau-size metric from the two-phase layout.
     nslack = int(np.count_nonzero(ineq))
     art0 = ncols + nslack
-    total = art0 if dual else art0 + m
+    nart = 0 if dual or start is not None else m
+    total = art0 + nart
     T = np.zeros((m, total + 1))
     to_y(A0, T[:, :ncols])
     T[:, -1] = b0
@@ -425,7 +425,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     else:
         T[ineq, ncols + np.arange(nslack)] = np.where(le, factor, -factor)[ineq]
         T[T[:, -1] < 0] *= -1.0
-        T[:, art0:total] = np.eye(m)
+        T[:, art0:total] = np.eye(m, nart)
         basis = list(range(art0, total))
     # Pristine copy for re-solving the final basic system: pivoting drifts.
     A_std = T[:, :total].copy()
@@ -458,13 +458,12 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     allowed = np.ones(total, dtype=bool)
     refactor2 = make_refactor(cost2, _primal_feasible)
     pivots1 = 0
-    rebuilt = None if start is None else refactor2(start_basis)
-    if rebuilt is not None:
-        basis = start_basis
-        T[:] = rebuilt[0]
-        obj = rebuilt[1]
-        allowed[art0:] = False
+    if start is not None:
+        # A start the refactor refuses raises, as a later refused basis
+        # does, and solve_lp solves the program again without it.
         refactor2 = _refusal_raises(refactor2)
+        basis = _start_columns(start, ineq, col, ncols)
+        T[:], obj = refactor2(basis)
     elif dual:
         obj = np.append(cost2, 0.0)
         # A basic variable's scale is the largest rhs, or for a slack its
@@ -489,7 +488,6 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                                       make_refactor(cost1, _primal_feasible))
         if status != OPTIMAL:
             raise LPCyclingError("phase 1 reported unbounded, which is impossible")
-        allowed[:] = True
         # The tableau estimate of the artificial sum drifts over many pivots;
         # recompute it from the pristine system before judging feasibility.
         art_sum = -obj[-1]
@@ -502,7 +500,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
 
         # Drive artificials out of the basis where possible; the rest sit on
         # redundant rows at value zero and are barred from re-entering.
-        allowed[art0:] = False
+        allowed = np.arange(total) < art0
         for r in range(m):
             if basis[r] >= art0:
                 nonzero = np.nonzero(np.abs(T[r, :art0]) > PIVOT_TOL)[0]
@@ -516,7 +514,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
             cb = obj[basis[r]]
             if cb != 0.0:
                 obj = obj - cb * T[r]
-    started = rebuilt is not None
+    started = start is not None
     status, pivots2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
                                   refactor2)
     if status == UNBOUNDED:

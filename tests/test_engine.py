@@ -35,6 +35,7 @@ from polyrad.engine import (
     _path_word,
 )
 
+from polyrad.matrices import MatrixError
 from polyrad.membership import MODES
 
 from conftest import brute_force_rates
@@ -189,8 +190,18 @@ class TestErrorsAndEdges:
                   RunConfig(mode=MODE_P, max_candidate_length=4,
                             max_iterations=50, vertex_cap=20))
         assert out.status == ITERATION_CAPPED
+        assert out.message == "vertex cap 20 exceeded"
         lo, hi = out.bounds
         assert lo <= hi
+
+    @pytest.mark.xfail(raises=MatrixError, strict=True,
+                       reason="restart_product builds its word in the scaled "
+                              "family, and that word's product overflows in "
+                              "the unscaled one")
+    def test_restart_word_does_not_overflow(self):
+        out = run(random_family("nonneg-uniform", 6, 2, 2),
+                  RunConfig(mode=MODE_P, max_candidate_length=2))
+        assert out.status in (TERMINATED, ITERATION_CAPPED)
 
     def test_complex_leading_candidate_inapplicable(self):
         theta = 0.7

@@ -9,12 +9,11 @@ from polyrad import (
     norm_membership_R,
 )
 from polyrad.membership import (
-    GE,
     MODE_L,
     MODE_P,
     MODE_R,
     MODES,
-    _membership_lp,
+    _antinorm_lp,
     _vertex_basis,
     cone_ray_margin,
     one_vertex_bound,
@@ -314,8 +313,8 @@ class TestVertexStart:
         V, z, H = instance
         _, best = one_vertex_bound(MODES[MODE_L], z, V)
         assume(best >= 0)
-        started = _membership_lp(z, V, GE, H, _vertex_basis(z, V, best))
-        plain = _membership_lp(z, V, GE, H)
+        started = _antinorm_lp(z, V, H, _vertex_basis(z, V, best))
+        plain = _antinorm_lp(z, V, H)
         assert not plain.started
         if started.started:
             assert started.phase1_pivots == 0
@@ -328,7 +327,7 @@ class TestVertexStart:
         V = np.array([[1.0, 1.0, 1.0], [1.0, 0.25, 0.0]])
         assert one_vertex_bound(MODES[MODE_L], z, V) == (0.5, 1)
         assert _vertex_basis(z, V, 1) == [0, None, None, 2]
-        out = _membership_lp(z, V, GE, None, _vertex_basis(z, V, 1))
+        out = _antinorm_lp(z, V, None, _vertex_basis(z, V, 1))
         assert out.started
         assert (out.phase1_pivots, out.phase2_pivots) == (0, 0)
         assert out.value == antinorm_membership_L(z, V) == 0.5
@@ -342,7 +341,7 @@ class TestVertexStart:
         z = np.array([0.0, 1.0, 0.0, 0.0])
         H = np.array([[2.0 ** -9, -1.0], [0.0, -1e-4], [0.0, 0.0], [-1.0, 0.0]])
         assert _vertex_basis(z, V, 5) == [None, 0, None, None, 6]
-        out = _membership_lp(z, V, GE, H, _vertex_basis(z, V, 5))
+        out = _antinorm_lp(z, V, H, _vertex_basis(z, V, 5))
         assert not out.started and out.phase1_pivots > 0
         assert out.value == 0.0
         assert antinorm_membership_ext(z, V, H.T) == 0.0

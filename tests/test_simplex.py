@@ -253,15 +253,28 @@ class TestStartBasis:
         assert out.value == pytest.approx(1.0)
         assert not solve_lp(self.LP).started
 
-    @pytest.mark.parametrize("start", [[0, 0], [None, 1]],
-                             ids=["singular", "infeasible"])
-    def test_refused_start_takes_two_phases(self, start):
-        # [0, 0] names t twice; [None, 1] sets c = 1 with t = 0, leaving
-        # the first row's surplus at -1.
-        out = solve_lp(self.LP, start=start)
-        assert not out.started
+    # min x + y subject to x + y >= 1 and x - y >= 0, optimum 1: every row
+    # is an inequality and every cost is positive, so it takes the dual path.
+    COVERING = LinearProgram("min", [1.0, 1.0],
+                             [([1.0, 1.0], ">=", 1.0), ([1.0, -1.0], ">=", 0.0)],
+                             [(0.0, None), (0.0, None)])
+
+    @pytest.mark.parametrize("lp, start", [
+        (LP, [0, 0]), (LP, [None, 1]), (COVERING, [0, 0]), (COVERING, [1, None]),
+    ], ids=["singular", "infeasible", "covering-singular", "covering-infeasible"])
+    def test_refused_start_takes_two_phases(self, lp, start):
+        # [0, 0] names a variable twice; [None, 1] sets c = 1 with t = 0,
+        # leaving the first row's surplus at -1, and [1, None] sets y = 1
+        # with x = 0, leaving the second row's surplus at -1.  The outcome
+        # is exactly the unstarted one.
+        out = solve_lp(lp, start=start)
+        plain = solve_lp(lp)
         assert out.phase1_pivots > 0
         assert out.value == pytest.approx(1.0)
+        assert (out.status, out.value, out.phase1_pivots, out.phase2_pivots,
+                out.started) == (plain.status, plain.value, plain.phase1_pivots,
+                                 plain.phase2_pivots, False)
+        assert np.array_equal(out.assignment, plain.assignment)
 
     def test_free_variable_starts_from_its_first_column(self):
         lp = LinearProgram("min", [1.0, 0.0], self.LP.rows,
