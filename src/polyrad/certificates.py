@@ -32,6 +32,7 @@ from .membership import (
     norm_membership_P,
     norm_membership_R,
     one_vertex_bound,
+    support_bound,
 )
 
 CERT_VERSION = 1
@@ -65,7 +66,7 @@ class VerificationReport:
     rho_recomputed: float
     failures: List[str] = field(default_factory=list)
     # Images whose membership LP verify solved, and images a point already
-    # known to lie in the body settled without one.
+    # known to lie in the body, or a cached support, settled without one.
     lps_solved: int = 0
     lps_skipped: int = 0
 
@@ -223,9 +224,13 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     body's direction (``x <= y`` in P, ``x >= y`` in L) has images that
     the other's settle; vertices are visited from the body's boundary
     inwards (largest coordinate sum first in P, smallest in L), which puts
-    that other vertex first.  An image passed without an LP contributes
-    its one-point slack, so ``worst_slack`` is then an upper bound on the
-    largest slack rather than its exact value.  ``lps_solved`` and
+    that other vertex first.  Mode R settles an image without an LP when
+    the best of the recent optimal supports of its LPs
+    (:func:`~polyrad.membership.support_bound`) puts it inside up to the
+    tolerance, and starts every other LP from that support's basis.  An
+    image passed without an LP contributes the slack of its bound, so
+    ``worst_slack`` is then an upper bound on the largest slack rather
+    than its exact value.  ``lps_solved`` and
     ``lps_skipped`` count the images that needed their membership LP and
     the images settled without one; zero images and cone margins count
     as neither.
@@ -278,19 +283,23 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     inside = np.zeros((len(Vm) * (scaled.size + 1), d))
     inside[:len(Vm)] = Vm
     n_inside = len(Vm)
+    supports: List[Tuple[int, ...]] = []  # recent optimal supports (mode R)
     worst = float("-inf")
     for idx in np.argsort(-spec.sign * Vm.sum(axis=1), kind="stable"):
         for j in range(1, scaled.size + 1):
             z = scaled.matrix(j) @ Vm[idx]
             if is_zero_image(z):
                 t = float("inf")
-            elif spec.balanced:  # the LPs are looked up by name, as in the engine
-                t = norm_membership_R(z, Vm)
-                report.lps_solved += 1
             else:
-                t = one_vertex_bound(spec, z, inside[:n_inside])[0]
+                if spec.balanced:
+                    t, start = support_bound(z, Vm, supports)
+                else:
+                    t = one_vertex_bound(spec, z, inside[:n_inside])[0]
                 if spec.sign * (1.0 - t) <= tolerance:
                     report.lps_skipped += 1
+                elif spec.balanced:  # the LPs are looked up by name, as in the engine
+                    t = norm_membership_R(z, Vm, start, supports)
+                    report.lps_solved += 1
                 else:
                     t = (norm_membership_P(z, Vm) if spec.sign > 0
                          else antinorm_membership_ext(z, Vm, cert.cone_H))

@@ -21,13 +21,15 @@ The vertex set is one ``(n, d)`` array, ``PolytopeState.vertices``, which
 the membership LPs, the span check, the cone probe and the certificate read.
 
 In modes P and L the best single vertex bounds an image's membership value
-(:func:`one_vertex_bound`): from below in P, from above in L.  When that
-bound already puts the image inside the body, it is recorded as the
-image's value and no LP runs; the verdict is the LP's, since the bound
-lies on the inside of the LP value.  Only ``t_N`` of a terminated run can
-differ from the LP values (it can be a one-vertex bound): in a capped run
-the alive points, which always get their LP, set the last iteration's
-extreme.
+(:func:`one_vertex_bound`): from below in P, from above in L.  In mode R
+the best of the run's recent optimal supports bounds it from below
+(:func:`support_bound`).  When that bound already puts the image inside
+the body, it is recorded as the image's value and no LP runs; the verdict
+is the LP's, since the bound lies on the inside of the LP value.  Only
+``t_N`` of a terminated run can differ from the LP values (it can be such
+a bound): in a capped run the alive points, which always get their LP,
+set the last iteration's extreme.  A mode-R LP that is solved starts from
+the best support's basis, and its own support joins the cache.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .membership import (
     norm_membership_P,
     norm_membership_R,
     one_vertex_bound,
+    support_bound,
 )
 
 TERMINATED = "terminated"
@@ -132,7 +135,9 @@ class VertexNode:
 class PolytopeState:
     """Growth state; ``words[c]`` is the word of root chain ``c``, the
     candidate's first and then its symmetric twins, and row ``i`` of
-    ``vertices`` is the point of ``nodes[i]``."""
+    ``vertices`` is the point of ``nodes[i]``.  ``supports`` holds the
+    recent optimal supports of mode-R LPs, as rows of ``vertices``, the
+    newest first (:func:`support_bound`)."""
 
     words: Tuple[Word, ...]
     nodes: List[VertexNode] = field(default_factory=list)
@@ -141,12 +146,13 @@ class PolytopeState:
     R: List[Tuple[int, int]] = field(default_factory=list)
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
+    supports: List[Tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
 class MembershipCounts:
-    """Images whose membership LP a run solved, and images a one-vertex
-    bound settled without one."""
+    """Images whose membership LP a run solved, and images a one-vertex or
+    support bound settled without one."""
 
     solved: int = 0
     skipped: int = 0
@@ -162,7 +168,8 @@ class RunOutcome:
     value: Optional[float] = None
     bounds: Optional[Tuple[float, float]] = None
     # The last complete iteration's extreme membership value; in a
-    # terminated run of mode P or L it can be a one-vertex bound.
+    # terminated run it can be a one-vertex bound (P, L) or a support
+    # bound (R).
     t_N: Optional[float] = None
     certificate: Optional[Certificate] = None
     iterations: int = 0
@@ -174,8 +181,9 @@ class RunOutcome:
     message: str = ""
     # The word of every seeded root chain, the candidate's first.
     root_words: Tuple[Word, ...] = ()
-    # Membership LPs solved, and images settled by one vertex without an
-    # LP, over every growth of the run (restarts included).
+    # Membership LPs solved, and images settled by one vertex or a cached
+    # support without an LP, over every growth of the run (restarts
+    # included).
     lps_solved: int = 0
     lps_skipped: int = 0
 
@@ -196,15 +204,16 @@ def _initial_state(roots: Sequence[CyclicRoot], family_size: int) -> PolytopeSta
     return state
 
 
-def _membership(spec: Mode, z, V,
+def _membership(spec: Mode, z, state: PolytopeState, start,
                 extension: Optional[ConeExtension]) -> float:
     # Looked up by name per call, so that wrapping the module attribute works.
+    V = state.vertices
     if spec.sign < 0:
         if extension is not None and extension.rays:
             return antinorm_membership_ext(z, V, extension.rays)
         return antinorm_membership_L(z, V)
     if spec.balanced:
-        return norm_membership_R(z, V)
+        return norm_membership_R(z, V, start, state.supports)
     return norm_membership_P(z, V)
 
 
@@ -268,9 +277,11 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
 
     New points are classified against the polytope as it grows within the
     iteration; alive points become vertices and seed the next iteration's
-    pairs; a zero image is dead in modes R and P without an LP, and in
-    modes P and L so is an image whose one-vertex bound puts it inside the
-    body.  ``counts``, when given, tallies the LPs solved and skipped.
+    pairs; a zero image is dead in modes R and P without an LP, and so is
+    an image whose one-vertex bound (modes P and L) or support bound (mode
+    R) puts it inside the body.  Every other mode-R LP starts from the best
+    support's basis.  ``counts``, when given, tallies the LPs solved and
+    skipped.
     ``duals``, when given, holds each root chain's duals, and an alive
     point is tested against those of the chain it descends from.  Raises
     :class:`StoppingViolation` when a dual test fails,
@@ -292,12 +303,14 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                     "construction does not apply")
             t = math.inf
         else:
-            t = (None if spec.balanced
-                 else one_vertex_bound(spec, z, state.vertices)[0])
-            if t is not None and _is_dead(spec, t, config.remove_boundary):
+            if spec.balanced:
+                t, start = support_bound(z, state.vertices, state.supports)
+            else:
+                t, start = one_vertex_bound(spec, z, state.vertices)[0], None
+            if _is_dead(spec, t, config.remove_boundary):
                 counts.skipped += 1
             else:
-                t = _membership(spec, z, state.vertices, extension)
+                t = _membership(spec, z, state, start, extension)
                 counts.solved += 1
         t_values.append(t)
         if _is_dead(spec, t, config.remove_boundary):

@@ -16,6 +16,9 @@ import numpy as np
 
 GAP_TOL_DEFAULT = 1e-9
 _ZERO_RADIUS_TOL = 1e-12
+# Eigenvalues this close to the top modulus, relative to it, may be one
+# defective eigenvalue that ``eigvals`` split (see :func:`spectral_radius`).
+_CLUSTER_TOL = 1e-6
 
 # Classification labels for the leading eigenvalue of a matrix.
 REAL_SIMPLE_UNIQUE = "real_simple_unique"
@@ -148,10 +151,29 @@ def canonical_word(word: Sequence[int]) -> Word:
 
 
 def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus; values below noise level are clamped to 0."""
+    """Largest eigenvalue modulus; values below noise level are clamped to 0.
+
+    A nearly defective eigenvalue comes back from ``eigvals`` split by
+    about the square root of machine epsilon, while the mean of the split
+    values is accurate to roundoff.  So when more than one eigenvalue lies
+    within ``_CLUSTER_TOL * rho`` of the top modulus, each cluster of them
+    within that distance of one another is replaced by its mean, and the
+    largest ``|mean|`` is the radius.
+    """
     M = _as_square(matrix)
     eigvals = np.linalg.eigvals(M)
-    rho = float(np.max(np.abs(eigvals)))
+    moduli = np.abs(eigvals)
+    rho = float(np.max(moduli))
+    width = _CLUSTER_TOL * rho
+    on_shell = moduli >= rho - width
+    if np.count_nonzero(on_shell) > 1:
+        shell = eigvals[on_shell]
+        means = []
+        while shell.size:
+            near = np.abs(shell - shell[0]) <= width
+            means.append(abs(shell[near].mean()))
+            shell = shell[~near]
+        rho = float(max(means))
     scale = max(1.0, float(np.max(np.abs(M))))
     if rho <= _ZERO_RADIUS_TOL * scale:
         return 0.0

@@ -17,10 +17,13 @@ For a point strictly inside the unit ball the returned value exceeds 1; for
 a point strictly outside it is below 1 (reversed for the antinorm variants).
 
 The bodies of modes P and L are monotone, so a single vertex already
-bounds the value (:func:`one_vertex_bound`).  The engine records that
-bound without an LP when it settles a point.  Each body builds its own
-program; the antinorm LP starts from the best covering vertex's basis and
-runs phase 2 alone, unless :func:`solve_lp` has to solve it again in two
+bounds the value (:func:`one_vertex_bound`).  Mode R's value is bounded
+from below by a recent optimal support, d vertices of full rank that
+represent ``z`` exactly (:func:`support_bound`).  The engine records
+either bound without an LP when it settles a point.  Each body builds its
+own program; the antinorm LP starts from the best covering vertex's basis
+and the balanced-hull LP from the best cached support's, and each runs
+phase 2 alone, unless :func:`solve_lp` has to solve it again in two
 phases.
 """
 
@@ -43,6 +46,12 @@ from .simplex import (
 )
 
 _INF = float("inf")
+# The number of recent optimal supports of mode-R LPs kept for
+# :func:`support_bound`.
+SUPPORTS = 16
+# A support's coefficients count only when they reproduce ``z`` to this
+# relative residual.
+_SUPPORT_RESIDUAL = 1e-12
 
 MODE_R = "R"
 MODE_P = "P"
@@ -102,7 +111,8 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
     wherever ``z_i = 0``) lies below ``t z`` for ``t = max_{z_i > 0} v_i /
     z_i``, so the best such ``t`` bounds the value from above, with or
     without cone rays; with no covering vertex, or a negative coordinate
-    in ``z``, the bound is ``(inf, -1)``.  Mode R has no such bound.
+    in ``z``, the bound is ``(inf, -1)``.  Mode R's body is not monotone;
+    its bound comes from a cached support (:func:`support_bound`).
     """
     if spec.balanced:
         raise ValueError("the balanced body has no one-vertex bound")
@@ -120,11 +130,68 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
     return float(values[best]), best
 
 
-def norm_membership_R(z, V) -> float:
+def support_bound(z, Vm: np.ndarray,
+                  supports: Sequence[Tuple[int, ...]]) -> Tuple[float, Optional[list]]:
+    """The balanced-hull membership value of ``z`` that the best cached
+    support proves, and that support's basis as a ``start`` for
+    :func:`norm_membership_R` (``(0.0, None)`` when none proves one).
+
+    A support ``S`` is ``d`` rows of ``Vm`` of full rank.  One batched
+    solve gives ``c`` with ``V_S^T c = z`` for every ``S``; ``c`` counts
+    when it reproduces ``z`` to a relative residual of
+    ``_SUPPORT_RESIDUAL``.  Then ``z / |c|_1`` is a point of the balanced
+    hull, so ``t = 1 / |c|_1`` bounds the value from below, and the basis
+    of ``t`` and, per row ``i`` of ``S``, the positive part of ``c_i`` when
+    ``c_i >= 0`` and its negative part otherwise, is primal feasible.
+    """
+    if not supports:
+        return 0.0, None
+    rows = np.array(supports)
+    B = Vm[rows]  # B[k] @ y = V_S y; its transpose carries c to V_S^T c
+    try:
+        c = np.linalg.solve(B.transpose(0, 2, 1), z[:, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return 0.0, None
+    residual = np.max(np.abs(np.einsum("kij,ki->kj", B, c) - z), axis=1)
+    norms = np.where(residual <= _SUPPORT_RESIDUAL * float(np.max(np.abs(z))),
+                     np.abs(c).sum(axis=1), _INF)
+    best = int(np.argmin(norms))
+    if norms[best] == _INF:
+        return 0.0, None
+    # Variable 1 + x is the positive part of row x's coefficient, 1 + n + x
+    # its negative part.
+    parts = np.where(c[best] >= 0.0, 1, 1 + Vm.shape[0]) + rows[best]
+    return 1.0 / float(norms[best]), [0] + parts.tolist()
+
+
+def _remember_support(supports: list, c: np.ndarray, Vm: np.ndarray) -> None:
+    """Put the support of ``c``, the rows of its ``d`` largest ``|c|``, at
+    the front of ``supports``, keeping ``SUPPORTS`` distinct ones; a support
+    of less than full rank is not kept."""
+    d = Vm.shape[1]
+    if c.size < d:
+        return
+    support = tuple(sorted(np.argsort(-np.abs(c), kind="stable")[:d].tolist()))
+    if support in supports:
+        supports.remove(support)
+    elif np.linalg.matrix_rank(Vm[list(support)]) < d:
+        return
+    supports.insert(0, support)
+    del supports[SUPPORTS:]
+
+
+def norm_membership_R(z, V, start: Optional[list] = None,
+                      supports: Optional[list] = None) -> float:
     """Membership value of ``z`` in the balanced hull of ``V``.
 
     Maximizes ``t`` subject to ``t z = sum_x c_x x`` with ``sum |c_x| <= 1``;
-    the signed coefficients are split into positive and negative parts.
+    the signed coefficients are split into positive and negative parts,
+    over the columns ``[z | -V^T | V^T]``: variable ``1 + x`` is the
+    positive part of row ``x``'s coefficient and ``1 + n + x`` its negative
+    part.  ``start``, from :func:`support_bound`, is a primal feasible
+    basis, and phase 2 runs from it alone.  ``supports``, when given, is
+    the list of recent optimal supports, and the LP's support is put at its
+    front.
     """
     z, Vm = _stack(z, V)
     A = np.hstack([z[:, None], -Vm.T, Vm.T])
@@ -135,9 +202,13 @@ def norm_membership_R(z, V) -> float:
     budget[0] = 0.0
     rows = [(row, EQ, 0.0) for row in A] + [(budget, LE, 1.0)]
     lp = LinearProgram("max", objective, rows, [(0.0, _INF)] * nvar)
-    outcome = solve_lp(lp, assume_bounded=True)
+    outcome = solve_lp(lp, assume_bounded=True, start=start)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
+    if supports is not None:
+        n = Vm.shape[0]
+        x = outcome.assignment
+        _remember_support(supports, x[1:1 + n] - x[1 + n:], Vm)
     return float(outcome.value)
 
 

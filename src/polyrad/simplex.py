@@ -7,10 +7,11 @@ the basis is primal feasible, with no artificial variables and no phase 1,
 and the primal simplex then finishes as phase 2.  The covering programs
 of the mode-P norm, ``min{sum c : V^T c >= z, c >= 0}``, take this path.
 A caller that knows a primal feasible basis may pass it as ``start``; the
-primal simplex then runs as phase 2 alone, with no artificial variables,
-which is how the mode-L antinorm programs start from their best single
-vertex.  A started solve that fails is solved again without its start.
-Every other program runs the two-phase primal simplex.
+primal simplex then runs as phase 2 alone, with no artificial variables.
+The mode-L antinorm programs start from their best single vertex, and the
+mode-R balanced-hull programs from their best cached support.  A started
+solve that fails is solved again without its start.  Every other program
+runs the two-phase primal simplex.
 
 The solver is deterministic: identical inputs produce identical pivot
 sequences and outcomes.  After a long run of degenerate pivots either

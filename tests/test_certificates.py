@@ -237,12 +237,12 @@ class TestOneRule:
         assert report.failures[0].startswith("vertex 1, matrix 1:")
 
     def test_zero_images_and_mode_R_counts(self, jsr_outcome):
-        # Mode R solves an LP for every nonzero image; a zero image counts
-        # as neither kind.
+        # Mode R settles an image without an LP when a support of an earlier
+        # LP puts it inside; a zero image counts as neither kind.
         fam, out = jsr_outcome
         cert = dataclasses.replace(out.certificate, mode=MODE_R)
         report = verify(fam, cert)
-        assert (report.lps_solved, report.lps_skipped) == (6, 0)
+        assert (report.lps_solved, report.lps_skipped) == (4, 2)
         # N maps the first vertex to zero: 3 of the 4 images count.
         N = MatrixFamily([np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
         nil = Certificate(1, MODE_P, family_fingerprint(N), (2,), 1.0,
@@ -251,6 +251,23 @@ class TestOneRule:
         report = verify(N, nil)
         assert report.verdict, report.failures
         assert report.lps_solved + report.lps_skipped == 3
+
+    def test_mode_R_vertex_halved_is_rejected(self, jsr_outcome):
+        # The genuine mode-R certificate passes with some images settled by
+        # a cached support; halving any one vertex moves an image outside,
+        # and no support may settle it.
+        fam, _ = jsr_outcome
+        cert = run(fam, RunConfig(mode=MODE_R, max_candidate_length=4)).certificate
+        report = verify(fam, cert)
+        assert report.verdict, report.failures
+        assert report.lps_skipped > 0
+        for i in range(len(cert.vertices)):
+            vertices = list(cert.vertices)
+            vertices[i] = 0.5 * vertices[i]
+            forged = dataclasses.replace(cert, vertices=tuple(vertices))
+            report = verify(fam, forged)
+            assert not report.verdict
+            assert any("membership value" in f for f in report.failures)
 
 
 class TestSpansCheck:

@@ -16,6 +16,7 @@ from scipy.optimize import linprog  # noqa: E402
 from polyrad import (  # noqa: E402
     MODE_L,
     MODE_P,
+    MODE_R,
     LinearProgram,
     RunConfig,
     antinorm_membership_ext,
@@ -30,8 +31,9 @@ from polyrad.datasets import (  # noqa: E402
     euler_ternary_14,
     overlap_free,
     pascal_rhombus,
+    random_family,
 )
-from polyrad.membership import cone_ray_margin  # noqa: E402
+from polyrad.membership import cone_ray_margin, support_bound  # noqa: E402
 from polyrad import membership, simplex  # noqa: E402
 from polyrad.simplex import INFEASIBLE, OPTIMAL  # noqa: E402
 
@@ -251,6 +253,23 @@ class TestConeRayMargin:
         assert cone_ray_margin([1.0, -2.0], [[-1.0, -1.0]]) == INF
 
 
+def highs_balanced_hull(z, V):
+    """HiGHS's value of max t subject to t z = V^T (c+ - c-), sum c <= 1,
+    over the columns t, c+ (k), c- (k)."""
+    k, d = V.shape
+    A = np.zeros((d + 1, 2 * k + 1))
+    A[:d, 0] = z
+    A[:d, 1:k + 1] = -V.T
+    A[:d, k + 1:] = V.T
+    A[d, 1:] = 1.0
+    objective = np.zeros(2 * k + 1)
+    objective[0] = -1.0
+    res = highs(objective, A, np.append(np.zeros(d), 1.0),
+                ["="] * d + ["<="], [(0.0, None)] * (2 * k + 1))
+    assert res.status == 0
+    return -res.fun
+
+
 class TestBalancedHullMembership:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -261,18 +280,39 @@ class TestBalancedHullMembership:
         z = vectors(data.draw, signed, 1, d)[0]
         assume(np.any(z != 0.0))
         t = norm_membership_R(z, list(V))
-        # Columns t, c+ (k), c- (k): t z = V^T (c+ - c-), sum c <= 1.
-        A = np.zeros((d + 1, 2 * k + 1))
-        A[:d, 0] = z
-        A[:d, 1:k + 1] = -V.T
-        A[:d, k + 1:] = V.T
-        A[d, 1:] = 1.0
-        objective = np.zeros(2 * k + 1)
-        objective[0] = -1.0
-        res = highs(objective, A, np.append(np.zeros(d), 1.0),
-                    ["="] * d + ["<="], [(0.0, None)] * (2 * k + 1))
-        assert res.status == 0
-        assert t == pytest.approx(-res.fun, rel=1e-9, abs=1e-9)
+        assert t == pytest.approx(highs_balanced_hull(z, V), rel=1e-9, abs=1e-9)
+
+    def test_support_start_matches_highs(self, monkeypatch):
+        # Each sequence of programs shares one vertex array, which grows by
+        # appended rows as in the engine, and one support list; after the
+        # first LP every solve starts from the best cached support.
+        outcomes = []
+        solve = membership.solve_lp
+
+        def recording(*args, **kwargs):
+            outcomes.append(solve(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(membership, "solve_lp", recording)
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            d = int(rng.integers(2, 6))
+            V = rng.uniform(-1.0, 1.0, size=(d + int(rng.integers(0, 4)), d))
+            supports = []
+            for _ in range(25):
+                z = rng.uniform(-1.0, 1.0, size=d)
+                z[rng.random(d) < 0.2] = 0.0
+                if not np.any(z):
+                    continue
+                bound, start = support_bound(z, V, supports)
+                t = norm_membership_R(z, V, start, supports)
+                expected = highs_balanced_hull(z, V)
+                assert t == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                assert bound <= expected * (1.0 + 1e-9)
+                if rng.random() < 0.3:
+                    V = np.vstack((V, z / (1.5 * t)))  # a point outside, kept
+        started = [o for o in outcomes if o.started and o.phase1_pivots == 0]
+        assert len(started) >= 0.9 * len(outcomes)
 
 
 class TestAntinormMembership:
@@ -346,9 +386,11 @@ def replay_worst_slack(family, cert):
     """The largest membership slack of a certificate's vertex images, each
     solved by HiGHS with no shortcut, under the family scaled by the word's
     averaged radius from ``np.linalg.eigvals``: ``1 - t`` for the largest
-    ``t`` with ``t z <= V^T w``, ``sum w <= 1`` in mode P, and ``t - 1``
-    for the least ``t`` with ``t z >= V^T c + H^T w``, ``sum c >= 1`` in
-    mode L (``inf`` when infeasible, as for a zero image)."""
+    ``t`` with ``t z <= V^T w``, ``sum w <= 1`` in mode P, ``t - 1`` for
+    the least ``t`` with ``t z >= V^T c + H^T w``, ``sum c >= 1`` in mode L
+    (``inf`` when infeasible, as for a zero image), and ``1 - t`` for the
+    largest ``t`` with ``t z = V^T c``, ``sum |c| <= 1`` in mode R (``-inf``
+    for a zero image)."""
     product = np.eye(family.dim)
     for i in cert.word:
         product = family.matrices[i - 1] @ product
@@ -360,7 +402,9 @@ def replay_worst_slack(family, cert):
     for v in V:
         for M in family.matrices:
             z = M @ v / rho
-            if cert.mode == MODE_P:
+            if cert.mode == MODE_R:
+                slack = 1.0 - highs_balanced_hull(z, V) if np.any(z) else -INF
+            elif cert.mode == MODE_P:
                 A = np.vstack([np.hstack([z[:, None], -V.T]),
                                np.append(0.0, np.ones(k))])
                 objective = np.zeros(k + 1)
@@ -385,8 +429,9 @@ def replay_worst_slack(family, cert):
 
 
 # Runs that terminate with a certificate: the binary partial-sum pairs, the
-# transposed Pascal rhombus, the ternary partial sums and the overlap-free
-# pair, all in the mode and at the settings of the benchmark.
+# transposed Pascal rhombus, the ternary partial sums, the overlap-free pair
+# and a signed gaussian pair, all in the mode and at the settings of the
+# benchmark.
 REPLAYED = {
     "euler-binary-7/P": (lambda: euler_binary(7),
                          dict(mode=MODE_P, max_candidate_length=6)),
@@ -398,6 +443,9 @@ REPLAYED = {
     "euler-ternary-14/L": (euler_ternary_14,
                            dict(mode=MODE_L, max_candidate_length=6)),
     "overlap-free/P": (overlap_free, dict(mode=MODE_P, max_candidate_length=8)),
+    "gaussian-d7-s1/R": (lambda: random_family("gaussian-equal-norm", 7, 2, 1),
+                         dict(mode=MODE_R, max_candidate_length=6,
+                              max_iterations=10)),
 }
 
 
@@ -411,8 +459,9 @@ def terminated(request):
 
 
 class TestVerifyReplay:
-    """``verify`` settles most P and L images without an LP; replaying
-    every image with HiGHS must give the same verdict."""
+    """``verify`` settles many images without an LP, by one point in modes
+    P and L and by a cached support in mode R; replaying every image with
+    HiGHS must give the same verdict."""
 
     def test_genuine_certificate(self, terminated):
         family, cert = terminated
@@ -426,11 +475,11 @@ class TestVerifyReplay:
 
     def test_vertex_moved_into_the_body_is_rejected(self, terminated):
         # The first vertex is a root: the image of the chain's last root.
-        # Moving it into the body (inwards in P, outwards in L) leaves that
-        # image outside the smaller body.
+        # Moving it into the body (inwards in P and R, outwards in L) leaves
+        # that image outside the smaller body.
         family, cert = terminated
         vertices = list(cert.vertices)
-        vertices[0] = vertices[0] * (0.9 if cert.mode == MODE_P else 1.1)
+        vertices[0] = vertices[0] * (1.1 if cert.mode == MODE_L else 0.9)
         forged = dataclasses.replace(cert, vertices=tuple(vertices))
         report = verify(family, forged)
         worst = replay_worst_slack(family, forged)
