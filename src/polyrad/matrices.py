@@ -17,8 +17,12 @@ import numpy as np
 GAP_TOL_DEFAULT = 1e-9
 _ZERO_RADIUS_TOL = 1e-12
 # Eigenvalues this close to the top modulus, relative to it, may be one
-# defective eigenvalue that ``eigvals`` split (see :func:`spectral_radius`).
+# defective eigenvalue that ``eigvals`` split (see :func:`_top_modulus`).
 _CLUSTER_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
+# Split eigenvalue pairs of random 2x2 Jordan blocks in 2-5 dimensions had
+# distance * sin(angle) up to 21.5 * n * eps * ||M||_F.
+_SPLIT_FACTOR = 32.0
 
 # Classification labels for the leading eigenvalue of a matrix.
 REAL_SIMPLE_UNIQUE = "real_simple_unique"
@@ -150,30 +154,63 @@ def canonical_word(word: Sequence[int]) -> Word:
     return tuple(reversed(best))
 
 
+def _top_modulus(M: np.ndarray, eigvals: np.ndarray,
+                 eigvecs: Optional[np.ndarray] = None) -> float:
+    """Largest eigenvalue modulus, reading a split defective eigenvalue as one.
+
+    ``eig`` splits a nearly defective eigenvalue by about the square root of
+    machine epsilon into values whose eigenvectors are nearly parallel, and
+    the mean of the split values is accurate to roundoff.  Two eigenvalues
+    at distance ``delta`` whose unit eigenvectors are at angle ``theta`` are
+    one defective eigenvalue of a matrix within about ``delta * theta`` of
+    ``M``.  So among the eigenvalues whose moduli lie within ``_CLUSTER_TOL
+    * rho`` of the top one, those with ``delta <= _CLUSTER_TOL * rho`` and
+    ``delta * sin(theta) <= _SPLIT_FACTOR * n * eps * ||M||_F`` from the
+    largest are one cluster and are replaced by their mean; the radius is
+    the largest ``|mean|``.  Distinct eigenvalues with well separated
+    eigenvectors keep their own moduli, however close.  ``eigvecs``, when
+    given, must come with ``eigvals`` from ``np.linalg.eig(M)``.
+    """
+    moduli = np.abs(eigvals)
+    top = int(moduli.argmax())
+    rho = float(moduli[top])
+    width = _CLUSTER_TOL * rho
+    # Unless the top eigenvalue has a neighbour within ``width`` its cluster
+    # is itself, and the radius is rho.  A complex-conjugate top pair is
+    # farther apart than that.
+    if (rho == 0.0 or np.count_nonzero(moduli >= rho - width) < 2
+            or np.count_nonzero(np.abs(eigvals - eigvals[top]) <= width) < 2):
+        return rho
+    if eigvecs is None:
+        eigvals, eigvecs = np.linalg.eig(M)
+        moduli = np.abs(eigvals)
+        rho = float(np.max(moduli))
+        width = _CLUSTER_TOL * rho
+    bound = _SPLIT_FACTOR * len(eigvals) * _EPS * float(np.linalg.norm(M))
+    shell = np.flatnonzero(moduli >= rho - width)
+    shell = shell[np.argsort(-moduli[shell], kind="stable")]
+    means = []
+    while shell.size:
+        x = eigvecs[:, shell[0]]
+        others = eigvecs[:, shell]
+        # sin(theta) as the norm of the part of each unit eigenvector
+        # orthogonal to x, which is accurate where 1 - cos(theta) is not.
+        sines = np.linalg.norm(others - np.outer(x, x.conj() @ others), axis=0)
+        gaps = np.abs(eigvals[shell] - eigvals[shell[0]])
+        near = (gaps <= width) & (gaps * sines <= bound)
+        means.append(abs(eigvals[shell[near]].mean()))
+        shell = shell[~near]
+    return float(max(means))
+
+
 def spectral_radius(matrix) -> float:
     """Largest eigenvalue modulus; values below noise level are clamped to 0.
 
-    A nearly defective eigenvalue comes back from ``eigvals`` split by
-    about the square root of machine epsilon, while the mean of the split
-    values is accurate to roundoff.  So when more than one eigenvalue lies
-    within ``_CLUSTER_TOL * rho`` of the top modulus, each cluster of them
-    within that distance of one another is replaced by its mean, and the
-    largest ``|mean|`` is the radius.
+    A nearly defective top eigenvalue that ``eigvals`` split counts once, at
+    the mean of its split values (see :func:`_top_modulus`).
     """
     M = _as_square(matrix)
-    eigvals = np.linalg.eigvals(M)
-    moduli = np.abs(eigvals)
-    rho = float(np.max(moduli))
-    width = _CLUSTER_TOL * rho
-    on_shell = moduli >= rho - width
-    if np.count_nonzero(on_shell) > 1:
-        shell = eigvals[on_shell]
-        means = []
-        while shell.size:
-            near = np.abs(shell - shell[0]) <= width
-            means.append(abs(shell[near].mean()))
-            shell = shell[~near]
-        rho = float(max(means))
+    rho = _top_modulus(M, np.linalg.eigvals(M))
     scale = max(1.0, float(np.max(np.abs(M))))
     if rho <= _ZERO_RADIUS_TOL * scale:
         return 0.0
@@ -223,7 +260,7 @@ def leading_eigen_analysis(matrix) -> EigenAnalysis:
     d = M.shape[0]
     eigvals, eigvecs = np.linalg.eig(M)
     mods = np.abs(eigvals)
-    rho = float(np.max(mods))
+    rho = _top_modulus(M, eigvals, eigvecs)
     scale = max(1.0, float(np.max(np.abs(M))))
     if rho <= _ZERO_RADIUS_TOL * scale:
         return EigenAnalysis(0.0, ZERO_RADIUS, None, 1.0, 1)

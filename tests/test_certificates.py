@@ -140,6 +140,22 @@ class TestVerification:
         report = verify(fam, bad)
         assert not report.verdict
 
+    @pytest.mark.parametrize("gap", [5e-7, 1e-9])
+    def test_close_distinct_top_eigenvalues(self, gap):
+        # The word (1,) has two distinct, well-conditioned top eigenvalues 1
+        # and 1 - gap.  The run records rho = 1 and verify recomputes it by
+        # the same rule, so the certificate is accepted.
+        Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        A = Q @ np.diag([1.0, 1.0 - gap]) @ Q.T
+        B = Q @ np.array([[0.0, 0.5], [0.5, 0.0]]) @ Q.T
+        fam = MatrixFamily((A, B))
+        out = run(fam, RunConfig(mode=MODE_R, max_candidate_length=4))
+        assert out.status == "terminated"
+        assert out.candidate.rho_per_step == pytest.approx(1.0, rel=1e-14)
+        report = verify(fam, out.certificate)
+        assert report.verdict, report.failures
+        assert report.rho_recomputed == out.candidate.rho_per_step
+
     def test_single_matrix_eigenvector_certificate(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
         fam = MatrixFamily([M])

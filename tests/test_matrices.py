@@ -151,6 +151,34 @@ class TestSpectralRadius:
         assert spectral_radius(np.linalg.matrix_power(M, 3)) == pytest.approx(
             spectral_radius(M) ** 3, rel=1e-8)
 
+    @pytest.mark.parametrize("gap", [5e-7, 1e-9, 1e-12])
+    def test_close_distinct_top_eigenvalues_kept(self, gap):
+        # Distinct top eigenvalues are not averaged, however close, when
+        # each is well conditioned; the eigen analysis reads rho the same way.
+        assert spectral_radius(np.diag([1.0, 1.0 - gap])) == 1.0
+        Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        M = Q @ np.diag([2.0, 2.0 - 2.0 * gap]) @ Q.T
+        assert spectral_radius(M) == pytest.approx(2.0, rel=1e-14)
+        assert leading_eigen_analysis(M).rho == spectral_radius(M)
+
+    @pytest.mark.parametrize("c", [1.0, 0.75, 1.5, -2.0])
+    def test_split_defective_eigenvalue_counts_once(self, c):
+        # M has the defective eigenvalue 2; eig splits it by about 1e-8,
+        # as a complex pair or as two real values depending on c.
+        M = np.array([[0.0, 1.0, 0.0],
+                      [2.4149310157179447e-245, 2.0, 0.75],
+                      [2.4149310157179447e-245, 0.0, 2.0]])
+        assert spectral_radius(c * M) == pytest.approx(2.0 * abs(c), rel=1e-14)
+        assert leading_eigen_analysis(c * M).rho == spectral_radius(c * M)
+
+    def test_badly_scaled_complex_pair_kept(self):
+        # The top pair 1.5 +- 5.75i has nearly parallel eigenvectors (the
+        # 1e-282 coupling), but the two values are far apart: no average.
+        M = 3.0 * np.array([[0.0, 1.1759421351809868e-282, -1.0],
+                            [0.0, 0.0, 1.0],
+                            [3.921875, 0.0, 1.0]])
+        assert spectral_radius(M) == pytest.approx(math.sqrt(35.296875), rel=1e-14)
+
     @given(small_matrices(3), st.floats(-4, 4, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_scaling_homogeneity(self, M, c):
