@@ -228,7 +228,6 @@ class EigenAnalysis:
     rho: float
     classification: str
     leading_vector: Optional[np.ndarray]
-    gap_ratio: float
     leading_sign: int = 1
 
 
@@ -263,24 +262,23 @@ def leading_eigen_analysis(matrix) -> EigenAnalysis:
     rho = _top_modulus(M, eigvals, eigvecs)
     scale = max(1.0, float(np.max(np.abs(M))))
     if rho <= _ZERO_RADIUS_TOL * scale:
-        return EigenAnalysis(0.0, ZERO_RADIUS, None, 1.0, 1)
+        return EigenAnalysis(0.0, ZERO_RADIUS, None, 1)
 
     sorted_mods = np.sort(mods)[::-1]
     second = float(sorted_mods[1]) if d > 1 else None
-    gap_ratio = 1.0 if second is None else min(1.0, second / rho)
     unique_simple = second is None or (rho - second) >= GAP_TOL_DEFAULT * rho
 
     shell = [i for i in range(d) if mods[i] >= rho * (1.0 - GAP_TOL_DEFAULT)]
     real_shell = [i for i in shell if abs(eigvals[i].imag) <= rho * 1e-10]
     if not real_shell:
-        return EigenAnalysis(rho, COMPLEX_LEADING, None, gap_ratio, 1)
+        return EigenAnalysis(rho, COMPLEX_LEADING, None, 1)
 
     # Deterministic pick: largest modulus, then positive sign, then index.
     pick = min(real_shell, key=lambda i: (-mods[i], 0 if eigvals[i].real > 0 else 1, i))
     vector = _real_eigenvector(eigvecs[:, pick])
     sign = 1 if eigvals[pick].real >= 0 else -1
     classification = REAL_SIMPLE_UNIQUE if unique_simple else REAL_MULTIPLE
-    return EigenAnalysis(rho, classification, vector, gap_ratio, sign)
+    return EigenAnalysis(rho, classification, vector, sign)
 
 
 def dual_leading_eigenvector(matrix, vector: np.ndarray) -> np.ndarray:

@@ -13,6 +13,20 @@ mode-R balanced-hull programs from their best cached support.  A started
 solve that fails is solved again without its start.  Every other program
 runs the two-phase primal simplex.
 
+Pivoting accumulates error, so every 25 pivots, and before either loop
+reports any status but unbounded, the tableau is rebuilt for the current
+basis from the unpivoted, equilibrated system: its basic values by one
+solve and one step of iterative refinement, the rest of the tableau by one
+more solve.  The rebuild refuses a basis whose basis matrix is singular,
+whose rebuild is not finite, or whose basic values (in the dual loop, its
+reduced costs) fall below -1e-7, and otherwise clips their round-off below
+zero.  A refused basis keeps its pivoted tableau, except in a started
+solve, which raises :class:`LPCyclingError` instead so that
+:func:`solve_lp` solves the program again without the start.  Since a loop
+reports such a status only right after a rebuild, phase 1's feasibility
+check and the final recovery read the basic values that rebuild solved
+for: each final basis is solved once.
+
 The solver is deterministic: identical inputs produce identical pivot
 sequences and outcomes.  After a long run of degenerate pivots either
 loop switches to Bland's rule (smallest index), which cannot cycle.
@@ -90,69 +104,6 @@ def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
     T -= factors[:, None] * T[leave]
 
 
-def _basic_solution(A: np.ndarray, b: np.ndarray,
-                    basis: List[int]) -> Optional[np.ndarray]:
-    """Values of the basic variables of ``A y = b`` for ``basis``.
-
-    Solved from the unpivoted system, which removes the error pivoting
-    accumulates; one step of iterative refinement recovers digits lost to
-    conditioning.  Returns None when the basis matrix is singular or the
-    solution is not finite.
-    """
-    B = A[:, basis]
-    try:
-        y = np.linalg.solve(B, b)
-        y += np.linalg.solve(B, b - B @ y)
-    except np.linalg.LinAlgError:
-        return None
-    return y if np.all(np.isfinite(y)) else None
-
-
-def _nonnegative(x: np.ndarray) -> Optional[np.ndarray]:
-    """``x`` with round-off below zero clipped away, or None when an entry
-    is truly negative.  A program without rows has no basic values, hence
-    ``initial``."""
-    if float(x.min(initial=0.0)) < -1e-7:
-        return None
-    return np.clip(x, 0.0, None)
-
-
-def _primal_feasible(rhs: np.ndarray, reduced: np.ndarray):
-    """A rebuilt tableau cleaned to the primal loop's invariant, nonnegative
-    basic values, or None when its basis drifted out of it."""
-    rhs = _nonnegative(rhs)
-    return None if rhs is None else (rhs, reduced)
-
-
-def _dual_feasible(rhs: np.ndarray, reduced: np.ndarray):
-    """As :func:`_primal_feasible`, for the dual loop's nonnegative reduced
-    costs."""
-    reduced = _nonnegative(reduced)
-    return None if reduced is None else (rhs, reduced)
-
-
-def _refresh(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor) -> None:
-    """Replace the tableau and objective row by ``refactor``'s rebuild of
-    them from the unpivoted system, unless it refused the basis."""
-    rebuilt = refactor(basis)
-    if rebuilt is not None:
-        T[:] = rebuilt[0]
-        obj[:] = rebuilt[1]
-
-
-def _refusal_raises(refactor):
-    """``refactor`` for a solve from a caller's basis: a basis it refuses,
-    the start or a later one, raises :class:`LPCyclingError`, so that
-    :func:`solve_lp` solves the program again without the start rather than
-    pivot from a basis that is singular or out of feasibility."""
-    def strict(basis: List[int]):
-        rebuilt = refactor(basis)
-        if rebuilt is None:
-            raise LPCyclingError("the refactor refused a basis of the started solve")
-        return rebuilt
-    return strict
-
-
 def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
            choose) -> Tuple[str, int]:
     """Pivot until ``choose`` reports a status; returns it and the number of
@@ -162,16 +113,12 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
     column; ``obj`` is the reduced-cost row with ``obj[-1]`` holding the
     negative of the current objective value.  ``choose(bland)`` returns a
     ``(leave, enter, degenerate)`` pivot, ``None`` to look again, or a
-    status.  An unbounded ray is final; any other status is confirmed on a
-    freshly rebuilt tableau first.  After a long run of degenerate pivots
-    ``bland`` turns on, and ``choose`` must then follow Bland's rule, which
-    cannot cycle.
+    status.  After a long run of degenerate pivots ``bland`` turns on, and
+    ``choose`` must then follow Bland's rule, which cannot cycle.
 
-    ``refactor`` maps the current basis to a tableau and objective row
-    rebuilt from the unpivoted system.  It is applied every few pivots and
-    again before a status is confirmed, so errors that accumulate across
-    pivots on ill-conditioned problems are flushed instead of corrupting
-    ratio tests and the reported objective.
+    ``refactor(basis, T, obj)`` is the rebuild of the module docstring.  It
+    runs every 25 pivots and again before any status but unbounded is
+    returned, so that status is confirmed on a fresh tableau.
     """
     m, width = T.shape
     cap = 2000 + 200 * (m + width - 1)
@@ -182,16 +129,19 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
     pivots = 0
     for _ in range(cap):
         if since_refactor >= 25:
-            _refresh(T, obj, basis, refactor)
+            refactor(basis, T, obj)
             since_refactor = 0
             fresh = True
         step = choose(bland)
         if step is None:
             continue
         if isinstance(step, str):
+            # Only an unbounded ray returns without a rebuild since the
+            # last pivot: any other status comes right after the current
+            # basis was rebuilt, and the caller may read its basic values.
             if step == UNBOUNDED or fresh:
                 return step, pivots
-            _refresh(T, obj, basis, refactor)
+            refactor(basis, T, obj)
             since_refactor = 0
             fresh = True
             continue
@@ -334,8 +284,8 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
     variable basic in that row (a free variable's nonnegative part), or
     ``None`` for the row's own slack, which needs an inequality row.
     Phase 2 runs from that basis alone, on a tableau without artificial
-    columns.  The started solve raises :class:`LPCyclingError` when its
-    refactor refuses that basis or a later one as singular or infeasible,
+    columns.  The started solve raises :class:`LPCyclingError` when the
+    rebuild (see the module docstring) refuses that basis or a later one,
     or when its pivots cycle (the ratio test's absolute tie tolerance can
     pick a pivot that leaves a row negative); the program is then solved
     again without the start, so the outcome is the unstarted one.
@@ -428,43 +378,56 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         T[T[:, -1] < 0] *= -1.0
         T[:, art0:total] = np.eye(m, nart)
         basis = list(range(art0, total))
-    # Pristine copy for re-solving the final basic system: pivoting drifts.
+    # The unpivoted system the rebuild solves, and the basic values, before
+    # clipping, that the last rebuild solved for (None when its basis
+    # matrix was singular or they were not finite).
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
+    solved = None
 
-    def make_refactor(cost_full: np.ndarray, invariant):
-        def refactor(basis_now: List[int]):
-            rhs = _basic_solution(A_std, b_std, basis_now)
-            if rhs is None:
-                return None
+    def make_refactor(cost_full: np.ndarray, dual: bool = False,
+                      strict: bool = False):
+        """The rebuild for a loop over the costs ``cost_full``: it rewrites
+        ``T`` and ``obj`` in place, or refuses the basis and keeps them,
+        raising instead when ``strict``.  ``dual`` checks the reduced costs
+        instead of the basic values."""
+        def refactor(basis_now: List[int], T: np.ndarray, obj: np.ndarray) -> None:
+            nonlocal solved
+            B = A_std[:, basis_now]
             try:
-                Binv_A = np.linalg.solve(A_std[:, basis_now], A_std)
+                y = np.linalg.solve(B, b_std)
+                y += np.linalg.solve(B, b_std - B @ y)
+                Binv_A = np.linalg.solve(B, A_std)
             except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(Binv_A)):
-                return None
-            cb = cost_full[np.asarray(basis_now, dtype=int)]
-            # A basis that drifted out of the loop's invariant would break
-            # the loop if rebuilt from, so the tableau is kept instead.
-            kept = invariant(rhs, cost_full - cb @ Binv_A)
-            if kept is None:
-                return None
-            rhs, reduced = kept
-            return (np.column_stack((Binv_A, rhs)),
-                    np.append(reduced, -float(cb @ rhs)))
+                y = Binv_A = None
+            solved = y if y is not None and np.all(np.isfinite(y)) else None
+            if solved is not None and np.all(np.isfinite(Binv_A)):
+                cb = cost_full[np.asarray(basis_now, dtype=int)]
+                reduced = cost_full - cb @ Binv_A
+                # A program without rows has no basic values, hence initial.
+                if float((reduced if dual else y).min(initial=0.0)) >= -1e-7:
+                    if dual:
+                        reduced = np.clip(reduced, 0.0, None)
+                    else:
+                        y = np.clip(y, 0.0, None)
+                    T[:, :-1] = Binv_A
+                    T[:, -1] = y
+                    obj[:-1] = reduced
+                    obj[-1] = -float(cb @ y)
+                    return
+            if strict:
+                raise LPCyclingError("the rebuild refused a basis of the started solve")
         return refactor
 
     cost2 = np.zeros(total)
     cost2[:ncols] = cost
     allowed = np.ones(total, dtype=bool)
-    refactor2 = make_refactor(cost2, _primal_feasible)
+    refactor2 = make_refactor(cost2, strict=start is not None)
     pivots1 = 0
     if start is not None:
-        # A start the refactor refuses raises, as a later refused basis
-        # does, and solve_lp solves the program again without it.
-        refactor2 = _refusal_raises(refactor2)
         basis = _start_columns(start, ineq, col, ncols)
-        T[:], obj = refactor2(basis)
+        obj = np.empty(total + 1)
+        refactor2(basis, T, obj)
     elif dual:
         obj = np.append(cost2, 0.0)
         # A basic variable's scale is the largest rhs, or for a slack its
@@ -475,7 +438,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         basic_scale[ncols:] = np.where(b_std != 0.0, np.abs(b_std), 1e-4 * bmax)
         xtol = DUAL_TOL * basic_scale
         status, pivots1 = _dual_loop(T, obj, basis, xtol,
-                                     make_refactor(cost2, _dual_feasible))
+                                     make_refactor(cost2, dual=True))
         if status == INFEASIBLE:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1)
     else:
@@ -486,15 +449,15 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         for r in range(m):
             obj -= T[r]
         status, pivots1 = _pivot_loop(T, obj, basis, allowed, True,
-                                      make_refactor(cost1, _primal_feasible))
+                                      make_refactor(cost1))
         if status != OPTIMAL:
             raise LPCyclingError("phase 1 reported unbounded, which is impossible")
         # The tableau estimate of the artificial sum drifts over many pivots;
-        # recompute it from the pristine system before judging feasibility.
+        # judge feasibility by the final basis's values from the pristine
+        # system instead.
         art_sum = -obj[-1]
-        y_basic = _basic_solution(A_std, b_std, basis)
-        if y_basic is not None:
-            art_sum = sum(max(float(y_basic[r]), 0.0)
+        if solved is not None:
+            art_sum = sum(max(float(solved[r]), 0.0)
                           for r in range(m) if basis[r] >= art0)
         if art_sum > FEAS_TOL:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1)
@@ -521,10 +484,11 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     if status == UNBOUNDED:
         return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started)
 
-    # Recover the basic solution from the unpivoted system as well as the
-    # tableau's.  When the basis matrix is ill conditioned the tableau
-    # solution can be the better of the two, so both are checked against
-    # the original constraints and the cleaner one wins.
+    # Recover the basic solution from the tableau and, as the confirming
+    # rebuild solved it, from the unpivoted system.  When the basis matrix
+    # is ill conditioned the tableau solution can be the better of the two,
+    # so both are checked against the original constraints and the cleaner
+    # one wins.
     def to_x(y_basic: np.ndarray) -> np.ndarray:
         y = np.zeros(total)
         y[basis] = y_basic
@@ -547,10 +511,9 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         return float(np.fmax.reduce(r / scale, initial=0.0))
 
     candidates_x = [to_x(T[:, -1])]
-    y_basic = _basic_solution(A_std, b_std, basis)
-    if y_basic is not None:
-        y_basic[np.abs(y_basic) < 1e-13] = 0.0
-        candidates_x.append(to_x(y_basic))
+    if solved is not None:
+        solved[np.abs(solved) < 1e-13] = 0.0
+        candidates_x.append(to_x(solved))
     scored = sorted(((violation(x), i) for i, x in enumerate(candidates_x)))
     worst, pick = scored[0]
     x = candidates_x[pick]

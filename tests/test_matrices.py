@@ -193,7 +193,6 @@ class TestLeadingEigenAnalysis:
         assert ea.classification == REAL_SIMPLE_UNIQUE
         assert ea.rho == pytest.approx(2.0)
         assert np.allclose(ea.leading_vector, [1.0, 0.0])
-        assert ea.gap_ratio == pytest.approx(0.5)
 
     def test_rotation_is_complex_leading(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from polyrad import LinearProgram, solve_lp
-from polyrad.simplex import INFEASIBLE, LPFormatError, OPTIMAL, UNBOUNDED
+from polyrad import LinearProgram, simplex, solve_lp
+from polyrad.simplex import (INFEASIBLE, LPCyclingError, LPFormatError, OPTIMAL,
+                             UNBOUNDED)
 
 INF = float("inf")
 
@@ -294,6 +295,74 @@ class TestStartBasis:
                            [(0.0, None), (0.0, None)])
         with pytest.raises(LPFormatError):
             solve_lp(lp, start=[None, 1])
+
+
+def _broken_solve(solve, cause):
+    """``np.linalg.solve`` broken so that every rebuild of the tableau from
+    the unpivoted system is refused for ``cause``.  The rebuild solves for
+    the basic values with a vector right-hand side and for the tableau with
+    a matrix one."""
+    def broken(B, b):
+        if cause == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        x = solve(B, b)
+        if cause == "non-finite":
+            return np.full_like(x, np.inf)
+        # Basic values 1e6 too low, and in "negative-reduced-costs" a
+        # tableau 1e6 too high as well, so that the reduced costs of every
+        # basis with a basic variable of positive cost fall by 1e6 or more.
+        if b.ndim == 1:
+            return x - 1e6
+        return x + 1e6 if cause == "negative-reduced-costs" else x
+    return broken
+
+
+class TestRebuild:
+    """The one rebuild of the tableau from the unpivoted system (see the
+    module docstring of :mod:`polyrad.simplex`)."""
+
+    LP = TestStartBasis.LP
+    COVERING = TestStartBasis.COVERING
+
+    @pytest.mark.parametrize("lp, start, solves", [
+        (LP, [0, 1], 6), (LP, None, 6), (COVERING, None, 6),
+    ], ids=["started", "two-phase", "dual-path"])
+    def test_each_final_basis_is_solved_once(self, monkeypatch, lp, start, solves):
+        # Three solves per rebuild.  The started solve rebuilds its start
+        # and confirms it; the other two confirm the end of their first
+        # loop and of phase 2.  Phase 1's feasibility check and the final
+        # recovery read the basic values of the confirming rebuild.
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        assert solve_lp(lp, start=start).value == pytest.approx(1.0)
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("lp, start, cause", [
+        (LP, [0, 1], "singular"),
+        (LP, [0, 1], "non-finite"),
+        (LP, [0, 1], "negative-basic-values"),
+        (COVERING, [0, 1], "negative-reduced-costs"),
+    ], ids=["singular", "non-finite", "negative-basic-values",
+            "negative-reduced-costs"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_refused_rebuild_keeps_the_tableau(self, monkeypatch, lp, start, cause):
+        # Unstarted, every refused rebuild keeps the pivoted tableau and the
+        # optimum is still found.  Started, the refused start raises inside
+        # the solver, and solve_lp solves the program again without it.
+        monkeypatch.setattr(np.linalg, "solve", _broken_solve(np.linalg.solve, cause))
+        with pytest.raises(LPCyclingError, match="refused"):
+            simplex._solve(lp, False, start)
+        plain = solve_lp(lp)
+        assert plain.status == OPTIMAL
+        assert plain.value == pytest.approx(1.0)
+        assert not plain.started
+        out = solve_lp(lp, start=start)
+        assert (out.status, out.value, out.phase1_pivots, out.phase2_pivots,
+                out.started) == (plain.status, plain.value, plain.phase1_pivots,
+                                 plain.phase2_pivots, False)
+        assert np.array_equal(out.assignment, plain.assignment)
 
 
 class TestDeterminism:
