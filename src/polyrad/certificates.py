@@ -10,7 +10,9 @@ never trusts engine state.
 
 Serialization is canonical: keys appear in a fixed order and every float
 is rendered with 17 significant digits, so equal certificates serialize
-to identical text and round-trip exactly.
+to identical text and round-trip exactly.  A family file is its family's
+canonical text, which :func:`family_fingerprint` hashes, and one parser
+reads both kinds of file.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .membership import (
 )
 
 CERT_VERSION = 1
+FAMILY_FILE_VERSION = 1
 POS_TOL_DEFAULT = 1e-12
 # The largest run tolerance a certificate may record (verify allows 10x).
 MAX_TOLERANCE = 1e-6
@@ -91,11 +94,13 @@ def _render(obj) -> str:
 
 
 def family_canonical_text(family: MatrixFamily) -> str:
-    """Canonical serialization of a family used for fingerprinting."""
+    """Canonical serialization of a family: its family file's text, and
+    what its fingerprint hashes.  A zero is written as ``0`` whatever its
+    sign, since the reader returns ``-0`` as ``+0.0``."""
     payload = {
-        "version": 1,
+        "version": FAMILY_FILE_VERSION,
         "dim": family.dim,
-        "matrices": [[[float(x) for x in row] for row in M]
+        "matrices": [[[float(x) + 0.0 for x in row] for row in M]
                      for M in family.matrices],
     }
     return _render(payload)
@@ -125,7 +130,7 @@ def _number(literal) -> float:
     """``float(literal)``, refusing NaN, infinities and overflow (1e999)."""
     x = float(literal)
     if not math.isfinite(x):
-        raise CertificateFormatError("certificate holds the non-finite %s" % literal)
+        raise CertificateFormatError("non-finite number %s" % literal)
     return x
 
 
@@ -144,32 +149,39 @@ _FIELDS = (("version", {int}), ("mode", {str}), ("family_fingerprint", {str}),
            ("tolerance", _NUMBER))
 
 
-def _vectors(value: list, key: str) -> Tuple[np.ndarray, ...]:
-    """A list of lists of JSON numbers as float vectors."""
-    if not all(isinstance(v, list) and set(map(type, v)) <= _NUMBER for v in value):
-        raise CertificateFormatError("certificate %s must be lists of numbers" % key)
-    return tuple(np.asarray(v, dtype=float) for v in value)
-
-
-def deserialize(text: str) -> Certificate:
+def _parse(text: str, what: str, fields) -> dict:
+    """The JSON object in ``text``, holding ``fields`` with their types."""
     try:
         raw = json.loads(text, parse_float=_number, parse_int=_integer,
                          parse_constant=_number)
     except json.JSONDecodeError as exc:
-        raise CertificateFormatError("certificate is not valid JSON: %s" % exc)
+        raise CertificateFormatError("%s is not valid JSON: %s" % (what, exc))
     if not isinstance(raw, dict):
-        raise CertificateFormatError("certificate must be a JSON object")
-    for key, types in _FIELDS:
+        raise CertificateFormatError("%s must be a JSON object" % what)
+    for key, types in fields:
         if key not in raw:
-            raise CertificateFormatError("certificate is missing field %r" % key)
+            raise CertificateFormatError("%s is missing field %r" % (what, key))
         if type(raw[key]) not in types:
-            raise CertificateFormatError("certificate %s has the wrong type" % key)
+            raise CertificateFormatError("%s %s has the wrong type" % (what, key))
+    return raw
+
+
+def _vectors(value, what: str) -> Tuple[np.ndarray, ...]:
+    """A list of lists of JSON numbers as float vectors."""
+    if type(value) is not list or not all(
+            type(v) is list and set(map(type, v)) <= _NUMBER for v in value):
+        raise CertificateFormatError("%s must be lists of numbers" % what)
+    return tuple(np.asarray(v, dtype=float) for v in value)
+
+
+def deserialize(text: str) -> Certificate:
+    raw = _parse(text, "certificate", _FIELDS)
     if raw["mode"] not in MODES:
         raise CertificateFormatError("unknown certificate mode %r" % (raw["mode"],))
     word = tuple(raw["word"])
     if not word or any(type(i) is not int or i < 1 for i in word):
         raise CertificateFormatError("certificate word must be positive indices")
-    vertices = _vectors(raw["vertices"], "vertices")
+    vertices = _vectors(raw["vertices"], "certificate vertices")
     if not vertices:
         raise CertificateFormatError("certificate must contain vertices")
     cone = raw["cone_H"]
@@ -180,10 +192,27 @@ def deserialize(text: str) -> Certificate:
         word=word,
         rho_per_step=float(raw["rho_per_step"]),
         vertices=vertices,
-        cone_H=None if cone is None else _vectors(cone, "cone_H"),
+        cone_H=None if cone is None else _vectors(cone, "certificate cone_H"),
         iterations=raw["iterations"],
         tolerance=float(raw["tolerance"]),
     )
+
+
+def deserialize_family(text: str) -> MatrixFamily:
+    """The family in family-file text; keys other than ``version``,
+    ``dim`` and ``matrices`` are ignored.  Matrices that are not square or
+    not of one size raise a ``ValueError`` from :class:`MatrixFamily`."""
+    raw = _parse(text, "family file",
+                 (("version", {int}), ("dim", {int}), ("matrices", {list})))
+    if raw["version"] != FAMILY_FILE_VERSION:
+        raise CertificateFormatError("unsupported family file version %r"
+                                     % (raw["version"],))
+    family = MatrixFamily(_vectors(M, "family file matrices")
+                          for M in raw["matrices"])
+    if family.dim != raw["dim"]:
+        raise CertificateFormatError("declared dim %r does not match the "
+                                     "matrices" % (raw["dim"],))
+    return family
 
 
 def spans_check(vertices, mode: str) -> bool:

@@ -23,13 +23,14 @@ import numpy as np
 
 from . import __version__
 from .certificates import (
-    CertificateFormatError,
     deserialize,
+    deserialize_family,
+    family_canonical_text,
     family_fingerprint,
     serialize,
     verify,
 )
-from .datasets import DatasetSpec, RANDOM_KINDS, build
+from . import datasets
 from .engine import (
     ITERATION_CAPPED,
     MODE_L,
@@ -49,51 +50,25 @@ EXIT_BUDGET = 3
 
 CSV_HEADER = "seed,dim,mode,status,value_lo,value_hi,word,iters,vertices"
 
-FAMILY_FILE_VERSION = 1
-
 
 class FamilyFileError(ValueError):
     """Raised for malformed family files."""
 
 
 def load_family(path: str) -> MatrixFamily:
-    """Read a family file (JSON: version, dim, matrices, optional labels)."""
+    """Read a family file, by the rules of certificate text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return deserialize_family(handle.read())
     except OSError as exc:
         raise FamilyFileError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise FamilyFileError("%s is not valid JSON: %s" % (path, exc))
-    if not isinstance(raw, dict):
-        raise FamilyFileError("family file must be a JSON object")
-    for key in ("version", "dim", "matrices"):
-        if key not in raw:
-            raise FamilyFileError("family file is missing field %r" % key)
-    if type(raw["version"]) is not int or raw["version"] != FAMILY_FILE_VERSION:
-        raise FamilyFileError("unsupported family file version %r"
-                              % (raw["version"],))
-    try:
-        family = MatrixFamily(raw["matrices"], raw.get("labels"))
-    except (TypeError, ValueError) as exc:
-        raise FamilyFileError("bad matrices in %s: %s" % (path, exc))
-    if type(raw["dim"]) is not int or family.dim != raw["dim"]:
-        raise FamilyFileError("declared dim %r does not match the matrices"
-                              % (raw["dim"],))
-    return family
+    except ValueError as exc:  # also text that is not UTF-8
+        raise FamilyFileError("%s: %s" % (path, exc))
 
 
 def dump_family(family: MatrixFamily, stream) -> None:
-    payload = {
-        "version": FAMILY_FILE_VERSION,
-        "dim": family.dim,
-        "matrices": [[[float(x) for x in row] for row in M]
-                     for M in family.matrices],
-    }
-    if family.labels is not None:
-        payload["labels"] = list(family.labels)
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    """Write the family's canonical text, the text its fingerprint hashes."""
+    stream.write(family_canonical_text(family) + "\n")
 
 
 def _format_word(word) -> str:
@@ -249,7 +224,7 @@ def cmd_verify(args) -> int:
         print("error: cannot read %s: %s" % (args.certificate, exc),
               file=sys.stderr)
         return EXIT_ERROR
-    except CertificateFormatError as exc:
+    except ValueError as exc:  # CertificateFormatError, or not UTF-8
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     report = verify(family, cert)
@@ -267,11 +242,25 @@ def cmd_verify(args) -> int:
     return EXIT_ERROR
 
 
+def _dataset(args) -> MatrixFamily:
+    """The family that ``polyrad dataset`` names."""
+    if args.name == "euler-binary":
+        if args.r is None:
+            raise ValueError("euler-binary requires --r")
+        return datasets.euler_binary(args.r)
+    if args.name == "random":
+        if None in (args.kind, args.d, args.m, args.seed):
+            raise ValueError("random requires --kind, --d, --m and --seed")
+        return datasets.random_family(args.kind, args.d, args.m, args.seed,
+                                      args.density)
+    return {"pascal-rhombus": datasets.pascal_rhombus,
+            "overlap-free": datasets.overlap_free,
+            "euler-ternary-14": datasets.euler_ternary_14}[args.name]()
+
+
 def cmd_dataset(args) -> int:
-    spec = DatasetSpec(name=args.name, r=args.r, kind=args.kind, dim=args.d,
-                       size=args.m, seed=args.seed, density=args.density)
     try:
-        family = build(spec)
+        family = _dataset(args)
     except (ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
@@ -305,9 +294,8 @@ def cmd_bench(args) -> int:
     worst = EXIT_OK
     for seed in seeds:
         try:
-            family = build(DatasetSpec(name="random", kind=args.kind,
-                                       dim=args.d, size=args.m, seed=seed,
-                                       density=args.density))
+            family = datasets.random_family(args.kind, args.d, args.m, seed,
+                                            args.density)
             config = RunConfig(
                 mode=_engine_mode(args.mode, family),
                 max_candidate_length=args.max_length,
@@ -363,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "overlap-free", "euler-ternary-14",
                                        "random"))
     data.add_argument("--r", type=int, default=None, help="euler-binary order")
-    data.add_argument("--kind", choices=RANDOM_KINDS, default=None)
+    data.add_argument("--kind", choices=datasets.RANDOM_KINDS, default=None)
     data.add_argument("--d", type=int, default=None, help="dimension")
     data.add_argument("--m", type=int, default=None, help="family size")
     data.add_argument("--seed", type=int, default=None)
@@ -372,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     data.set_defaults(func=cmd_dataset)
 
     bench = sub.add_parser("bench", help="sweep seeded random families")
-    bench.add_argument("--kind", choices=RANDOM_KINDS, required=True)
+    bench.add_argument("--kind", choices=datasets.RANDOM_KINDS, required=True)
     bench.add_argument("--d", type=int, required=True)
     bench.add_argument("--m", type=int, required=True)
     bench.add_argument("--mode", choices=("jsr", "lsr"), default="jsr")

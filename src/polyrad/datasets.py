@@ -11,7 +11,6 @@ seed and the generator algorithm, not on any sampler internals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,19 +18,6 @@ import numpy as np
 from .matrices import MatrixFamily, spectral_radius
 
 RANDOM_KINDS = ("gaussian-equal-norm", "nonneg-uniform", "binary")
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """A reproducible description of a dataset request."""
-
-    name: str
-    r: Optional[int] = None
-    kind: Optional[str] = None
-    dim: Optional[int] = None
-    size: Optional[int] = None
-    seed: Optional[int] = None
-    density: Optional[float] = None
 
 
 def euler_binary(r: int) -> MatrixFamily:
@@ -52,7 +38,7 @@ def euler_binary(r: int) -> MatrixFamily:
                 if 2 - s <= 2 * j - i <= r - s + 1:
                     M[i - 1, j - 1] = 1.0
         mats.append(M)
-    return MatrixFamily(mats, ("A1", "A2"))
+    return MatrixFamily(mats)
 
 
 def pascal_rhombus() -> MatrixFamily:
@@ -67,7 +53,7 @@ def pascal_rhombus() -> MatrixFamily:
           [1, 1, 0, 0, 0],
           [0, 0, 0, 0, 0],
           [0, 1, 0, 0, 0]]
-    return MatrixFamily([A1, A2], ("A1", "A2"))
+    return MatrixFamily([A1, A2])
 
 
 def overlap_free() -> MatrixFamily:
@@ -116,7 +102,7 @@ def overlap_free() -> MatrixFamily:
         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     ]
-    return MatrixFamily([A1, A2], ("A1", "A2"))
+    return MatrixFamily([A1, A2])
 
 
 def euler_ternary_14() -> MatrixFamily:
@@ -142,7 +128,7 @@ def euler_ternary_14() -> MatrixFamily:
           [0, 1, 1, 1, 1, 1, 0],
           [0, 1, 1, 1, 1, 1, 0],
           [0, 0, 1, 1, 1, 1, 0]]
-    return MatrixFamily([A1, A2, A3], ("A1", "A2", "A3"))
+    return MatrixFamily([A1, A2, A3])
 
 
 # Coefficients of the three rational approximations of the Cephes ndtri
@@ -247,24 +233,3 @@ def random_family(kind: str, dim: int, size: int, seed: int,
         return MatrixFamily([M / r for M, r in zip(mats, radii)])
     raise RuntimeError("could not draw a binary family without zero rows or "
                        "columns in 100 attempts; raise the density")
-
-
-def build(spec: DatasetSpec) -> MatrixFamily:
-    """Materialize a family from a dataset spec."""
-    if spec.name == "euler-binary":
-        if spec.r is None:
-            raise ValueError("euler-binary requires r")
-        return euler_binary(spec.r)
-    if spec.name == "pascal-rhombus":
-        return pascal_rhombus()
-    if spec.name == "overlap-free":
-        return overlap_free()
-    if spec.name == "euler-ternary-14":
-        return euler_ternary_14()
-    if spec.name == "random":
-        if spec.kind is None or spec.dim is None or spec.size is None \
-                or spec.seed is None:
-            raise ValueError("random requires kind, dim, size, and seed")
-        return random_family(spec.kind, spec.dim, spec.size, spec.seed,
-                             spec.density)
-    raise ValueError("unknown dataset %r" % (spec.name,))

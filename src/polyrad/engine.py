@@ -322,8 +322,9 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                                         node.chain)
         # A revisit may be culled only when its membership value certifies
         # it on or inside the current polytope; otherwise it is a genuinely
-        # new (if nearby) point and must stay alive.
-        if _is_duplicate(z, state.vertices) and spec.sign * t >= spec.sign:
+        # new (if nearby) point and must stay alive.  The O(1) test on t
+        # runs first, so few points pay for the scan of the vertices.
+        if spec.sign * t >= spec.sign and _is_duplicate(z, state.vertices):
             continue
         state.nodes.append(VertexNode(vid, p, chain=node.chain))
         state.vertices = np.vstack((state.vertices, z))

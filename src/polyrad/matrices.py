@@ -51,9 +51,8 @@ class MatrixFamily:
     """An ordered, finite family of real square matrices of equal dimension."""
 
     matrices: Tuple[np.ndarray, ...]
-    labels: Optional[Tuple[str, ...]] = None
 
-    def __init__(self, matrices: Iterable, labels: Optional[Sequence[str]] = None):
+    def __init__(self, matrices: Iterable):
         mats = tuple(_as_square(M) for M in matrices)
         if not mats:
             raise MatrixError("a matrix family must contain at least one matrix")
@@ -66,12 +65,7 @@ class MatrixFamily:
             M = M.copy()
             M.setflags(write=False)
             frozen.append(M)
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != len(frozen):
-                raise MatrixError("labels length must match the number of matrices")
         object.__setattr__(self, "matrices", tuple(frozen))
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -94,10 +88,10 @@ class MatrixFamily:
         """Return the family with every matrix multiplied by ``factor``."""
         if not np.isfinite(factor):
             raise MatrixError("scaling factor must be finite")
-        return MatrixFamily([factor * M for M in self.matrices], self.labels)
+        return MatrixFamily([factor * M for M in self.matrices])
 
     def transposed(self) -> "MatrixFamily":
-        return MatrixFamily([M.T for M in self.matrices], self.labels)
+        return MatrixFamily([M.T for M in self.matrices])
 
 
 def _check_word(word: Sequence[int], size: Optional[int] = None) -> Word:

@@ -43,7 +43,7 @@ def example_pair_jsr():
     """2x2 pair with a known closed-form joint spectral radius."""
     A1 = np.array([[1.0, 1.0], [0.0, 1.0]])
     A2 = 0.9 * np.array([[1.0, 0.0], [1.0, 1.0]])
-    return MatrixFamily((A1, A2), ("A1", "A2"))
+    return MatrixFamily((A1, A2))
 
 
 @pytest.fixture
@@ -51,7 +51,7 @@ def example_pair_lsr():
     """2x2 pair with a known closed-form lower spectral radius."""
     A1 = np.array([[7.0, 0.0], [2.0, 3.0]])
     A2 = np.array([[2.0, 4.0], [0.0, 8.0]])
-    return MatrixFamily((A1, A2), ("A1", "A2"))
+    return MatrixFamily((A1, A2))
 
 
 @pytest.fixture
@@ -59,4 +59,4 @@ def slow_converging_pair():
     """2x2 pair whose default run never terminates (boundary revisits)."""
     A1 = np.array([[1.0, 1.0], [0.0, 1.0]])
     A2 = 0.8 * np.array([[1.0, 0.0], [1.0, 1.0]])
-    return MatrixFamily((A1, A2), ("A1", "A2"))
+    return MatrixFamily((A1, A2))

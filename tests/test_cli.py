@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import polyrad
-from polyrad import MatrixFamily, RunConfig
+from polyrad import MatrixFamily, RunConfig, datasets, family_fingerprint
 from polyrad.cli import (
     CSV_HEADER,
     FamilyFileError,
@@ -18,8 +19,8 @@ from polyrad.cli import (
 )
 
 
-def write_family(path, matrices, labels=None):
-    fam = MatrixFamily(matrices, labels)
+def write_family(path, matrices):
+    fam = MatrixFamily(matrices)
     with open(path, "w", encoding="utf-8") as handle:
         dump_family(fam, handle)
     return str(path)
@@ -48,11 +49,64 @@ def slow_file(tmp_path):
 
 class TestFamilyFiles:
     def test_round_trip(self, tmp_path):
-        path = write_family(tmp_path / "f.json",
-                            [np.eye(2), np.ones((2, 2))], labels=["I", "J"])
+        path = write_family(tmp_path / "f.json", [np.eye(2), np.ones((2, 2))])
         fam = load_family(path)
         assert fam.dim == 2 and fam.size == 2
-        assert fam.labels == ("I", "J")
+
+    def test_indented_file_with_labels_loads(self, tmp_path):
+        # The layout written before family files became canonical text.
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(
+            {"version": 1, "dim": 2,
+             "matrices": [[[1.0, 1.0], [0.0, 1.0]], [[0.9, 0.0], [0.9, 0.9]]],
+             "labels": ["A1", "A2"]}, indent=2) + "\n")
+        fam = load_family(str(old))
+        assert fam.size == 2
+        assert np.array_equal(fam.matrix(2), 0.9 * np.array([[1, 0], [1, 1]]))
+        assert main(["compute", "--input", str(old), "--max-length", "4"]) == 0
+
+    def test_negative_zero_keeps_the_fingerprint(self, tmp_path):
+        fam = MatrixFamily([np.array([[1.0, -0.0], [0.5, 1.0]])])
+        path = str(tmp_path / "f.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            dump_family(fam, handle)
+        assert family_fingerprint(load_family(path)) == family_fingerprint(fam)
+
+    @pytest.mark.parametrize("literal", ['"1"', "true", "NaN", "Infinity",
+                                         "-Infinity", "1e999", "null", "[1]"])
+    def test_entry_that_is_not_a_finite_number(self, tmp_path, capsys, literal):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version":1,"dim":2,"matrices":[[[1,0],[%s,1]]]}'
+                       % literal)
+        with pytest.raises(FamilyFileError) as exc:
+            load_family(str(bad))
+        reason = str(exc.value).replace(str(bad), "")
+        assert ("must be lists of numbers" in reason
+                or "non-finite number" in reason)
+        assert main(["compute", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("matrices", [[], [[]], [[[1, 0]]], [[[1, 0], [1]]],
+                                          [[[1, 0], [0, 1]], [[1]]], [5]])
+    def test_matrices_that_are_not_square(self, tmp_path, capsys, matrices):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "dim": 2,
+                                   "matrices": matrices}))
+        with pytest.raises(FamilyFileError):
+            load_family(str(bad))
+        assert main(["compute", "--input", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_text_that_is_not_utf8(self, jsr_file, tmp_path, capsys):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "wb") as handle:
+            handle.write(b"\xff\xfe{")
+        with pytest.raises(FamilyFileError):
+            load_family(bad)
+        for argv in (["compute", "--input", bad],
+                     ["verify", "--input", jsr_file, "--certificate", bad]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -234,6 +288,34 @@ class TestDataset:
         assert code == 0
         fam = load_family(out)
         assert fam.dim == 6 and fam.size == 2
+
+    @pytest.mark.parametrize("name, family", [
+        (["euler-binary", "--r", "9"], lambda: datasets.euler_binary(9)),
+        (["pascal-rhombus"], datasets.pascal_rhombus),
+        (["overlap-free"], datasets.overlap_free),
+        (["euler-ternary-14"], datasets.euler_ternary_14),
+        (["random", "--kind", "gaussian-equal-norm", "--d", "5", "--m", "3",
+          "--seed", "2"],
+         lambda: datasets.random_family("gaussian-equal-norm", 5, 3, 2)),
+        (["random", "--kind", "nonneg-uniform", "--d", "4", "--m", "2",
+          "--seed", "0"],
+         lambda: datasets.random_family("nonneg-uniform", 4, 2, 0)),
+        (["random", "--kind", "binary", "--d", "6", "--m", "2", "--seed", "3",
+          "--density", "0.4"],
+         lambda: datasets.random_family("binary", 6, 2, 3, 0.4)),
+    ])
+    def test_file_text_is_what_the_fingerprint_hashes(self, tmp_path, capsys,
+                                                      name, family):
+        out = str(tmp_path / "fam.json")
+        assert main(["dataset"] + name + ["--out", out]) == 0
+        with open(out, "rb") as handle:
+            text = handle.read()
+        assert text.endswith(b"\n")
+        loaded = load_family(out)
+        assert (hashlib.sha256(text[:-1]).hexdigest()
+                == family_fingerprint(loaded) == family_fingerprint(family()))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(loaded.matrices, family().matrices, strict=True))
 
     def test_stdout_dump(self, capsys):
         code = main(["dataset", "pascal-rhombus"])

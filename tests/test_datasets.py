@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from polyrad import spectral_radius, word_matrix
+from polyrad.cli import load_family, main
 from polyrad.datasets import (
-    DatasetSpec,
     _gaussian,
-    build,
     euler_binary,
     euler_ternary_14,
     overlap_free,
@@ -170,18 +169,23 @@ class TestRandomFamilies:
 
 
 class TestBuild:
-    def test_dispatch(self):
-        assert build(DatasetSpec("euler-binary", r=7)).dim == 6
-        assert build(DatasetSpec("pascal-rhombus")).dim == 5
-        assert build(DatasetSpec("overlap-free")).dim == 20
-        assert build(DatasetSpec("euler-ternary-14")).size == 3
-        fam = build(DatasetSpec("random", kind="binary", dim=4, size=2, seed=5))
-        assert fam.dim == 4
+    def test_dispatch(self, tmp_path, capsys):
+        out = str(tmp_path / "fam.json")
+        for args, dim, size in [
+                (["euler-binary", "--r", "7"], 6, 2),
+                (["pascal-rhombus"], 5, 2),
+                (["overlap-free"], 20, 2),
+                (["euler-ternary-14"], 7, 3),
+                (["random", "--kind", "binary", "--d", "4", "--m", "2",
+                  "--seed", "5"], 4, 2)]:
+            assert main(["dataset"] + args + ["--out", out]) == 0
+            fam = load_family(out)
+            assert (fam.dim, fam.size) == (dim, size)
 
-    def test_missing_parameters(self):
-        with pytest.raises(ValueError):
-            build(DatasetSpec("euler-binary"))
-        with pytest.raises(ValueError):
-            build(DatasetSpec("random", kind="binary"))
-        with pytest.raises(ValueError):
-            build(DatasetSpec("no-such-dataset"))
+    def test_missing_parameters(self, capsys):
+        for args in (["euler-binary"], ["random", "--kind", "binary"],
+                     ["random", "--d", "4", "--m", "2", "--seed", "5"]):
+            assert main(["dataset"] + args) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(SystemExit):
+            main(["dataset", "no-such-dataset"])

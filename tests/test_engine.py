@@ -376,6 +376,24 @@ class TestPermutedCoordinates:
     def test_permuted_euler_binary_lsr(self, r, lsr, seed):
         self._check(r, MODE_L, lsr, seed)
 
+    @pytest.mark.parametrize("d, family_seed", [(5, 4), (6, 2), (7, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_gaussian_mode_r(self, d, family_seed, seed):
+        # Signed families have no twin chain; the permuted run must still
+        # match the unpermuted one step for step.
+        fam = random_family("gaussian-equal-norm", d, 2, family_seed)
+        perm = np.random.default_rng(seed).permutation(d)
+        P = np.eye(d)[perm]
+        permuted = MatrixFamily([P @ A @ P.T for A in fam.matrices])
+        config = RunConfig(mode=MODE_R, max_candidate_length=6)
+        base, out = run(fam, config), run(permuted, config)
+        assert out.status == base.status == TERMINATED
+        assert ((out.iterations, out.vertex_count)
+                == (base.iterations, base.vertex_count))
+        assert out.value == pytest.approx(base.value, rel=1e-12)
+        report = verify(permuted, out.certificate)
+        assert report.verdict, report.failures
+
 
 class TestRootChains:
     def test_path_word_follows_the_twin_chain(self):
@@ -430,6 +448,8 @@ class TestRootChains:
         assert out.status == TERMINATED
         assert out.root_words == (cand.word,)
         assert (out.iterations, out.vertex_count) == (25, 48)
+        report = verify(fam, out.certificate)
+        assert report.verdict, report.failures
 
 
 class TestVertexArray:

@@ -35,10 +35,9 @@ def small_matrices(dim):
 
 class TestMatrixFamily:
     def test_basic_properties(self):
-        fam = MatrixFamily([np.eye(3), np.ones((3, 3))], ("I", "J"))
+        fam = MatrixFamily([np.eye(3), np.ones((3, 3))])
         assert fam.dim == 3
         assert fam.size == 2
-        assert fam.labels == ("I", "J")
         assert np.array_equal(fam.matrix(1), np.eye(3))
 
     def test_one_based_indexing(self):
