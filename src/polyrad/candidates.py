@@ -68,7 +68,10 @@ class CyclicRoot:
     permutation of the normalized candidate product; consecutive vertices
     are images of each other under the normalized generators.  ``duals``
     (when present) are the matching left eigenvectors scaled so that each
-    pairing ``(dual_i, vertex_i)`` equals 1.
+    pairing ``(dual_i, vertex_i)`` equals 1.  Both chains are checked by
+    closing their cycle; ``duals`` is ``None`` when none were asked for,
+    when the leading eigenvalue is not real, simple and unique, or when
+    the dual chain does not close.
     """
 
     scaled_family: MatrixFamily
@@ -222,15 +225,32 @@ def normalize_family(family: MatrixFamily, rho_per_step: float) -> MatrixFamily:
     return family.scaled(1.0 / rho_per_step)
 
 
+def _closed_chain(start: np.ndarray, steps, lam: float):
+    """``[start, steps[0] @ start, ..., steps[-2] @ ... @ start]``, or
+    ``None`` when the last step does not map the chain's last vector back
+    to ``lam * start`` within 1e-7 of ``max(1, max|start|)``."""
+    chain = [start]
+    for step in steps[:-1]:
+        chain.append(step @ chain[-1])
+    closure = steps[-1] @ chain[-1]
+    scale = max(1.0, float(np.max(np.abs(start))))
+    if float(np.max(np.abs(closure - lam * start))) > 1e-7 * scale:
+        return None
+    return chain
+
+
 def build_cyclic_root(scaled: MatrixFamily, candidate: Candidate,
                       with_duals: bool) -> CyclicRoot:
     """Root vertices of the cyclic tree for a normalized candidate.
 
     ``scaled`` must be the family normalized by the candidate's averaged
     spectral radius, so the candidate's product has spectral radius 1.
+    The vertices carry the product's leading eigenvector through the word,
+    and the duals its left one through the reversed word; each chain is
+    checked once, by closing its cycle (see :class:`CyclicRoot`).  A vertex
+    chain that does not close raises :class:`MatrixError`.
     """
     word = candidate.word
-    n = len(word)
     product = word_matrix(scaled, word)
     eigen = leading_eigen_analysis(product)
     if eigen.leading_vector is None:
@@ -241,53 +261,20 @@ def build_cyclic_root(scaled: MatrixFamily, candidate: Candidate,
         raise MatrixError("normalized candidate product must have unit radius")
     lam = float(eigen.leading_sign)
 
-    vertices = [eigen.leading_vector]
-    v = eigen.leading_vector
-    for i in range(1, n):
-        v = scaled.matrix(word[i - 1]) @ v
-        vertices.append(v)
-    # Closing the cycle must reproduce the first vertex up to the sign of
-    # the leading eigenvalue.
-    closure = scaled.matrix(word[n - 1]) @ vertices[-1]
-    scale = max(1.0, float(np.max(np.abs(vertices[0]))))
-    if float(np.max(np.abs(closure - lam * vertices[0]))) > 1e-7 * scale:
+    vertices = _closed_chain(eigen.leading_vector,
+                             [scaled.matrix(i) for i in word], lam)
+    if vertices is None:
         raise MatrixError("cyclic root chain failed to close up")
-
     duals: Optional[Tuple[np.ndarray, ...]] = None
     if with_duals and eigen.classification == REAL_SIMPLE_UNIQUE:
-        duals = _dual_chain(scaled, word, product, vertices, lam)
+        # The i-th dual is the left eigenvector of the (i+1)-th cyclic
+        # permutation: A*_{d_(i+1)} ... A*_{d_n} applied to the first.
+        chain = _closed_chain(dual_leading_eigenvector(product, vertices[0]),
+                              [scaled.matrix(i).T for i in reversed(word)], lam)
+        if chain is not None:
+            duals = tuple(u / float(u @ v) for u, v in
+                          zip(chain[:1] + chain[:0:-1], vertices))
     return CyclicRoot(scaled, candidate, tuple(vertices), duals)
-
-
-def _dual_chain(scaled: MatrixFamily, word: Word, product: np.ndarray,
-                vertices, lam: float) -> Tuple[np.ndarray, ...]:
-    """Left eigenvectors for every cyclic permutation of the candidate.
-
-    The chain ``dual_i = A*_{d_i} ... A*_{d_n} dual_1`` is rescaled so that
-    each pairing with the matching vertex equals 1, then validated as a
-    left eigenpair; on validation failure the dual is recomputed directly.
-    """
-    n = len(word)
-    first = dual_leading_eigenvector(product, vertices[0])
-    chain = [None] * n
-    chain[0] = first
-    w = first
-    for j in range(n, 1, -1):
-        w = scaled.matrix(word[j - 1]).T @ w
-        chain[j - 1] = w
-    for i in range(n):
-        pairing = float(chain[i] @ vertices[i])
-        ok = abs(pairing) > 1e-12
-        if ok:
-            chain[i] = chain[i] / pairing
-            rotation = word_matrix(scaled, cyclic_word(word, i + 1))
-            residual = rotation.T @ chain[i] - lam * chain[i]
-            scale = max(1.0, float(np.max(np.abs(chain[i]))))
-            ok = float(np.max(np.abs(residual))) <= 1e-7 * scale
-        if not ok:
-            rotation = word_matrix(scaled, cyclic_word(word, i + 1))
-            chain[i] = dual_leading_eigenvector(rotation, vertices[i])
-    return tuple(chain)
 
 
 def restart_product(family: MatrixFamily, root: CyclicRoot, violation,

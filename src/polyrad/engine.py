@@ -64,7 +64,7 @@ from .cone import (
     negotiate_cone,
     root_profile,
 )
-from .matrices import REAL_SIMPLE_UNIQUE, MatrixFamily, Word
+from .matrices import MatrixFamily, Word
 from .membership import (
     MODE_L, MODE_P, MODE_R,  # also importable from here
     MODES,
@@ -475,9 +475,7 @@ def _run(family: MatrixFamily, config: RunConfig,
                         "the polytope construction cannot be normalized")
         try:
             scaled = normalize_family(family, candidate.rho_per_step)
-            with_duals = (stopping and
-                          candidate.eigen.classification == REAL_SIMPLE_UNIQUE)
-            roots = [build_cyclic_root(scaled, c, with_duals)
+            roots = [build_cyclic_root(scaled, c, stopping)
                      for c in (candidate,) + symmetric_twins(family, candidate)]
             duals = [root.duals for root in roots]
             if any(chain_duals is None for chain_duals in duals):

@@ -374,7 +374,9 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         T[:, ncols:total] = np.eye(m)
         basis = list(range(ncols, total))
     else:
-        T[ineq, ncols + np.arange(nslack)] = np.where(le, factor, -factor)[ineq]
+        # Slacks enter with +-1, not with the row's factor, which would
+        # give a row with a tiny coefficient a huge slack column.
+        T[ineq, ncols + np.arange(nslack)] = np.where(le, 1.0, -1.0)[ineq]
         T[T[:, -1] < 0] *= -1.0
         T[:, art0:total] = np.eye(m, nart)
         basis = list(range(art0, total))

@@ -4,22 +4,26 @@ import numpy as np
 import pytest
 
 from polyrad import (
+    MODE_P,
     EnumerationBudgetError,
     MatrixFamily,
+    RunConfig,
     build_cyclic_root,
     enumerate_candidates,
     make_candidate,
     normalize_family,
     restart_product,
+    run,
     spectral_radius,
     symmetric_twins,
+    verify,
     word_matrix,
 )
 from polyrad.candidates import RestartFailedError, _coordinate_permutation
-from polyrad.datasets import euler_binary
+from polyrad.datasets import euler_binary, random_family
 from polyrad.matrices import MatrixError
 
-from conftest import brute_force_rates
+from conftest import brute_force_rates, naive_word_matrix
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -121,6 +125,46 @@ class TestCyclicRoot:
         root = build_cyclic_root(scaled, cand, with_duals=True)
         for dual, vertex in zip(root.duals, root.vertices):
             assert float(dual @ vertex) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["jsr", "lsr", "gaussian-d3-s29"])
+    def test_duals_are_left_eigenvectors_of_their_rotations(self, case, request):
+        # Oracle: each rotation's product is multiplied out afresh, and the
+        # dual must be its left eigenvector within the 1e-7 (relative to
+        # max(1, max|dual|)) that the chain's closure allows.
+        if case == "gaussian-d3-s29":
+            # The word restarts reach from the two-letter cap.
+            fam = random_family("gaussian-equal-norm", 3, 2, 29)
+            cand = make_candidate(fam, (2,) + (1,) * 10)
+        else:
+            fam = request.getfixturevalue("example_pair_" + case)
+            cand = enumerate_candidates(fam, 8, "max" if case == "jsr" else "min")
+        scaled = normalize_family(fam, cand.rho_per_step)
+        root = build_cyclic_root(scaled, cand, with_duals=True)
+        word = cand.word
+        assert root.duals is not None and len(root.duals) == len(word)
+        for i, (dual, vertex) in enumerate(zip(root.duals, root.vertices)):
+            rotation = naive_word_matrix(scaled, word[i:] + word[:i])
+            lam = np.sign(vertex @ rotation @ vertex)
+            scale = max(1.0, float(np.max(np.abs(dual))))
+            assert np.max(np.abs(rotation.T @ dual - lam * dual)) <= 1e-7 * scale
+            assert float(dual @ vertex) == pytest.approx(1.0, abs=1e-10)
+
+    def test_dual_chain_that_does_not_close_gives_no_duals(self, example_pair_jsr,
+                                                          monkeypatch):
+        # With a wrong first dual the chain does not close: the root has no
+        # duals, the run grows without stopping tests, and its certificate
+        # still verifies.
+        import polyrad.candidates as candidates
+        monkeypatch.setattr(candidates, "dual_leading_eigenvector",
+                            lambda matrix, vector: np.array([1.0, 0.0]))
+        cand = enumerate_candidates(example_pair_jsr, 4, "max")
+        scaled = normalize_family(example_pair_jsr, cand.rho_per_step)
+        root = build_cyclic_root(scaled, cand, with_duals=True)
+        assert len(root.vertices) == 2 and root.duals is None
+        out = run(example_pair_jsr, RunConfig(mode=MODE_P, max_candidate_length=4))
+        assert out.status == "terminated"
+        report = verify(example_pair_jsr, out.certificate)
+        assert report.verdict, report.failures
 
     def test_single_matrix_root(self):
         fam = MatrixFamily([np.diag([2.0, 1.0])])

@@ -305,6 +305,59 @@ class TestSpansCheck:
             spans_check([np.ones(2)], "affine")
 
 
+def _refusal(case, jsr_outcome, lsr_outcome):
+    """A family and a valid certificate changed so that ``verify`` refuses
+    it for the reason ``case`` names."""
+    fam, out = jsr_outcome
+    cert = out.certificate
+    if case == "version":
+        return fam, dataclasses.replace(cert, version=cert.version + 1)
+    if case == "mode":
+        return fam, dataclasses.replace(cert, mode="Q")
+    if case == "dimension":
+        return fam, dataclasses.replace(
+            cert, vertices=cert.vertices + (np.ones(3),))
+    if case == "index":
+        return fam, dataclasses.replace(cert, word=cert.word + (3,))
+    if case == "primitive":
+        return fam, dataclasses.replace(cert, word=cert.word * 2)
+    if case == "zero radius":
+        # The word (1,) names the nilpotent generator.
+        nilpotent = MatrixFamily([np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        return nilpotent, dataclasses.replace(
+            cert, family_fingerprint=family_fingerprint(nilpotent), word=(1,))
+    if case == "cone":
+        # The ray (1, -1) is not kept strictly inside by either generator.
+        fam, out = lsr_outcome
+        return fam, dataclasses.replace(out.certificate,
+                                        cone_H=(np.array([1.0, -1.0]),))
+    # case == "span": diag(1, 0.5) keeps (1, 0) invariant, but no vertex is
+    # positive in the second coordinate.
+    diagonal = MatrixFamily([np.diag([1.0, 0.5])])
+    return diagonal, dataclasses.replace(
+        cert, family_fingerprint=family_fingerprint(diagonal), word=(1,),
+        rho_per_step=1.0, vertices=(np.array([1.0, 0.0]),))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case, reason", [
+        ("version", "unsupported certificate version"),
+        ("mode", "unknown mode"),
+        ("dimension", "vertex dimension mismatch"),
+        ("index", "word index out of range"),
+        ("primitive", "word is not primitive"),
+        ("zero radius", "candidate product has zero spectral radius"),
+        ("cone", "cone ray 1 not strictly invariant"),
+        ("span", "vertices fail the positive span requirement"),
+    ])
+    def test_refusal_names_its_reason(self, jsr_outcome, lsr_outcome, case,
+                                      reason):
+        fam, cert = _refusal(case, jsr_outcome, lsr_outcome)
+        report = verify(fam, cert)
+        assert not report.verdict
+        assert any(f.startswith(reason) for f in report.failures), report.failures
+
+
 class TestSoundness:
     def test_signed_family_rejected_in_mode_P(self):
         # rho(A2) = 4, so no polytope can certify 2.0; mode P's order

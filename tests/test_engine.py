@@ -7,6 +7,7 @@ from polyrad import (
     MODE_L,
     MODE_P,
     MODE_R,
+    InapplicableError,
     MatrixFamily,
     PolytopeState,
     RunConfig,
@@ -210,6 +211,15 @@ class TestErrorsAndEdges:
         fam = MatrixFamily([2.0 * R])
         out = run(fam, RunConfig(mode=MODE_R, max_candidate_length=2))
         assert out.status == "inapplicable"
+
+    def test_zero_image_in_mode_L_is_inapplicable(self):
+        # The second generator maps the vertex (1, 0) exactly to zero; no
+        # antinorm body holds a zero image, so the construction stops.
+        fam = MatrixFamily([np.eye(2), np.array([[0.0, 0.0], [0.0, 1.0]])])
+        state = PolytopeState(words=((1,),), nodes=[VertexNode(None, None, 1)],
+                              vertices=np.array([[1.0, 0.0]]), R=[(0, 2)])
+        with pytest.raises(InapplicableError, match="maps a vertex to zero"):
+            iterate(state, fam, RunConfig(mode=MODE_L))
 
     @pytest.mark.parametrize("matrices, mode", [
         ([np.diag([2.0, 1.0])], MODE_P),

@@ -14,9 +14,11 @@ from polyrad.membership import (
     MODE_R,
     MODES,
     _antinorm_lp,
+    _remember_support,
     _vertex_basis,
     cone_ray_margin,
     one_vertex_bound,
+    support_bound,
 )
 from polyrad.simplex import LPCyclingError
 
@@ -296,6 +298,31 @@ class TestOneVertexBound:
             one_vertex_bound(MODES[MODE_R], np.ones(2), np.eye(2))
 
 
+class TestSupportCache:
+    """The exits of the mode-R support cache that prove nothing."""
+
+    z = np.array([0.3, 0.7])
+
+    def test_singular_support_proves_nothing(self):
+        V = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        assert support_bound(self.z, V, [(0, 1)]) == (0.0, None)
+
+    def test_support_that_misses_z_proves_nothing(self):
+        # Rows 0 and 1 are independent, but so nearly parallel that the
+        # solved coefficients (about -7e14 and 7e14) miss z by 0.05.
+        V = np.array([[1.0, 0.0], [1.0, 1e-15], [0.0, 1.0]])
+        assert support_bound(self.z, V, [(0, 1)]) == (0.0, None)
+        assert support_bound(self.z, V, [(0, 1), (0, 2)]) == (1.0, [0, 1, 3])
+
+    def test_rank_deficient_support_is_not_kept(self):
+        V = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        supports = []
+        _remember_support(supports, np.array([0.5, 0.4, 0.1]), V)
+        assert supports == []
+        _remember_support(supports, np.array([0.5, 0.1, 0.4]), V)
+        assert supports == [(0, 2)]
+
+
 class TestVertexStart:
     """The antinorm LP started from its covering vertex's basis runs no
     phase 1 and ends where the two-phase solve does."""
@@ -320,6 +347,22 @@ class TestVertexStart:
             assert started.phase1_pivots == 0
         assert started.status == plain.status == "optimal"
         assert started.value == pytest.approx(plain.value, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True,
+                       reason="the ratio test ties rows within an absolute 1e-9 "
+                              "and picks the larger pivot, so a surplus ends "
+                              "at -1e-8, inside the rebuild's -1e-7")
+    def test_started_solve_keeps_a_near_tied_row_feasible(self):
+        # Drawn by test_matches_two_phases.  The value 1e-8 needs the ray's
+        # 1e-4 entry times its weight 1e-4; the two-phase solve and HiGHS
+        # give 9.999999800000005e-09, the started solve 0.
+        V = np.array([[0.0, 0.0, 0.0, 0.0, 1.0]] * 4
+                     + [[0.0, 0.0, 0.0, 0.0, 0.5], [1e-4, 0.0, 0.0, 0.0, 0.0]])
+        z = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+        H = np.array([[-1.0], [0.0], [0.0], [1e-4], [0.0]])
+        _, best = one_vertex_bound(MODES[MODE_L], z, V)
+        started = _antinorm_lp(z, V, H, _vertex_basis(z, V, best))
+        assert started.value == pytest.approx(9.999999800000005e-09, rel=1e-12)
 
     def test_start_skips_phase_1(self):
         # Vertex 1 settles the point exactly: phase 2 finds nothing to do.

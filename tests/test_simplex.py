@@ -409,3 +409,22 @@ class TestAgainstOracle:
             expected = oracle_solve(lp)
             assert expected is not None
             assert out.value == pytest.approx(expected, abs=1e-8)
+
+    def test_tiny_coefficient_row_keeps_a_unit_slack(self):
+        # Equilibration scales the third row by 1/7.09e-9; a slack scaled
+        # with it (coefficient 1.41e8) made the ratio test exhaust the
+        # pivot cap.  HiGHS gives 1.119889956030498.
+        lp = LinearProgram(
+            "min", [0.24587525438179256, 1.2462152802969655, 0.6273675214729534],
+            [([0.12015960596870434, 0.0, 2.5741207082439663], ">=", -0.3436775211419525),
+             ([-0.08427896085347236, 0.7093722286534158, -0.7261440497892808], "<=",
+              -1.286754565148888),
+             ([-7.0914580654808275e-09, 0.0, 0.0], "<=", 1.2465230453710996),
+             ([-0.5986797270355864, 0.0, 0.16545298749575132], ">=", -0.561133770321015),
+             ([-0.2813077921699419, 0.3880519412784416, 0.0], "<=", 0.9415980025768447),
+             ([0.6356881760895375, 0.0, -0.7929041891428241], ">=", -1.3706967224252968)],
+            [(None, None), (0.0, None), (0.0, None)])
+        out = solve_lp(lp)
+        assert out.status == OPTIMAL
+        assert out.value == pytest.approx(1.119889956030498, abs=1e-12)
+        assert out.value == pytest.approx(oracle_solve(lp), abs=1e-8)
