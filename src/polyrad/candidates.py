@@ -5,6 +5,9 @@ A candidate is a primitive product word maximizing (or minimizing) the
 averaged spectral radius ``rho(P)^(1/n)`` over all words up to a length
 cap.  Words are deduplicated up to cyclic permutation; the canonical
 representative is the rotation whose left-to-right reading is smallest.
+The readings that are canonical and primitive are exactly the Lyndon
+words, and the search lists them directly (Duval, *Factorizing words over
+an ordered alphabet*, J. Algorithms 1983).
 """
 
 from __future__ import annotations
@@ -26,14 +29,17 @@ from .matrices import (
     dual_leading_eigenvector,
     leading_eigen_analysis,
     primitive_root_word,
+    spectral_radii,
     spectral_radius,
     word_matrix,
 )
 
 
-# The most words an enumeration may visit, and the most turns of a cyclic
-# permutation a restart may append.
+# The most words an enumeration may visit, the most entries (k * d * d) of
+# one stack of word products, and the most turns of a cyclic permutation a
+# restart may append.
 _ENUMERATION_BUDGET = 500000
+_STACK_ENTRIES = 4096
 _RESTART_TURNS = 50
 
 
@@ -90,6 +96,45 @@ def make_candidate(family: MatrixFamily, word: Sequence[int]) -> Candidate:
     return Candidate(word, rho, per_step, eigen)
 
 
+def _lyndon_readings(m: int, max_length: int):
+    """The Lyndon words over the letters ``1..m`` of length at most
+    ``max_length``, as one list per length in lexicographic order.
+
+    Duval's algorithm visits them in lexicographic order: bump the last
+    letter, repeat the word periodically up to the cap, and drop the
+    trailing largest letters.
+    """
+    by_length = [[] for _ in range(max_length)]
+    w = [0]
+    while w:
+        w[-1] += 1
+        by_length[len(w) - 1].append(tuple(w))
+        period = len(w)
+        while len(w) < max_length:
+            w.append(w[-period])
+        while w and w[-1] == m:
+            w.pop()
+    return by_length
+
+
+def _block_products(matrices: np.ndarray, block) -> np.ndarray:
+    """Products ``A_r1 @ (A_r2 @ (... @ (A_rn @ I)))`` of the distinct,
+    equal-length readings ``block``, in its order.
+
+    The products are associated exactly as :func:`word_matrix` does, and
+    built from the shortest reading suffixes up: each level is one stacked
+    matmul of first letters onto the products of the level below.
+    """
+    products = np.eye(matrices.shape[1])[None]
+    index = {(): 0}
+    for j in range(len(block[0]) - 1, -1, -1):
+        suffixes = list(dict.fromkeys(r[j:] for r in block))
+        products = (matrices[[s[0] - 1 for s in suffixes]]
+                    @ products[[index[s[1:]] for s in suffixes]])
+        index = {s: k for k, s in enumerate(suffixes)}
+    return products
+
+
 def enumerate_candidates(family: MatrixFamily, max_length: int,
                          sense: str) -> Candidate:
     """Best candidate word of length at most ``max_length``.
@@ -99,6 +144,10 @@ def enumerate_candidates(family: MatrixFamily, max_length: int,
     word and then to the lexicographically smallest reading, which is the
     order of enumeration.  In the ``"min"`` sense a nilpotent product
     short-circuits the search: the lower spectral radius is zero.
+
+    Only the Lyndon readings are scored, in stacks of products with one
+    ``eigvals`` call each, but the budget counts all ``m**k`` readings of
+    each length ``k``.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -109,30 +158,35 @@ def enumerate_candidates(family: MatrixFamily, max_length: int,
     if total > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError("enumerating %d words exceeds the budget of %d"
                                      % (total, _ENUMERATION_BUDGET))
+    matrices = np.stack(family.matrices)
+    block_size = max(1, _STACK_ENTRIES // family.dim ** 2)
     best: Optional[Tuple[float, Word]] = None
     rel = 1e-12
-    for length in range(1, max_length + 1):
-        for reading in itertools.product(range(1, m + 1), repeat=length):
-            rotations = (reading[i:] + reading[:i] for i in range(length))
-            if reading != min(rotations):
-                continue
-            word = tuple(reversed(reading))
-            if primitive_root_word(word) != word:
-                continue
-            rho = spectral_radius(word_matrix(family, word))
-            if sense == "min" and rho == 0.0:
-                return make_candidate(family, word)
-            score = rho ** (1.0 / length) if rho > 0.0 else 0.0
-            if best is None:
-                best = (score, word)
-                continue
-            margin = rel * max(score, best[0], 1e-300)
-            if sense == "max":
-                if score > best[0] + margin:
+    for readings in _lyndon_readings(m, max_length):
+        for start in range(0, len(readings), block_size):
+            block = readings[start:start + block_size]
+            products = _block_products(matrices, block)
+            # Score the block up to its first overflowed product, which
+            # ends the search unless a nilpotent word before it does.
+            finite = np.isfinite(products).all(axis=(1, 2))
+            cut = len(block) if finite.all() else int(finite.argmin())
+            for reading, rho in zip(block, spectral_radii(products[:cut]).tolist()):
+                word = reading[::-1]
+                if sense == "min" and rho == 0.0:
+                    return make_candidate(family, word)
+                score = rho ** (1.0 / len(word)) if rho > 0.0 else 0.0
+                if best is None:
                     best = (score, word)
-            else:
-                if score < best[0] - margin:
-                    best = (score, word)
+                    continue
+                margin = rel * max(score, best[0], 1e-300)
+                if sense == "max":
+                    if score > best[0] + margin:
+                        best = (score, word)
+                else:
+                    if score < best[0] - margin:
+                        best = (score, word)
+            if cut < len(block):
+                raise MatrixError("matrix entries must be finite")
     assert best is not None
     return make_candidate(family, best[1])
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrices import MatrixFamily, spectral_radius
+from .matrices import MatrixFamily, spectral_radii
 
 RANDOM_KINDS = ("gaussian-equal-norm", "nonneg-uniform", "binary")
 
@@ -227,7 +227,7 @@ def random_family(kind: str, dim: int, size: int, seed: int,
         ok = all(M.any(axis=0).all() and M.any(axis=1).all() for M in mats)
         if not ok:
             continue
-        radii = [spectral_radius(M) for M in mats]
+        radii = spectral_radii(np.stack(mats))
         if any(r == 0.0 for r in radii):
             continue
         return MatrixFamily([M / r for M, r in zip(mats, radii)])

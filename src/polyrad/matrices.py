@@ -197,18 +197,29 @@ def _top_modulus(M: np.ndarray, eigvals: np.ndarray,
     return float(max(means))
 
 
-def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus; values below noise level are clamped to 0.
+def spectral_radii(stack) -> np.ndarray:
+    """Spectral radius of each matrix of a ``(k, d, d)`` stack, from one
+    ``eigvals`` call.
 
-    A nearly defective top eigenvalue that ``eigvals`` split counts once, at
-    the mean of its split values (see :func:`_top_modulus`).
+    Each radius is the largest eigenvalue modulus, with a nearly defective
+    top eigenvalue that ``eigvals`` split counted once, at the mean of its
+    split values (see :func:`_top_modulus`).  A radius at most 1e-12 of
+    its own matrix's scale ``max(1, max|M|)`` is clamped to 0.
     """
-    M = _as_square(matrix)
-    rho = _top_modulus(M, np.linalg.eigvals(M))
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if rho <= _ZERO_RADIUS_TOL * scale:
-        return 0.0
-    return rho
+    S = np.asarray(stack, dtype=float)
+    if S.ndim != 3 or S.shape[1] != S.shape[2] or S.shape[1] == 0:
+        raise MatrixError("expected a stack of square matrices, got shape %r" % (S.shape,))
+    if not np.all(np.isfinite(S)):
+        raise MatrixError("matrix entries must be finite")
+    radii = np.array([_top_modulus(M, w) for M, w in zip(S, np.linalg.eigvals(S))])
+    scales = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+    radii[radii <= _ZERO_RADIUS_TOL * scales] = 0.0
+    return radii
+
+
+def spectral_radius(matrix) -> float:
+    """Largest eigenvalue modulus, by the rule of :func:`spectral_radii`."""
+    return float(spectral_radii(_as_square(matrix)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from polyrad import (
     RunConfig,
     build_cyclic_root,
     enumerate_candidates,
+    leading_eigen_analysis,
     make_candidate,
     normalize_family,
+    primitive_root_word,
     restart_product,
     run,
     spectral_radius,
@@ -19,9 +22,14 @@ from polyrad import (
     verify,
     word_matrix,
 )
-from polyrad.candidates import RestartFailedError, _coordinate_permutation
+from polyrad.candidates import (
+    RestartFailedError,
+    _block_products,
+    _coordinate_permutation,
+    _lyndon_readings,
+)
 from polyrad.datasets import euler_binary, random_family
-from polyrad.matrices import MatrixError
+from polyrad.matrices import MatrixError, spectral_radii
 
 from conftest import brute_force_rates, naive_word_matrix
 
@@ -76,6 +84,120 @@ class TestEnumeration:
     def test_bad_sense(self):
         with pytest.raises(ValueError):
             enumerate_candidates(MatrixFamily([np.eye(2)]), 2, "best")
+
+
+def reference_enumeration(family, max_length, sense):
+    """``(word, rho)`` of the best candidate by a scan of every reading: keep
+    the readings that are their own smallest rotation and primitive, take
+    one product and one radius per word, and apply the sequential 1e-12
+    tie rule.  ``rho`` is read as ``make_candidate`` reads it."""
+    def candidate(word):
+        return word, leading_eigen_analysis(naive_word_matrix(family, word)).rho
+
+    best = None
+    for length in range(1, max_length + 1):
+        for reading in itertools.product(range(1, family.size + 1), repeat=length):
+            if reading != min(reading[i:] + reading[:i] for i in range(length)):
+                continue
+            word = reading[::-1]
+            if primitive_root_word(word) != word:
+                continue
+            rho = spectral_radius(naive_word_matrix(family, word))
+            if sense == "min" and rho == 0.0:
+                return candidate(word)
+            score = rho ** (1.0 / length) if rho > 0.0 else 0.0
+            margin = 1e-12 * max(score, best[0] if best else 0.0, 1e-300)
+            if (best is None or (sense == "max" and score > best[0] + margin)
+                    or (sense == "min" and score < best[0] - margin)):
+                best = (score, word)
+    return candidate(best[1])
+
+
+def witt_count(m, n):
+    """Number of Lyndon words of length n over m letters (Witt's formula)."""
+    def mobius(k):
+        sign, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if k > 1 else sign
+    return sum(mobius(k) * m ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
+
+
+# A 3x3 pair none of whose words is nilpotent up to length 4; the first
+# nilpotent word is the fifth of the six Lyndon readings of length 5.
+LATE_NILPOTENT = MatrixFamily([[[1, 1, 0], [1, 0, 0], [0, 0, 0]],
+                               [[0, 0, 1], [1, 0, 0], [0, 1, 1]]])
+
+
+class TestEnumerationOracle:
+    @pytest.mark.parametrize("kind", ["gaussian-equal-norm", "nonneg-uniform", "binary"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    @pytest.mark.parametrize("m, cap", [(2, 8), (3, 6)])
+    def test_matches_the_scan_of_every_reading(self, kind, d, m, cap):
+        fam = random_family(kind, d, m, seed=10 * d + m)
+        for sense in ("max", "min"):
+            cand = enumerate_candidates(fam, cap, sense)
+            word, rho = reference_enumeration(fam, cap, sense)
+            assert cand.word == word
+            assert cand.rho.hex() == rho.hex()
+
+    @pytest.mark.parametrize("fam, cap", [
+        (MatrixFamily([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]), 8),
+        (euler_binary(7), 9),
+        (LATE_NILPOTENT, 8),
+    ], ids=["tied-diagonal-pair", "euler-binary-7", "late-nilpotent"])
+    def test_ties_and_nilpotent_words_resolve_as_the_scan(self, fam, cap):
+        for sense in ("max", "min"):
+            cand = enumerate_candidates(fam, cap, sense)
+            word, rho = reference_enumeration(fam, cap, sense)
+            assert cand.word == word
+            assert cand.rho.hex() == rho.hex()
+
+    def test_late_nilpotent_word_ends_the_min_search(self):
+        cand = enumerate_candidates(LATE_NILPOTENT, 8, "min")
+        assert cand.word == (2, 2, 1, 2, 1) and cand.rho == 0.0
+        assert enumerate_candidates(LATE_NILPOTENT, 4, "min").rho > 0.0
+
+    def test_overflow_after_a_nilpotent_word_of_the_same_length(self):
+        # Reading (1, 2) is nilpotent and (2, 3) overflows; both have length
+        # 2, so they share a stack.  The min search ends at the nilpotent
+        # word first, and the max search meets the overflow.
+        fam = MatrixFamily([[[1.0, 0.0], [0.0, 0.0]],
+                            [[0.0, 0.0], [1e200, 1e200]],
+                            1e200 * np.eye(2)])
+        with np.errstate(over="ignore"):
+            assert enumerate_candidates(fam, 3, "min").word == (2, 1)
+            with pytest.raises(MatrixError, match="matrix entries must be finite"):
+                enumerate_candidates(fam, 3, "max")
+
+    def test_stacked_products_and_radii_are_bitwise_the_single_ones(self):
+        for fam in (random_family("gaussian-equal-norm", 4, 3, seed=5),
+                    random_family("binary", 6, 2, seed=1), euler_binary(9)):
+            matrices = np.stack(fam.matrices)
+            for readings in _lyndon_readings(fam.size, 7 if fam.size == 2 else 5):
+                for block in (readings, readings[:3]):
+                    products = _block_products(matrices, block)
+                    radii = spectral_radii(products)
+                    for reading, P, rho in zip(block, products, radii):
+                        Q = naive_word_matrix(fam, reading[::-1])
+                        assert P.tobytes() == Q.tobytes()
+                        assert float(rho).hex() == spectral_radius(Q).hex()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lyndon_readings_follow_witt_and_lexicographic_order(self, m):
+        by_length = _lyndon_readings(m, 10)
+        assert len(by_length) == 10
+        for n, readings in enumerate(by_length, 1):
+            assert len(readings) == witt_count(m, n)
+            assert all(a < b for a, b in zip(readings, readings[1:]))
+            for r in readings:
+                assert len(r) == n and set(r) <= set(range(1, m + 1))
+                assert all(r < r[i:] + r[:i] for i in range(1, n))
 
 
 class TestNormalization:

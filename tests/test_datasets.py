@@ -129,6 +129,21 @@ class TestRandomFamilies:
             fills.append((M > 0).mean())
         assert abs(np.mean(fills) - 0.5) < 0.05
 
+    @pytest.mark.parametrize("dim, size, seed", [(4, 3, 42), (20, 2, 2), (50, 2, 4),
+                                                 (7, 3, 11)])
+    def test_binary_family_bytes_are_those_of_per_matrix_radii(self, dim, size, seed):
+        # Normalizing by one stacked radius call divides each draw by
+        # exactly its own spectral_radius, so the family bytes are unchanged.
+        rng = np.random.default_rng(seed)
+        while True:
+            mats = [(rng.random((dim, dim)) < 0.5).astype(float) for _ in range(size)]
+            if all(M.any(axis=0).all() and M.any(axis=1).all()
+                   and spectral_radius(M) > 0.0 for M in mats):
+                break
+        fam = random_family("binary", dim, size, seed)
+        assert [M.tobytes() for M in fam.matrices] == [
+            (M / spectral_radius(M)).tobytes() for M in mats]
+
     def test_gaussian_transform_matches_scipy_ndtri_bitwise(self):
         ndtri = pytest.importorskip("scipy.special").ndtri
 

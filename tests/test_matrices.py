@@ -19,6 +19,8 @@ from polyrad.matrices import (
     COMPLEX_LEADING,
     REAL_SIMPLE_UNIQUE,
     ZERO_RADIUS,
+    _top_modulus,
+    spectral_radii,
     word_reading,
 )
 
@@ -184,6 +186,72 @@ class TestSpectralRadius:
         rho = spectral_radius(M)
         assert spectral_radius(c * M) == pytest.approx(
             abs(c) * rho, rel=1e-10, abs=1e-10)
+
+
+def per_matrix_radius(M):
+    """The radius rule applied to one matrix on its own: the top modulus of
+    its ``eigvals``, clamped to 0 at 1e-12 of ``max(1, max|M|)``."""
+    rho = _top_modulus(M, np.linalg.eigvals(M))
+    return 0.0 if rho <= 1e-12 * max(1.0, float(np.max(np.abs(M)))) else rho
+
+
+# A 2x2 Jordan block in rotated coordinates: eigvals splits its double
+# eigenvalue 2 into 2 -+ 1e-8.
+ROTATED_JORDAN = (np.array([[0.6, -0.8], [0.8, 0.6]]) @ np.array([[2.0, 1.0], [0.0, 2.0]])
+                  @ np.array([[0.6, 0.8], [-0.8, 0.6]]))
+
+
+class TestSpectralRadii:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_each_radius_is_bitwise_the_per_matrix_rule(self, d):
+        rng = np.random.default_rng(d)
+        stack = [rng.normal(size=(d, d)) for _ in range(20)]
+        stack += [rng.random((d, d)) for _ in range(20)]
+        stack += [np.triu(rng.normal(size=(d, d)), 1), np.zeros((d, d)), np.eye(d)]
+        if d >= 2:
+            # A rotation makes the stacked eigvals complex for every matrix.
+            R, J = np.eye(d), np.eye(d)
+            R[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+            J[:2, :2] = ROTATED_JORDAN
+            stack += [R, J]
+        radii = spectral_radii(np.stack(stack))
+        assert radii.shape == (len(stack),)
+        for M, rho in zip(stack, radii):
+            assert float(rho).hex() == per_matrix_radius(M).hex()
+            assert float(rho).hex() == spectral_radius(M).hex()
+
+    def test_each_matrix_is_clamped_by_its_own_scale(self):
+        # The first radius, 1e-8, is below 1e-12 of its matrix's 1e8 scale,
+        # and the third, 1e-13, below 1e-12 of its scale 1; the second,
+        # 1e-9, is above 1e-12 of its own scale 1, though not of the first's.
+        stack = np.stack([[[0.0, 1e8], [1e-24, 0.0]], 1e-9 * np.eye(2), 1e-13 * np.eye(2)])
+        radii = spectral_radii(stack)
+        assert radii[0] == 0.0 and radii[2] == 0.0
+        assert radii[1] == pytest.approx(1e-9, rel=1e-14)
+        assert radii.tolist() == [spectral_radius(M) for M in stack]
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_nonfinite_entry_anywhere_raises(self, position, bad):
+        stack = np.stack([np.eye(3)] * 5)
+        stack[position, 1, 2] = bad
+        with pytest.raises(MatrixError, match="matrix entries must be finite"):
+            spectral_radii(stack)
+
+    def test_split_jordan_block_in_a_stack_reads_its_cluster_mean(self):
+        assert np.abs(np.linalg.eigvals(ROTATED_JORDAN)).max() - 2.0 > 1e-9
+        stack = np.stack([np.diag([3.0, 1.0]), ROTATED_JORDAN, -ROTATED_JORDAN,
+                          [[0.0, -1.0], [1.0, 0.0]]])
+        radii = spectral_radii(stack)
+        assert radii[1] == pytest.approx(2.0, rel=1e-14)
+        assert radii[2] == pytest.approx(2.0, rel=1e-14)
+        assert radii.tolist() == [spectral_radius(M) for M in stack]
+
+    def test_rejects_a_matrix_that_is_not_a_stack(self):
+        with pytest.raises(MatrixError):
+            spectral_radii(np.eye(2))
+        with pytest.raises(MatrixError):
+            spectral_radii(np.zeros((2, 2, 3)))
 
 
 class TestLeadingEigenAnalysis:
