@@ -286,6 +286,9 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     if any(v.shape != (d,) for v in cert.vertices):
         failures.append("vertex dimension mismatch")
         return report
+    if any(h.shape != (d,) for h in cert.cone_H or ()):
+        failures.append("cone ray dimension mismatch")
+        return report
     if not spec.balanced and any(np.any(v < 0.0) for v in cert.vertices):
         failures.append("mode %s requires nonnegative vertices" % cert.mode)
         return report

@@ -286,7 +286,11 @@ def _parse_seeds(text: str) -> List[int]:
 
 
 def cmd_bench(args) -> int:
-    seeds = _parse_seeds(args.seeds)
+    try:
+        seeds = _parse_seeds(args.seeds)
+    except ValueError as exc:
+        print("error: bad --seeds %r: %s" % (args.seeds, exc), file=sys.stderr)
+        return EXIT_ERROR
     if not seeds:
         print("error: no seeds given", file=sys.stderr)
         return EXIT_ERROR

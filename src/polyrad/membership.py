@@ -201,7 +201,7 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     budget = np.ones(nvar)
     budget[0] = 0.0
     rows = [(row, EQ, 0.0) for row in A] + [(budget, LE, 1.0)]
-    lp = LinearProgram("max", objective, rows, [(0.0, _INF)] * nvar)
+    lp = LinearProgram("max", objective, rows)
     outcome = solve_lp(lp, assume_bounded=True, start=start)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
@@ -240,8 +240,7 @@ def norm_membership_P(z, V) -> float:
     if np.any(pos & ~np.any(Vm > 0.0, axis=0)):
         return 0.0
     k = Vm.shape[0]
-    lp = LinearProgram("min", np.ones(k), [(row, GE, zi) for row, zi in zip(Vm.T, z)],
-                       [(0.0, _INF)] * k)
+    lp = LinearProgram("min", np.ones(k), [(row, GE, zi) for row, zi in zip(Vm.T, z)])
     outcome = solve_lp(lp, assume_bounded=True)
     if outcome.status != OPTIMAL:
         raise MembershipError("order-ideal membership LP ended %s" % outcome.status)
@@ -268,7 +267,7 @@ def _antinorm_lp(z, Vm, rays: Optional[np.ndarray], start=None):
     budget = np.zeros(nvar)
     budget[1:1 + Vm.shape[0]] = 1.0
     rows = [(row, GE, 0.0) for row in A] + [(budget, GE, 1.0)]
-    lp = LinearProgram("min", objective, rows, [(0.0, _INF)] * nvar)
+    lp = LinearProgram("min", objective, rows)
     return solve_lp(lp, assume_bounded=True, start=start)
 
 
@@ -342,17 +341,16 @@ def cone_ray_margin(image, H) -> float:
     """Largest uniform margin ``t`` with ``image >= t * 1 + sum_h c_h h``.
 
     Used to certify that the image of a cone ray stays strictly inside the
-    cone spanned by ``H`` and the all-ones direction.  Returns ``inf`` when
-    the margin is unbounded.
+    cone spanned by ``H`` and the all-ones direction.  The margin is free,
+    so the LP maximizes ``t+ - t-`` over the columns ``[1 | -1 | H^T]``.
+    Returns ``inf`` when the margin is unbounded.
     """
     image = np.asarray(image, dtype=float)
     rays = np.asarray(H, dtype=float).reshape(-1, image.size)
-    A = np.hstack([np.ones((image.size, 1)), rays.T])
-    objective = np.zeros(A.shape[1])
-    objective[0] = 1.0
+    objective = np.append([1.0, -1.0], np.zeros(len(rays)))
+    A = np.hstack([np.ones((image.size, 1)) * [1.0, -1.0], rays.T])
     rows = [(row, LE, rhs) for row, rhs in zip(A, image)]
-    bounds = [(-_INF, _INF)] + [(0.0, _INF)] * rays.shape[0]
-    outcome = solve_lp(LinearProgram("max", objective, rows, bounds))
+    outcome = solve_lp(LinearProgram("max", objective, rows))
     if outcome.status == UNBOUNDED:
         return _INF
     if outcome.status != OPTIMAL:

@@ -1,8 +1,8 @@
 """Dense simplex solver with Bland's anti-cycling rule.
 
-A program whose rows are all inequalities and whose costs (in min form,
-over the standard-form variables) are all strictly positive starts from
-its slack basis, which is then dual feasible: a dual simplex runs until
+Every variable is nonnegative.  A program whose rows are all inequalities
+and whose costs (in min form) are all strictly positive starts from its
+slack basis, which is then dual feasible: a dual simplex runs until
 the basis is primal feasible, with no artificial variables and no phase 1,
 and the primal simplex then finishes as phase 2.  The covering programs
 of the mode-P norm, ``min{sum c : V^T c >= z, c >= 0}``, take this path.
@@ -67,19 +67,22 @@ class LPFormatError(ValueError):
 
 @dataclass
 class LinearProgram:
-    """A linear program over nonnegative and free variables.
+    """A linear program over nonnegative variables.
 
     ``rows`` is a list of ``(coefficients, relation, rhs)`` triples with
-    relation one of ``"<="``, ``"="``, ``">="``.  ``bounds`` gives a
-    ``(lower, upper)`` pair per variable: ``(0, inf)`` for a nonnegative
-    one, ``(-inf, inf)`` for a free one, with ``None`` for either infinity.
-    Any other bound is written as a row.
+    relation one of ``"<="``, ``"="``, ``">="``.  Any other bound on a
+    variable is written as a row, and a free quantity as the difference of
+    two variables by the program that builds it.
     """
 
     sense: str
     objective: Sequence[float]
     rows: List[Tuple[Sequence[float], str, float]]
-    bounds: List[Tuple[float, float]]
+
+    @property
+    def bounds(self) -> List[Tuple[float, float]]:
+        """``(0, inf)`` per variable, read by ``bench/tracing.py``."""
+        return [(0.0, _INF)] * len(self.objective)
 
 
 @dataclass
@@ -252,43 +255,41 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
 
 
 def _start_columns(start: Sequence[Optional[int]], ineq: np.ndarray,
-                   col: np.ndarray, ncols: int) -> List[int]:
+                   ncols: int) -> List[int]:
     """Tableau columns of a caller's starting basis (see :func:`solve_lp`):
-    a variable's first standard-form column, or the row's slack."""
+    a variable's own column, or the row's slack."""
     if len(start) != ineq.size:
         raise LPFormatError("the start basis needs one entry per row")
     slack = ncols + np.cumsum(ineq) - 1
     basis = []
     for r, var in enumerate(start):
-        if var is None:
-            if not ineq[r]:
-                raise LPFormatError("row %d is an equality and has no slack" % r)
+        if var is None and ineq[r]:
             basis.append(int(slack[r]))
-        elif 0 <= var < col.size:
-            basis.append(int(col[var]))
+        elif var is not None and 0 <= var < ncols:
+            basis.append(int(var))
         else:
-            raise LPFormatError("start variable %r out of range" % (var,))
+            raise LPFormatError("row %d starts from %r, neither a variable nor "
+                                "the slack of an inequality row" % (r, var))
     return basis
 
 
 def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
              start: Optional[Sequence[Optional[int]]] = None) -> LPOutcome:
-    """Solve an LP; returns optimal/infeasible/unbounded.  A variable
-    bounded other than ``(0, inf)`` or free raises :class:`LPFormatError`.
+    """Solve an LP; returns optimal/infeasible/unbounded.
 
     ``assume_bounded`` tells the solver the objective is known to be
     bounded, so apparent improving rays are treated as round-off noise
     instead of reporting an unbounded problem.
 
     ``start`` names a starting basis, one entry per row: the index of the
-    variable basic in that row (a free variable's nonnegative part), or
-    ``None`` for the row's own slack, which needs an inequality row.
-    Phase 2 runs from that basis alone, on a tableau without artificial
-    columns.  The started solve raises :class:`LPCyclingError` when the
-    rebuild (see the module docstring) refuses that basis or a later one,
-    or when its pivots cycle (the ratio test's absolute tie tolerance can
-    pick a pivot that leaves a row negative); the program is then solved
-    again without the start, so the outcome is the unstarted one.
+    variable basic in that row, or ``None`` for the row's own slack, which
+    needs an inequality row.  Phase 2 runs from that basis alone, on a
+    tableau without artificial columns.  The started solve raises
+    :class:`LPCyclingError` when the rebuild (see the module docstring)
+    refuses that basis or a later one, or when its pivots cycle (the ratio
+    test's absolute tie tolerance can pick a pivot that leaves a row
+    negative); the program is then solved again without the start, so the
+    outcome is the unstarted one.
     """
     if start is not None:
         try:
@@ -305,62 +306,38 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     c0 = np.asarray(lp.objective, dtype=float)
     if c0.ndim != 1:
         raise LPFormatError("objective must be a vector")
-    n0 = c0.size
-    if len(lp.bounds) != n0:
-        raise LPFormatError("bounds length must match the number of variables")
-    free = np.zeros(n0, dtype=bool)
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if lo not in (0.0, None, -_INF) or hi not in (None, _INF):
-            raise LPFormatError("variable %d must be nonnegative or free, not "
-                                "bounded by %r" % (i, (lo, hi)))
-        free[i] = lo != 0.0
-
-    # Each variable is y[col] over standard-form y >= 0, minus y[col + 1]
-    # when it is free.
-    width = 1 + free
-    col = width.cumsum() - width
-    free_col = col[free] + 1
-    ncols = int(width.sum())
-
-    def to_y(M: np.ndarray, out: np.ndarray) -> None:
-        # Writes the y-space coefficients of the x-space rows ``M`` into
-        # ``out``.  Adding to 0.0 makes every zero coefficient +0.0, so no
-        # -0.0 reaches the tableau or the reported solution.
-        out[..., col] = 0.0 + M
-        out[..., free_col] = 0.0 - M[..., free]
-
+    ncols = c0.size
     m = len(lp.rows)
-    A0 = np.zeros((m, n0))
+    A0 = np.zeros((m, ncols))
     b0 = np.zeros(m)
     for r, (coeffs, rel, rhs) in enumerate(lp.rows):
         if rel not in (LE, EQ, GE):
             raise LPFormatError("unknown relation %r" % (rel,))
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (n0,):
+        if np.shape(coeffs) != (ncols,):
             raise LPFormatError("row length must match the number of variables")
         A0[r] = coeffs
         b0[r] = rhs
     le = np.array([rel == LE for _, rel, _ in lp.rows], dtype=bool)
     ineq = np.array([rel != EQ for _, rel, _ in lp.rows], dtype=bool)
 
-    # Phase 2 objective (min form) in y-space.  When it is strictly positive
-    # and every row is an inequality, the slack basis is dual feasible.
-    cost = np.zeros(ncols)
-    to_y(c0 if lp.sense == "min" else -c0, cost)
+    # Phase 2 objective (min form).  When it is strictly positive and every
+    # row is an inequality, the slack basis is dual feasible.  Adding to 0.0
+    # turns -0.0 into +0.0, here, in the tableau and in the solution.
+    cost = 0.0 + (c0 if lp.sense == "min" else -c0)
     dual = bool(np.all(ineq)) and bool(np.all(cost > 0.0))
 
-    # The tableau's columns are, in this order, [y | slacks | artificials |
-    # rhs]: the y columns of each variable in turn (two adjacent ones for a
-    # free variable), one slack per inequality row in row order, and one
-    # artificial per row, only when phase 1 runs: neither the dual path nor
-    # a started solve has any.  bench/tracing's ``tableau_bytes`` computes
-    # the tableau-size metric from the two-phase layout.
+    # The tableau's columns are, in this order, [variables | slacks |
+    # artificials | rhs]: variable j in column j, one slack per inequality
+    # row in row order, and one artificial per row, only when phase 1 runs:
+    # neither the dual path nor a started solve has any.  bench/tracing's
+    # ``tableau_bytes`` computes the tableau-size metric from the two-phase
+    # layout.
     nslack = int(np.count_nonzero(ineq))
     art0 = ncols + nslack
     nart = 0 if dual or start is not None else m
     total = art0 + nart
     T = np.zeros((m, total + 1))
-    to_y(A0, T[:, :ncols])
+    T[:, :ncols] = 0.0 + A0
     T[:, -1] = b0
     # Equilibrate: scaling a row changes neither the feasible set nor the
     # objective but keeps the tableau well conditioned.
@@ -427,7 +404,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     refactor2 = make_refactor(cost2, strict=start is not None)
     pivots1 = 0
     if start is not None:
-        basis = _start_columns(start, ineq, col, ncols)
+        basis = _start_columns(start, ineq, ncols)
         obj = np.empty(total + 1)
         refactor2(basis, T, obj)
     elif dual:
@@ -491,12 +468,10 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     # is ill conditioned the tableau solution can be the better of the two,
     # so both are checked against the original constraints and the cleaner
     # one wins.
-    def to_x(y_basic: np.ndarray) -> np.ndarray:
-        y = np.zeros(total)
-        y[basis] = y_basic
-        x = 0.0 + y[col]  # as in to_y, turns -0.0 into +0.0
-        x[free] -= y[free_col]
-        return x
+    def to_x(basic: np.ndarray) -> np.ndarray:
+        x = np.zeros(total)
+        x[basis] = basic
+        return 0.0 + x[:ncols]
 
     # Residuals are judged relative to the size of each row, since the rows
     # of one program can span many orders of magnitude.

@@ -331,6 +331,10 @@ def _refusal(case, jsr_outcome, lsr_outcome):
         fam, out = lsr_outcome
         return fam, dataclasses.replace(out.certificate,
                                         cone_H=(np.array([1.0, -1.0]),))
+    if case == "cone dimension":
+        # A 1-entry ray on the 2-dimensional pair.
+        fam, out = lsr_outcome
+        return fam, dataclasses.replace(out.certificate, cone_H=(np.array([1.0]),))
     # case == "span": diag(1, 0.5) keeps (1, 0) invariant, but no vertex is
     # positive in the second coordinate.
     diagonal = MatrixFamily([np.diag([1.0, 0.5])])
@@ -348,6 +352,7 @@ class TestRefusals:
         ("primitive", "word is not primitive"),
         ("zero radius", "candidate product has zero spectral radius"),
         ("cone", "cone ray 1 not strictly invariant"),
+        ("cone dimension", "cone ray dimension mismatch"),
         ("span", "vertices fail the positive span requirement"),
     ])
     def test_refusal_names_its_reason(self, jsr_outcome, lsr_outcome, case,

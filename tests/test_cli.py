@@ -375,6 +375,15 @@ class TestBench:
                      "--seeds", ""])
         assert code == 1
 
+    @pytest.mark.parametrize("seeds", ["a", "1:x"])
+    def test_malformed_seeds(self, capsys, seeds):
+        code = main(["bench", "--kind", "binary", "--d", "2", "--m", "2",
+                     "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: bad --seeds %r" % seeds)
+        assert captured.out == ""
+
 
 class TestDefaults:
     def test_parsed_defaults_equal_run_config(self):

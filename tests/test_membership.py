@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from polyrad import (
     antinorm_membership_L,
     antinorm_membership_ext,
+    membership,
     norm_membership_P,
     norm_membership_R,
 )
@@ -147,8 +148,7 @@ class TestMonotonePolytope:
             for i in range(3):
                 rows.append((np.concatenate(([0.0], -Vm[:, i])), "<=",
                              -t * z[i] * (1 - 1e-9)))
-            out = solve_lp(LinearProgram("max", np.zeros(k + 1), rows,
-                                         [(0.0, None)] * (k + 1)))
+            out = solve_lp(LinearProgram("max", np.zeros(k + 1), rows))
             assert out.status == "optimal"
 
 
@@ -216,6 +216,24 @@ class TestConeRayMargin:
     def test_negative_margin_detected(self):
         margin = cone_ray_margin(np.array([1.0, -1.0]), [np.array([1.0, 1.0])])
         assert margin < 0.0
+
+    @pytest.mark.parametrize("image, parts", [
+        ([-2.0, 5.0, 0.3], [0.0, 2.0]), ([0.7, 5.0], [0.7, 0.0]),
+    ], ids=["negative", "positive"])
+    def test_no_rays_gives_the_least_coordinate(self, monkeypatch, image, parts):
+        # Closed form, exact: the margin is min(image).  It is t+ - t-, so
+        # a negative margin has t- basic.
+        outcomes = []
+        solve = membership.solve_lp
+        monkeypatch.setattr(membership, "solve_lp",
+                            lambda lp: outcomes.append(solve(lp)) or outcomes[-1])
+        assert cone_ray_margin(np.array(image), []) == min(image)
+        assert outcomes[0].assignment.tolist() == parts
+
+    def test_ray_lifts_the_margin_above_the_least_coordinate(self):
+        # t <= -1 + c and t <= 3 - c for the ray weight c >= 0: c = 2 gives
+        # t = 1, where min(image) is -1.
+        assert cone_ray_margin(np.array([-1.0, 3.0]), [np.array([-1.0, 1.0])]) == 1.0
 
 
 class TestTinyEntries:

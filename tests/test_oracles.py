@@ -132,7 +132,7 @@ def random_positive_cost_program(rng):
     for e in np.eye(n):
         if rng.random() < 0.3:
             rows.append((e, "<=", float(rng.uniform(0.5, 3.0))))
-    return LinearProgram(sense, objective, rows, [(0.0, INF)] * n)
+    return LinearProgram(sense, objective, rows)
 
 
 def highs_solve(lp):
@@ -179,7 +179,7 @@ class TestSlackBasisStart:
         rows = [([1.0, 1.0], ">=", 1.0), ([1.0, 0.0], "<=", 2.0),
                 ([0.0, 1.0], "<=", 2.0)]
         for objective, expected in (([1.0, 0.0], 0.0), ([1.0, -1.0], -2.0)):
-            lp = LinearProgram("min", objective, rows, [(0.0, INF)] * 2)
+            lp = LinearProgram("min", objective, rows)
             out = solve_lp(lp)
             assert out.status == OPTIMAL
             assert out.value == pytest.approx(expected)
@@ -227,7 +227,8 @@ def highs(objective, A, b, kinds, bounds):
 
 class TestConeRayMargin:
     """``max t`` with ``t 1 + sum_h c_h h <= image``, ``c >= 0``: the only
-    program polyrad builds with a free variable."""
+    program polyrad builds with a free quantity, which it splits as ``t+ -
+    t-``.  The HiGHS oracle keeps its own free ``t``."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
