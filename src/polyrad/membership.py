@@ -343,10 +343,15 @@ def cone_ray_margin(image, H) -> float:
     Used to certify that the image of a cone ray stays strictly inside the
     cone spanned by ``H`` and the all-ones direction.  The margin is free,
     so the LP maximizes ``t+ - t-`` over the columns ``[1 | -1 | H^T]``.
-    Returns ``inf`` when the margin is unbounded.
+    Returns ``inf`` when the margin is unbounded.  Every ray must have the
+    dimension of ``image``.
     """
     image = np.asarray(image, dtype=float)
-    rays = np.asarray(H, dtype=float).reshape(-1, image.size)
+    rays = np.asarray(H, dtype=float)
+    if rays.size == 0:
+        rays = rays.reshape(0, image.size)
+    if rays.ndim != 2 or rays.shape[1] != image.size:
+        raise ValueError("ray dimension mismatch")
     objective = np.append([1.0, -1.0], np.zeros(len(rays)))
     A = np.hstack([np.ones((image.size, 1)) * [1.0, -1.0], rays.T])
     rows = [(row, LE, rhs) for row, rhs in zip(A, image)]

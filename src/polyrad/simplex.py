@@ -22,10 +22,20 @@ whose rebuild is not finite, or whose basic values (in the dual loop, its
 reduced costs) fall below -1e-7, and otherwise clips their round-off below
 zero.  A refused basis keeps its pivoted tableau, except in a started
 solve, which raises :class:`LPCyclingError` instead so that
-:func:`solve_lp` solves the program again without the start.  Since a loop
-reports such a status only right after a rebuild, phase 1's feasibility
-check and the final recovery read the basic values that rebuild solved
-for: each final basis is solved once.
+:func:`solve_lp` solves the program again without the start.
+
+Each basis is rebuilt once; a loop that opens on a just-rebuilt basis does
+not rebuild it again.  A started solve's phase 2 opens on the rebuild of
+its start.  On the dual path, when the dual loop's confirming rebuild was
+accepted, phase 2 opens on that rebuild as its own rebuild of the same
+basis would write it: the reduced costs unclipped and the basic values
+clipped at zero.  If a basic value is below -1e-7, that rebuild would be
+refused, so the dual loop's tableau stays, clipped reduced costs and all.
+Phase 2 therefore makes no pivot, and no rebuild, exactly when every
+reduced cost it opens on is at least ``-PIVOT_TOL``; otherwise it pivots
+from the tableau its rebuild would have written.  A loop reports a status
+only right after a rebuild, so phase 1's feasibility check and the final
+recovery read the basic values that rebuild solved for.
 
 The solver is deterministic: identical inputs produce identical pivot
 sequences and outcomes.  After a long run of degenerate pivots either
@@ -88,8 +98,11 @@ class LinearProgram:
 @dataclass
 class LPOutcome:
     """A solve's status, value and assignment, its pivot counts (phase 1,
-    the dual simplex on the slack-basis path, and phase 2), and whether
-    phase 2 started from the caller's basis, with no phase 1."""
+    the dual simplex on the slack-basis path, and phase 2), whether phase 2
+    started from the caller's basis, with no phase 1, and how many rebuilds
+    of the tableau (see the module docstring) it accepted and refused.  A
+    start that :func:`solve_lp` drops leaves no count: the outcome is the
+    unstarted solve's."""
 
     status: str
     value: Optional[float] = None
@@ -97,6 +110,8 @@ class LPOutcome:
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     started: bool = False
+    rebuilds: int = 0
+    rebuilds_refused: int = 0
 
 
 def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
@@ -107,8 +122,8 @@ def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
     T -= factors[:, None] * T[leave]
 
 
-def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
-           choose) -> Tuple[str, int]:
+def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
+           choose, fresh: bool) -> Tuple[str, int]:
     """Pivot until ``choose`` reports a status; returns it and the number of
     pivots.
 
@@ -121,14 +136,16 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
 
     ``refactor(basis, T, obj)`` is the rebuild of the module docstring.  It
     runs every 25 pivots and again before any status but unbounded is
-    returned, so that status is confirmed on a fresh tableau.
+    returned, so that status is confirmed on a fresh tableau.  ``fresh``
+    says that ``T`` and ``obj`` already hold the rebuild of ``basis``: each
+    basis is rebuilt once, so a status found before the first pivot is then
+    returned without rebuilding it again.
     """
     m, width = T.shape
     cap = 2000 + 200 * (m + width - 1)
     bland = False
     stalled = 0
     since_refactor = 0
-    fresh = False
     pivots = 0
     for _ in range(cap):
         if since_refactor >= 25:
@@ -164,8 +181,9 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: List[int], refactor,
     raise LPCyclingError("pivot cap exceeded (%d iterations)" % cap)
 
 
-def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
-                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int]:
+def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
+                allowed: np.ndarray, bounded: bool, refactor,
+                fresh: bool = False) -> Tuple[str, int]:
     """Run primal simplex pivots from a primal feasible basis until optimal
     or unbounded; returns the status and the number of pivots.
 
@@ -205,10 +223,10 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
             leave = int(tied[np.argmax(column[tied])])
         return leave, enter, best <= tie_tol
 
-    return _drive(T, obj, basis, refactor, choose)
+    return _drive(T, obj, basis, refactor, choose, fresh)
 
 
-def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
+def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
                xtol: np.ndarray, refactor) -> Tuple[str, int]:
     """Run dual simplex pivots from a dual feasible basis until the basic
     solution is primal feasible (optimal) or a row proves the program
@@ -224,15 +242,15 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
     ncols = T.shape[1] - 1
 
     def choose(bland: bool):
-        rows = np.nonzero(T[:, -1] < -xtol[basis])[0]
+        rows = (T[:, -1] < -xtol[basis]).nonzero()[0]
         if rows.size == 0:
             return OPTIMAL
         if bland:
             leave = int(min(rows, key=lambda r: basis[r]))
         else:
-            leave = int(rows[np.argmin(T[rows, -1])])
+            leave = int(rows[T[rows, -1].argmin()])
         row = T[leave, :ncols]
-        eligible = np.nonzero(row < -PIVOT_TOL)[0]
+        eligible = (row < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             # A negative basic value that no nonnegative change of the
             # nonbasic columns can raise.
@@ -241,21 +259,22 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: List[int],
         # cost above -DUAL_TOL bounds the ratios allowed, and among them the
         # largest pivot element wins, which avoids tiny pivots.  Reduced
         # costs that round-off made negative count as zero.
+        pivots = row[eligible]
         costs = np.maximum(obj[eligible], 0.0)
-        ratios = costs / -row[eligible]
-        bound = float(((costs + DUAL_TOL) / -row[eligible]).min())
+        ratios = costs / -pivots
+        bound = ((costs + DUAL_TOL) / -pivots).min()
         tied = ratios <= bound
         if bland:
-            pick = int(np.argmax(tied))
+            pick = int(tied.argmax())
         else:
-            pick = int(np.argmin(np.where(tied, row[eligible], 0.0)))
+            pick = int(np.where(tied, pivots, 0.0).argmin())
         return leave, int(eligible[pick]), ratios[pick] <= 1e-9
 
-    return _drive(T, obj, basis, refactor, choose)
+    return _drive(T, obj, basis, refactor, choose, False)
 
 
 def _start_columns(start: Sequence[Optional[int]], ineq: np.ndarray,
-                   ncols: int) -> List[int]:
+                   ncols: int) -> np.ndarray:
     """Tableau columns of a caller's starting basis (see :func:`solve_lp`):
     a variable's own column, or the row's slack."""
     if len(start) != ineq.size:
@@ -270,7 +289,7 @@ def _start_columns(start: Sequence[Optional[int]], ineq: np.ndarray,
         else:
             raise LPFormatError("row %d starts from %r, neither a variable nor "
                                 "the slack of an inequality row" % (r, var))
-    return basis
+    return np.array(basis, dtype=int)
 
 
 def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
@@ -308,17 +327,23 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         raise LPFormatError("objective must be a vector")
     ncols = c0.size
     m = len(lp.rows)
-    A0 = np.zeros((m, ncols))
-    b0 = np.zeros(m)
-    for r, (coeffs, rel, rhs) in enumerate(lp.rows):
+    rels = [rel for _, rel, _ in lp.rows]
+    for rel in rels:
         if rel not in (LE, EQ, GE):
             raise LPFormatError("unknown relation %r" % (rel,))
-        if np.shape(coeffs) != (ncols,):
-            raise LPFormatError("row length must match the number of variables")
-        A0[r] = coeffs
-        b0[r] = rhs
-    le = np.array([rel == LE for _, rel, _ in lp.rows], dtype=bool)
-    ineq = np.array([rel != EQ for _, rel, _ in lp.rows], dtype=bool)
+    try:
+        A0 = (np.array([coeffs for coeffs, _, _ in lp.rows], dtype=float)
+              if m else np.zeros((0, ncols)))
+    except ValueError:
+        A0 = None
+    if A0 is None or A0.shape != (m, ncols):
+        raise LPFormatError("each row must hold one number per variable")
+    try:
+        b0 = np.array([rhs for _, _, rhs in lp.rows], dtype=float).reshape(m)
+    except ValueError:
+        raise LPFormatError("every right-hand side must be a number") from None
+    le = np.array([rel == LE for rel in rels], dtype=bool)
+    ineq = np.array([rel != EQ for rel in rels], dtype=bool)
 
     # Phase 2 objective (min form).  When it is strictly positive and every
     # row is an inequality, the slack basis is dual feasible.  Adding to 0.0
@@ -349,20 +374,23 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         # is then the identity, with basic values of either sign.
         T[~le] *= -1.0
         T[:, ncols:total] = np.eye(m)
-        basis = list(range(ncols, total))
+        basis = np.arange(ncols, total)
     else:
         # Slacks enter with +-1, not with the row's factor, which would
         # give a row with a tiny coefficient a huge slack column.
         T[ineq, ncols + np.arange(nslack)] = np.where(le, 1.0, -1.0)[ineq]
         T[T[:, -1] < 0] *= -1.0
         T[:, art0:total] = np.eye(m, nart)
-        basis = list(range(art0, total))
-    # The unpivoted system the rebuild solves, and the basic values, before
+        basis = np.arange(art0, total)
+    # The unpivoted system the rebuild solves; the basic values, before
     # clipping, that the last rebuild solved for (None when its basis
-    # matrix was singular or they were not finite).
+    # matrix was singular or they were not finite); the reduced costs,
+    # before clipping, of the last rebuild (None when it was refused); and
+    # the counts of accepted and refused rebuilds.
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
-    solved = None
+    solved = last_reduced = None
+    rebuilds = refused = 0
 
     def make_refactor(cost_full: np.ndarray, dual: bool = False,
                       strict: bool = False):
@@ -370,8 +398,8 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         ``T`` and ``obj`` in place, or refuses the basis and keeps them,
         raising instead when ``strict``.  ``dual`` checks the reduced costs
         instead of the basic values."""
-        def refactor(basis_now: List[int], T: np.ndarray, obj: np.ndarray) -> None:
-            nonlocal solved
+        def refactor(basis_now: np.ndarray, T: np.ndarray, obj: np.ndarray) -> None:
+            nonlocal solved, last_reduced, rebuilds, refused
             B = A_std[:, basis_now]
             try:
                 y = np.linalg.solve(B, b_std)
@@ -380,11 +408,14 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
             except np.linalg.LinAlgError:
                 y = Binv_A = None
             solved = y if y is not None and np.all(np.isfinite(y)) else None
+            last_reduced = None
             if solved is not None and np.all(np.isfinite(Binv_A)):
-                cb = cost_full[np.asarray(basis_now, dtype=int)]
+                cb = cost_full[basis_now]
                 reduced = cost_full - cb @ Binv_A
                 # A program without rows has no basic values, hence initial.
                 if float((reduced if dual else y).min(initial=0.0)) >= -1e-7:
+                    last_reduced = reduced
+                    rebuilds += 1
                     if dual:
                         reduced = np.clip(reduced, 0.0, None)
                     else:
@@ -394,6 +425,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                     obj[:-1] = reduced
                     obj[-1] = -float(cb @ y)
                     return
+            refused += 1
             if strict:
                 raise LPCyclingError("the rebuild refused a basis of the started solve")
         return refactor
@@ -403,6 +435,8 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     allowed = np.ones(total, dtype=bool)
     refactor2 = make_refactor(cost2, strict=start is not None)
     pivots1 = 0
+    # Whether phase 2 opens on a rebuild of its first basis.
+    fresh = start is not None
     if start is not None:
         basis = _start_columns(start, ineq, ncols)
         obj = np.empty(total + 1)
@@ -419,7 +453,17 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         status, pivots1 = _dual_loop(T, obj, basis, xtol,
                                      make_refactor(cost2, dual=True))
         if status == INFEASIBLE:
-            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1)
+            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
+                             rebuilds=rebuilds, rebuilds_refused=refused)
+        if last_reduced is not None:
+            # Phase 2 opens on the dual loop's confirming rebuild (see the
+            # module docstring).
+            fresh = True
+            if float(solved.min(initial=0.0)) >= -1e-7:
+                y = np.clip(solved, 0.0, None)
+                T[:, -1] = y
+                obj[:-1] = last_reduced
+                obj[-1] = -float(cost2[basis] @ y)
     else:
         # Phase 1: minimize the sum of artificials.
         cost1 = np.zeros(total)
@@ -439,7 +483,8 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
             art_sum = sum(max(float(solved[r]), 0.0)
                           for r in range(m) if basis[r] >= art0)
         if art_sum > FEAS_TOL:
-            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1)
+            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
+                             rebuilds=rebuilds, rebuilds_refused=refused)
 
         # Drive artificials out of the basis where possible; the rest sit on
         # redundant rows at value zero and are barred from re-entering.
@@ -459,15 +504,16 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                 obj = obj - cb * T[r]
     started = start is not None
     status, pivots2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
-                                  refactor2)
+                                  refactor2, fresh)
     if status == UNBOUNDED:
-        return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started)
+        return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started,
+                         rebuilds, refused)
 
     # Recover the basic solution from the tableau and, as the confirming
     # rebuild solved it, from the unpivoted system.  When the basis matrix
     # is ill conditioned the tableau solution can be the better of the two,
     # so both are checked against the original constraints and the cleaner
-    # one wins.
+    # one wins; on a tie, and when the two are equal, the tableau's.
     def to_x(basic: np.ndarray) -> np.ndarray:
         x = np.zeros(total)
         x[basis] = basic
@@ -487,14 +533,17 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         scale = np.maximum(np.maximum(1.0, row_mag * max(1.0, xmag)), np.abs(b0))
         return float(np.fmax.reduce(r / scale, initial=0.0))
 
-    candidates_x = [to_x(T[:, -1])]
+    x = to_x(T[:, -1])
+    worst = violation(x)
     if solved is not None:
         solved[np.abs(solved) < 1e-13] = 0.0
-        candidates_x.append(to_x(solved))
-    scored = sorted(((violation(x), i) for i, x in enumerate(candidates_x)))
-    worst, pick = scored[0]
-    x = candidates_x[pick]
+        rebuilt = to_x(solved)
+        if not np.array_equal(rebuilt, x):
+            score = violation(rebuilt)
+            if score < worst:
+                x, worst = rebuilt, score
     if worst > 1e-6:
         raise LPCyclingError("solution violates constraints by %g" % worst)
 
-    return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2, started)
+    return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2, started,
+                     rebuilds, refused)

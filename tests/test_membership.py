@@ -235,6 +235,15 @@ class TestConeRayMargin:
         # t = 1, where min(image) is -1.
         assert cone_ray_margin(np.array([-1.0, 3.0]), [np.array([-1.0, 1.0])]) == 1.0
 
+    @pytest.mark.parametrize("H", [
+        [[-1.0, 0.0, 0.0, -1.0]], [[1.0]], [1.0, 1.0], [[[1.0, 1.0]]],
+    ], ids=["one-long-ray", "one-short-ray", "flat", "nested"])
+    def test_ray_dimension_mismatch(self, H):
+        # A 4-entry ray is not two 2-entry rays: it is refused, as
+        # antinorm_membership_ext refuses it, instead of being re-cut.
+        with pytest.raises(ValueError, match="ray dimension mismatch"):
+            cone_ray_margin([1.0, 1.0], H)
+
 
 class TestTinyEntries:
     """Entries near 1e-9 against the simplex.  Each program below is

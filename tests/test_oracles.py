@@ -184,6 +184,32 @@ class TestSlackBasisStart:
             assert out.status == OPTIMAL
             assert out.value == pytest.approx(expected)
 
+    def test_phase_2_pivots_after_the_dual_loop(self, monkeypatch):
+        # Phase 2 opens on the dual loop's confirming rebuild and usually
+        # finds it optimal at once.  In this run of a drawn binary d20
+        # family, one covering LP's dual optimum leaves a reduced cost below
+        # -PIVOT_TOL, so phase 2 still pivots on it.
+        solved = []
+
+        def recording(lp, **kwargs):
+            out = solve_lp(lp, **kwargs)
+            solved.append((lp, kwargs, out))
+            return out
+
+        monkeypatch.setattr(membership, "solve_lp", recording)
+        family = random_family("binary", 20, 2, 1114088975)
+        out = run(family, RunConfig(mode="P", max_candidate_length=4,
+                                    max_iterations=20))
+        assert (out.status, out.lps_solved, out.lps_skipped) == ("iteration_capped", 57, 32)
+        pivoted = [(lp, lp_out) for lp, kwargs, lp_out in solved
+                   if kwargs.get("start") is None and lp_out.phase2_pivots > 0]
+        assert pivoted
+        for lp, lp_out in pivoted:
+            status, value = highs_solve(lp)
+            assert status == 0 and lp_out.status == OPTIMAL
+            # HiGHS, at its default tolerances, reads 8e-10 below polyrad.
+            assert lp_out.value == pytest.approx(value, rel=1e-8)
+
 
 # Entries of the programs below run from 1e-4 to 1 in magnitude, with
 # exact zeros.  Smaller entries lose both solvers: HiGHS drops matrix

@@ -164,6 +164,18 @@ class TestBasics:
         with pytest.raises(LPFormatError):
             solve_lp(LinearProgram("max", [1.0], [([1.0, 2.0], "<=", 1.0)]))
 
+    @pytest.mark.parametrize("rows", [
+        [([1.0, 2.0], "<=", 1.0), ([1.0], "<=", 1.0)],
+        [([1.0], "<=", 1.0), ([1.0, 2.0], "<=", 1.0)],
+        [([[1.0, 2.0]], "<=", 1.0)],
+        [([], "<=", 1.0), ([], "<=", 1.0)],
+        [([1.0, 2.0], "<=", [1.0, 2.0])],
+    ], ids=["ragged-long-first", "ragged-short-first", "nested", "empty-rows",
+            "vector-rhs"])
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(LPFormatError):
+            solve_lp(LinearProgram("max", [1.0, 1.0], rows))
+
 
 class TestPivotCounts:
     def test_slack_basis_start_counts_dual_pivots(self):
@@ -272,19 +284,25 @@ class TestRebuild:
     COVERING = TestStartBasis.COVERING
 
     @pytest.mark.parametrize("lp, start, solves", [
-        (LP, [0, 1], 6), (LP, None, 6), (COVERING, None, 6),
+        (LP, [0, 1], 3), (LP, None, 6), (COVERING, None, 3),
     ], ids=["started", "two-phase", "dual-path"])
     def test_each_final_basis_is_solved_once(self, monkeypatch, lp, start, solves):
-        # Three solves per rebuild.  The started solve rebuilds its start
-        # and confirms it; the other two confirm the end of their first
-        # loop and of phase 2.  Phase 1's feasibility check and the final
-        # recovery read the basic values of the confirming rebuild.
+        # Three solves per rebuild, and each basis is rebuilt once.  The
+        # started solve rebuilds its start, which is already optimal, and
+        # phase 2 opens on that rebuild.  The dual path confirms the end of
+        # the dual loop, and phase 2 opens on that rebuild too.  The
+        # two-phase solve confirms the end of phase 1 and, after the
+        # artificials are driven out, of phase 2.  Phase 1's feasibility
+        # check and the final recovery read the basic values of the
+        # confirming rebuild.
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda *args: calls.append(1) or solve(*args))
-        assert solve_lp(lp, start=start).value == pytest.approx(1.0)
+        out = solve_lp(lp, start=start)
+        assert out.value == pytest.approx(1.0)
         assert len(calls) == solves
+        assert (out.rebuilds, out.rebuilds_refused) == (solves // 3, 0)
 
     @pytest.mark.parametrize("lp, start, cause", [
         (LP, [0, 1], "singular"),
@@ -305,6 +323,7 @@ class TestRebuild:
         assert plain.status == OPTIMAL
         assert plain.value == pytest.approx(1.0)
         assert not plain.started
+        assert plain.rebuilds == 0 and plain.rebuilds_refused > 0
         out = solve_lp(lp, start=start)
         assert (out.status, out.value, out.phase1_pivots, out.phase2_pivots,
                 out.started) == (plain.status, plain.value, plain.phase1_pivots,
