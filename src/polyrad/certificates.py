@@ -240,9 +240,10 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     when the family and the vertices have the sign the mode needs (modes P
     and L live in the nonnegative orthant), the recomputed candidate
     radius matches, every vertex image passes its membership test (a zero
-    image passes in modes R and P and fails in L), the cone (if any) is
-    invariant, and the vertices span appropriately (full rank for mode R,
-    a positive entry per coordinate otherwise).
+    image passes in modes R and P and fails in L), the cone (if any; only
+    mode L has one) is invariant, every vertex and ray entry is finite, and
+    the vertices span appropriately (full rank for mode R, a positive entry
+    per coordinate otherwise).
 
     Modes P and L settle an image ``z`` by one rule.  Points known to lie
     in the body are the vertices and ``t z`` for every earlier image whose
@@ -288,6 +289,13 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
         return report
     if any(h.shape != (d,) for h in cert.cone_H or ()):
         failures.append("cone ray dimension mismatch")
+        return report
+    if cert.cone_H and spec.sign > 0:
+        failures.append("mode %s carries no cone rays" % cert.mode)
+        return report
+    if not all(np.isfinite(v).all()
+               for v in (*cert.vertices, *(cert.cone_H or ()))):
+        failures.append("non-finite vertex or cone ray entry")
         return report
     if not spec.balanced and any(np.any(v < 0.0) for v in cert.vertices):
         failures.append("mode %s requires nonnegative vertices" % cert.mode)
@@ -347,7 +355,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                     "invariance margin" % (idx + 1, j, t))
     report.worst_slack = worst
 
-    if spec.sign < 0 and cert.cone_H:
+    if cert.cone_H:
         for j in range(1, scaled.size + 1):
             A = scaled.matrix(j)
             for hidx, h in enumerate(cert.cone_H):

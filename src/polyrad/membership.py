@@ -49,8 +49,9 @@ _INF = float("inf")
 # The number of recent optimal supports of mode-R LPs kept for
 # :func:`support_bound`.
 SUPPORTS = 16
-# A support's coefficients count only when they reproduce ``z`` to this
-# relative residual.
+# Relative round-off: a support's coefficients count only when they
+# reproduce ``z`` to this relative residual, and a mode-R LP value this
+# small against its ceiling ``max|V| / max|z|`` is read as 0.
 _SUPPORT_RESIDUAL = 1e-12
 
 MODE_R = "R"
@@ -192,6 +193,12 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     basis, and phase 2 runs from it alone.  ``supports``, when given, is
     the list of recent optimal supports, and the LP's support is put at its
     front.
+
+    Since ``t z = V^T c`` with ``sum |c| <= 1``, ``t max|z|`` is at most
+    ``max|V|``.  A value below ``_SUPPORT_RESIDUAL`` of that ceiling is the
+    solver's round-off on a ``z`` outside the span of the vertices, whose
+    true value is 0, and is returned as 0: a positive value would bound the
+    radius on a body that is not full-dimensional.
     """
     z, Vm = _stack(z, V)
     A = np.hstack([z[:, None], -Vm.T, Vm.T])
@@ -209,7 +216,10 @@ def norm_membership_R(z, V, start: Optional[list] = None,
         n = Vm.shape[0]
         x = outcome.assignment
         _remember_support(supports, x[1:1 + n] - x[1 + n:], Vm)
-    return float(outcome.value)
+    t = float(outcome.value)
+    if t * float(np.max(np.abs(z))) <= _SUPPORT_RESIDUAL * float(np.max(np.abs(Vm))):
+        return 0.0
+    return t
 
 
 def norm_membership_P(z, V) -> float:

@@ -33,9 +33,14 @@ clipped at zero.  If a basic value is below -1e-7, that rebuild would be
 refused, so the dual loop's tableau stays, clipped reduced costs and all.
 Phase 2 therefore makes no pivot, and no rebuild, exactly when every
 reduced cost it opens on is at least ``-PIVOT_TOL``; otherwise it pivots
-from the tableau its rebuild would have written.  A loop reports a status
-only right after a rebuild, so phase 1's feasibility check and the final
-recovery read the basic values that rebuild solved for.
+from the tableau its rebuild would have written.
+
+A loop reports a status only right after a rebuild, so phase 1's verdict
+and the answer are read from the tableau the last rebuild wrote: the
+basic values it solved for, clipped at zero, or, if it refused the basis,
+the pivoted ones.  The answer is checked against the original rows, and
+one that violates them by more than 1e-6, relative to the row's size,
+raises :class:`LPCyclingError`.
 
 The solver is deterministic: identical inputs produce identical pivot
 sequences and outcomes.  After a long run of degenerate pivots either
@@ -382,14 +387,12 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         T[T[:, -1] < 0] *= -1.0
         T[:, art0:total] = np.eye(m, nart)
         basis = np.arange(art0, total)
-    # The unpivoted system the rebuild solves; the basic values, before
-    # clipping, that the last rebuild solved for (None when its basis
-    # matrix was singular or they were not finite); the reduced costs,
-    # before clipping, of the last rebuild (None when it was refused); and
-    # the counts of accepted and refused rebuilds.
+    # The unpivoted system the rebuild solves; the reduced costs, before
+    # clipping, of the last rebuild (None when it was refused); and the
+    # counts of accepted and refused rebuilds.
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
-    solved = last_reduced = None
+    last_reduced = None
     rebuilds = refused = 0
 
     def make_refactor(cost_full: np.ndarray, dual: bool = False,
@@ -399,7 +402,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         raising instead when ``strict``.  ``dual`` checks the reduced costs
         instead of the basic values."""
         def refactor(basis_now: np.ndarray, T: np.ndarray, obj: np.ndarray) -> None:
-            nonlocal solved, last_reduced, rebuilds, refused
+            nonlocal last_reduced, rebuilds, refused
             B = A_std[:, basis_now]
             try:
                 y = np.linalg.solve(B, b_std)
@@ -407,9 +410,9 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                 Binv_A = np.linalg.solve(B, A_std)
             except np.linalg.LinAlgError:
                 y = Binv_A = None
-            solved = y if y is not None and np.all(np.isfinite(y)) else None
             last_reduced = None
-            if solved is not None and np.all(np.isfinite(Binv_A)):
+            if (y is not None and np.all(np.isfinite(y))
+                    and np.all(np.isfinite(Binv_A))):
                 cb = cost_full[basis_now]
                 reduced = cost_full - cb @ Binv_A
                 # A program without rows has no basic values, hence initial.
@@ -457,10 +460,10 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                              rebuilds=rebuilds, rebuilds_refused=refused)
         if last_reduced is not None:
             # Phase 2 opens on the dual loop's confirming rebuild (see the
-            # module docstring).
+            # module docstring), whose basic values T[:, -1] holds unclipped.
             fresh = True
-            if float(solved.min(initial=0.0)) >= -1e-7:
-                y = np.clip(solved, 0.0, None)
+            if float(T[:, -1].min(initial=0.0)) >= -1e-7:
+                y = np.clip(T[:, -1], 0.0, None)
                 T[:, -1] = y
                 obj[:-1] = last_reduced
                 obj[-1] = -float(cost2[basis] @ y)
@@ -475,13 +478,10 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                                       make_refactor(cost1))
         if status != OPTIMAL:
             raise LPCyclingError("phase 1 reported unbounded, which is impossible")
-        # The tableau estimate of the artificial sum drifts over many pivots;
-        # judge feasibility by the final basis's values from the pristine
-        # system instead.
-        art_sum = -obj[-1]
-        if solved is not None:
-            art_sum = sum(max(float(solved[r]), 0.0)
-                          for r in range(m) if basis[r] >= art0)
+        # Judge feasibility by the basic values that the last rebuild wrote
+        # (the pivoted ones if it was refused), not by the objective row,
+        # whose estimate of the artificial sum drifts over many pivots.
+        art_sum = float(np.maximum(T[basis >= art0, -1], 0.0).sum())
         if art_sum > FEAS_TOL:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
                              rebuilds=rebuilds, rebuilds_refused=refused)
@@ -509,39 +509,19 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started,
                          rebuilds, refused)
 
-    # Recover the basic solution from the tableau and, as the confirming
-    # rebuild solved it, from the unpivoted system.  When the basis matrix
-    # is ill conditioned the tableau solution can be the better of the two,
-    # so both are checked against the original constraints and the cleaner
-    # one wins; on a tie, and when the two are equal, the tableau's.
-    def to_x(basic: np.ndarray) -> np.ndarray:
-        x = np.zeros(total)
-        x[basis] = basic
-        return 0.0 + x[:ncols]
-
-    # Residuals are judged relative to the size of each row, since the rows
-    # of one program can span many orders of magnitude.
-    ge = ineq & ~le
+    # The answer is the basic solution that the last rebuild wrote (the
+    # pivoted one if it was refused), checked against the original
+    # constraints.  Residuals are judged relative to the size of each row,
+    # since the rows of one program can span many orders of magnitude.
+    x = np.zeros(total)
+    x[basis] = T[:, -1]
+    x = 0.0 + x[:ncols]
+    lhs = A0 @ x
+    r = np.where(le, lhs - b0, np.where(ineq, b0 - lhs, np.abs(lhs - b0)))
     row_mag = np.max(np.abs(A0), axis=1, initial=0.0)
-
-    def violation(x: np.ndarray) -> float:
-        xmag = float(np.max(np.abs(x))) if x.size else 0.0
-        # One dot product per row: a matrix-vector product rounds
-        # differently and could flip near-ties between the candidates.
-        lhs = np.array([a @ x for a in A0])
-        r = np.where(le, lhs - b0, np.where(ge, b0 - lhs, np.abs(lhs - b0)))
-        scale = np.maximum(np.maximum(1.0, row_mag * max(1.0, xmag)), np.abs(b0))
-        return float(np.fmax.reduce(r / scale, initial=0.0))
-
-    x = to_x(T[:, -1])
-    worst = violation(x)
-    if solved is not None:
-        solved[np.abs(solved) < 1e-13] = 0.0
-        rebuilt = to_x(solved)
-        if not np.array_equal(rebuilt, x):
-            score = violation(rebuilt)
-            if score < worst:
-                x, worst = rebuilt, score
+    xmag = float(np.max(np.abs(x), initial=0.0))
+    scale = np.maximum(np.maximum(1.0, row_mag * max(1.0, xmag)), np.abs(b0))
+    worst = float(np.fmax.reduce(r / scale, initial=0.0))
     if worst > 1e-6:
         raise LPCyclingError("solution violates constraints by %g" % worst)
 

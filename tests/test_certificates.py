@@ -335,6 +335,25 @@ def _refusal(case, jsr_outcome, lsr_outcome):
         # A 1-entry ray on the 2-dimensional pair.
         fam, out = lsr_outcome
         return fam, dataclasses.replace(out.certificate, cone_H=(np.array([1.0]),))
+    # Only mode L reads cone rays, so elsewhere any ray would pass unchecked.
+    if case == "cone in P":
+        return fam, dataclasses.replace(cert, cone_H=(-np.ones(2),))
+    if case == "cone in R":
+        cert = run(fam, RunConfig(mode=MODE_R, max_candidate_length=4)).certificate
+        return fam, dataclasses.replace(cert, cone_H=(-np.ones(2),))
+    # deserialize refuses non-finite numbers, but a certificate built in
+    # memory never meets it.
+    if case == "infinite vertex":
+        return fam, dataclasses.replace(
+            cert, vertices=cert.vertices + (np.full(2, np.inf),))
+    if case == "nan vertex":
+        fam, out = lsr_outcome
+        return fam, dataclasses.replace(
+            out.certificate, vertices=out.certificate.vertices + (np.full(2, np.nan),))
+    if case == "infinite ray":
+        fam, out = lsr_outcome
+        return fam, dataclasses.replace(out.certificate,
+                                        cone_H=(np.array([1.0, np.inf]),))
     # case == "span": diag(1, 0.5) keeps (1, 0) invariant, but no vertex is
     # positive in the second coordinate.
     diagonal = MatrixFamily([np.diag([1.0, 0.5])])
@@ -353,6 +372,11 @@ class TestRefusals:
         ("zero radius", "candidate product has zero spectral radius"),
         ("cone", "cone ray 1 not strictly invariant"),
         ("cone dimension", "cone ray dimension mismatch"),
+        ("cone in P", "mode P carries no cone rays"),
+        ("cone in R", "mode R carries no cone rays"),
+        ("infinite vertex", "non-finite vertex or cone ray entry"),
+        ("nan vertex", "non-finite vertex or cone ray entry"),
+        ("infinite ray", "non-finite vertex or cone ray entry"),
         ("span", "vertices fail the positive span requirement"),
     ])
     def test_refusal_names_its_reason(self, jsr_outcome, lsr_outcome, case,

@@ -290,6 +290,20 @@ class TestFinalBounds:
         assert out.bounds[0] == out.candidate.rho_per_step
         assert out.bounds[1] == math.inf
 
+    @pytest.mark.parametrize("d, seed, cap", [(3, 16, 1), (3, 0, 2), (4, 17, 1)])
+    def test_mode_r_run_capped_before_the_vertices_span_leaves_upper_open(
+            self, d, seed, cap):
+        # The last iteration holds an image outside the span of the
+        # vertices, whose membership value is 0; the LP reads it as round-off
+        # near 1e-16, which must not turn into a finite upper bound.
+        fam = random_family("gaussian-equal-norm", d, 2, seed)
+        out = run(fam, RunConfig(mode=MODE_R, max_candidate_length=8,
+                                 max_iterations=cap))
+        assert out.status == ITERATION_CAPPED
+        assert out.iterations == cap
+        assert out.t_N == 0.0
+        assert out.bounds == (out.candidate.rho_per_step, math.inf)
+
     @pytest.mark.parametrize("mode, expected", [
         (MODE_L, (0.0, 1.5, None)),
         (MODE_P, (1.5, math.inf, None)),

@@ -258,15 +258,22 @@ class TestStartBasis:
 
 def _broken_solve(solve, cause):
     """``np.linalg.solve`` broken so that every rebuild of the tableau from
-    the unpivoted system is refused for ``cause``.  The rebuild solves for
-    the basic values with a vector right-hand side and for the tableau with
-    a matrix one."""
+    the unpivoted system is refused for ``cause``, or, for
+    "shifted-basic-values", accepted with wrong basic values.  The rebuild
+    solves for the basic values with a vector right-hand side and for the
+    tableau with a matrix one."""
     def broken(B, b):
         if cause == "singular":
             raise np.linalg.LinAlgError("Singular matrix")
         x = solve(B, b)
         if cause == "non-finite":
             return np.full_like(x, np.inf)
+        # Basic values 0.5 too high.  The refinement step's solve is 0.5 too
+        # high as well, which cancels the -0.5 correction it finds, so the
+        # rebuild's values stay 0.5 too high: finite, and nonnegative at a
+        # feasible basis.
+        if cause == "shifted-basic-values":
+            return x + 0.5 if b.ndim == 1 else x
         # Basic values 1e6 too low, and in "negative-reduced-costs" a
         # tableau 1e6 too high as well, so that the reduced costs of every
         # basis with a basic variable of positive cost fall by 1e6 or more.
@@ -292,9 +299,8 @@ class TestRebuild:
         # phase 2 opens on that rebuild.  The dual path confirms the end of
         # the dual loop, and phase 2 opens on that rebuild too.  The
         # two-phase solve confirms the end of phase 1 and, after the
-        # artificials are driven out, of phase 2.  Phase 1's feasibility
-        # check and the final recovery read the basic values of the
-        # confirming rebuild.
+        # artificials are driven out, of phase 2.  Phase 1's verdict and
+        # the answer are read from the tableau the last rebuild wrote.
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
@@ -329,6 +335,43 @@ class TestRebuild:
                 out.started) == (plain.status, plain.value, plain.phase1_pivots,
                                  plain.phase2_pivots, False)
         assert np.array_equal(out.assignment, plain.assignment)
+
+    # x <= 1 and x >= 1, with x's cost positive: the dual path.
+    PINNED = LinearProgram("min", [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 1.0)])
+    # max 2x + 3y subject to x + y <= 4, x + 3y <= 6 and x >= 1: two phases.
+    TWO_PHASE = LinearProgram("max", [2.0, 3.0],
+                              [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0),
+                               ([1.0, 0.0], ">=", 1.0)])
+
+    @pytest.mark.parametrize("lp, start", [
+        (PINNED, None), (PINNED, [None, 0]), (TWO_PHASE, None),
+    ], ids=["dual-path", "started", "two-phase"])
+    def test_answer_that_violates_the_rows_raises(self, monkeypatch, lp, start):
+        # Every rebuild is accepted, and the answer is read from the last
+        # one: x = 1.5 breaks x <= 1, and (3.5, 1.5) breaks x + y <= 4.
+        # Only the final check against the original rows catches it.  The
+        # started solve is called directly, since solve_lp would answer its
+        # error by solving again without the start.
+        monkeypatch.setattr(np.linalg, "solve",
+                            _broken_solve(np.linalg.solve, "shifted-basic-values"))
+        with pytest.raises(LPCyclingError, match="violates constraints"):
+            simplex._solve(lp, False, start)
+
+    # max x subject to x <= 1 and x >= 2: phase 1 ends with an artificial
+    # at 1.
+    INFEASIBLE_LP = LinearProgram("max", [1.0], [([1.0], "<=", 1.0),
+                                                 ([1.0], ">=", 2.0)])
+
+    @pytest.mark.parametrize("cause", ["singular", "non-finite"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_refused_phase1_rebuild_reads_the_pivoted_tableau(self, monkeypatch,
+                                                              cause):
+        # Every rebuild is refused, so phase 1's verdict is read from the
+        # pivoted tableau's basic values.
+        monkeypatch.setattr(np.linalg, "solve", _broken_solve(np.linalg.solve, cause))
+        out = solve_lp(self.INFEASIBLE_LP)
+        assert out.status == INFEASIBLE
+        assert out.rebuilds == 0 and out.rebuilds_refused > 0
 
 
 class TestDeterminism:
