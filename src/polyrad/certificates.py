@@ -33,8 +33,6 @@ from .membership import (
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
-    one_vertex_bound,
-    support_bound,
 )
 
 CERT_VERSION = 1
@@ -237,13 +235,14 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
 
     The tolerance is ten times the certificate's recorded run tolerance,
     which must lie in ``[0, MAX_TOLERANCE]``.  The verdict is valid only
-    when the family and the vertices have the sign the mode needs (modes P
-    and L live in the nonnegative orthant), the recomputed candidate
-    radius matches, every vertex image passes its membership test (a zero
-    image passes in modes R and P and fails in L), the cone (if any; only
-    mode L has one) is invariant, every vertex and ray entry is finite, and
-    the vertices span appropriately (full rank for mode R, a positive entry
-    per coordinate otherwise).
+    when the certificate holds vertices and a word, the family and the
+    vertices have the sign the mode needs (modes P and L live in the
+    nonnegative orthant), the recomputed candidate radius matches, every
+    vertex image passes its membership test (a zero image passes in modes
+    R and P and fails in L), the cone (if any; only mode L has one) is
+    invariant, every vertex and ray entry is finite, and the vertices span
+    appropriately (the mode's ``span``: full rank for mode R, a positive
+    entry per coordinate otherwise).
 
     Modes P and L settle an image ``z`` by one rule.  Points known to lie
     in the body are the vertices and ``t z`` for every earlier image whose
@@ -260,10 +259,9 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     tolerance, and starts every other LP from that support's basis.  An
     image passed without an LP contributes the slack of its bound, so
     ``worst_slack`` is then an upper bound on the largest slack rather
-    than its exact value.  ``lps_solved`` and
-    ``lps_skipped`` count the images that needed their membership LP and
-    the images settled without one; zero images and cone margins count
-    as neither.
+    than its exact value.  ``lps_solved`` and ``lps_skipped`` count the
+    images that needed their membership LP and the images settled without
+    one; zero images and cone margins count as neither.
     """
     failures: List[str] = []
     report = VerificationReport(False, float("-inf"), False, float("nan"), failures)
@@ -284,6 +282,9 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
         failures.append("mode %s requires a nonnegative family" % cert.mode)
         return report
     d = family.dim
+    if not cert.vertices or not cert.word:
+        failures.append("certificate must contain vertices and a word")
+        return report
     if any(v.shape != (d,) for v in cert.vertices):
         failures.append("vertex dimension mismatch")
         return report
@@ -318,7 +319,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     tolerance = 10.0 * cert.tolerance
     scaled = family.scaled(1.0 / per_step)
     Vm = np.asarray(cert.vertices, dtype=float)
-    # Points known to lie in the body (modes P and L): the vertices, then
+    # Points known to lie in the body: the vertices, then (modes P and L)
     # t * z for every image z whose LP gave a finite value t.
     inside = np.zeros((len(Vm) * (scaled.size + 1), d))
     inside[:len(Vm)] = Vm
@@ -331,11 +332,8 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
             if is_zero_image(z):
                 t = float("inf")
             else:
-                if spec.balanced:
-                    t, start = support_bound(z, Vm, supports)
-                else:
-                    t = one_vertex_bound(spec, z, inside[:n_inside])[0]
-                if spec.sign * (1.0 - t) <= tolerance:
+                t, start = spec.bound(z, inside[:n_inside], supports)
+                if spec.slack(t) <= tolerance:
                     report.lps_skipped += 1
                 elif spec.balanced:  # the LPs are looked up by name, as in the engine
                     t = norm_membership_R(z, Vm, start, supports)
@@ -347,7 +345,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                     if np.isfinite(t):
                         inside[n_inside] = t * z
                         n_inside += 1
-            slack = 1.0 - t if spec.sign > 0 else t - 1.0
+            slack = spec.slack(t)
             worst = max(worst, slack)
             if not slack <= tolerance:
                 failures.append(
@@ -364,10 +362,9 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                     failures.append("cone ray %d not strictly invariant under "
                                     "matrix %d" % (hidx + 1, j))
 
-    span = "linear" if spec.balanced else "positive"
-    report.span_ok = spans_check(Vm, span)
+    report.span_ok = spans_check(Vm, spec.span)
     if not report.span_ok:
-        failures.append("vertices fail the %s span requirement" % span)
+        failures.append("vertices fail the %s span requirement" % spec.span)
 
     report.verdict = not failures
     return report

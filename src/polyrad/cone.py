@@ -44,12 +44,11 @@ class ConeExtension:
     index_sets: Tuple[Tuple[int, ...], ...]
 
 
-def detect_near_boundary(points: Sequence[np.ndarray],
-                         delta: float = DELTA) -> List[Tuple[int, ...]]:
+def detect_near_boundary(points: Sequence[np.ndarray]) -> List[Tuple[int, ...]]:
     """Index sets of coordinates that collapse relative to the peak entry.
 
     A point is near the orthant boundary when its smallest entry falls
-    below ``delta / d`` times its largest; the returned sets list the
+    below ``DELTA / d`` times its largest; the returned sets list the
     collapsing coordinates (1-based), deduplicated in discovery order.
     Sets covering all coordinates are skipped: they leave no room for a
     usable ray.
@@ -62,7 +61,7 @@ def detect_near_boundary(points: Sequence[np.ndarray],
         peak = float(v.max())
         if peak <= 0.0:
             continue
-        threshold = (delta / d) * peak
+        threshold = (DELTA / d) * peak
         if float(v.min()) >= threshold:
             continue
         indices = tuple(int(q) + 1 for q in np.nonzero(v < threshold)[0])

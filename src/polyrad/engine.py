@@ -20,10 +20,10 @@ and a violation restarts from that chain's candidate and root.
 The vertex set is one ``(n, d)`` array, ``PolytopeState.vertices``, which
 the membership LPs, the span check, the cone probe and the certificate read.
 
-In modes P and L the best single vertex bounds an image's membership value
-(:func:`one_vertex_bound`): from below in P, from above in L.  In mode R
-the best of the run's recent optimal supports bounds it from below
-(:func:`support_bound`).  When that bound already puts the image inside
+The mode's record bounds an image's membership value without an LP
+(:meth:`~polyrad.membership.Mode.bound`): the best single vertex from
+below in P and from above in L, the best of the run's recent optimal
+supports from below in R.  When that bound already puts the image inside
 the body, it is recorded as the image's value and no LP runs; the verdict
 is the LP's, since the bound lies on the inside of the LP value.  Only
 ``t_N`` of a terminated run can differ from the LP values (it can be such
@@ -74,8 +74,6 @@ from .membership import (
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
-    one_vertex_bound,
-    support_bound,
 )
 
 TERMINATED = "terminated"
@@ -137,7 +135,7 @@ class PolytopeState:
     candidate's first and then its symmetric twins, and row ``i`` of
     ``vertices`` is the point of ``nodes[i]``.  ``supports`` holds the
     recent optimal supports of mode-R LPs, as rows of ``vertices``, the
-    newest first (:func:`support_bound`)."""
+    newest first (:func:`~polyrad.membership.support_bound`)."""
 
     words: Tuple[Word, ...]
     nodes: List[VertexNode] = field(default_factory=list)
@@ -219,22 +217,19 @@ def _membership(spec: Mode, z, state: PolytopeState, start,
 
 def _is_dead(spec: Mode, t: float, remove_boundary: bool) -> bool:
     """Whether value ``t`` is inside the body (or on it, ``remove_boundary``)."""
-    s = spec.sign
     if remove_boundary:
-        return s * t >= s * (1.0 - s * BOUNDARY_TOL)
-    return s * t > s * (1.0 + s * BOUNDARY_TOL)
+        return spec.slack(t) <= BOUNDARY_TOL
+    return spec.slack(t) < -BOUNDARY_TOL
 
 
 def stopping_check(mode: str, duals, z) -> Optional[int]:
-    """Smallest 1-based dual index whose pairing with ``z`` leaves the
-    admissible range, by more than ``BOUNDARY_TOL``, or ``None`` when all
-    pairings pass."""
+    """Smallest 1-based dual index whose pairing with ``z`` (``|s|`` in mode
+    R) puts ``z`` outside the body, past 1 (short of it in L) by more than
+    ``BOUNDARY_TOL``, or ``None`` when all pairings pass."""
     spec = MODES[mode]
     for j, dual in enumerate(duals, start=1):
         s = float(dual @ z)
-        if spec.balanced:
-            s = abs(s)
-        if spec.sign * s > spec.sign * (1.0 + spec.sign * BOUNDARY_TOL):
+        if spec.slack(abs(s) if spec.balanced else s) < -BOUNDARY_TOL:
             return j
     return None
 
@@ -303,10 +298,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                     "construction does not apply")
             t = math.inf
         else:
-            if spec.balanced:
-                t, start = support_bound(z, state.vertices, state.supports)
-            else:
-                t, start = one_vertex_bound(spec, z, state.vertices)[0], None
+            t, start = spec.bound(z, state.vertices, state.supports)
             if _is_dead(spec, t, config.remove_boundary):
                 counts.skipped += 1
             else:
@@ -324,7 +316,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
         # it on or inside the current polytope; otherwise it is a genuinely
         # new (if nearby) point and must stay alive.  The O(1) test on t
         # runs first, so few points pay for the scan of the vertices.
-        if spec.sign * t >= spec.sign and _is_duplicate(z, state.vertices):
+        if spec.slack(t) <= 0.0 and _is_duplicate(z, state.vertices):
             continue
         state.nodes.append(VertexNode(vid, p, chain=node.chain))
         state.vertices = np.vstack((state.vertices, z))
@@ -379,14 +371,13 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily,
             message = str(exc)
             break
         if not state.U:
-            span = "linear" if spec.balanced else "positive"
-            if spans_check(state.vertices, span):
+            if spans_check(state.vertices, spec.span):
                 status = TERMINATED
             else:
                 status = INAPPLICABLE
                 message = ("the polytope stopped growing without the %s span "
                            "of the space, so the family is reducible and the "
-                           "candidate value is not certified" % span)
+                           "candidate value is not certified" % spec.span)
             break
         if not probe_done and state.k >= PROBE_ITERS:
             probe_done = True
@@ -450,19 +441,18 @@ def _run(family: MatrixFamily, config: RunConfig,
         raise ValueError("mode must be one of 'R', 'P', 'L'")
     if not spec.balanced and not family.is_nonnegative():
         raise ValueError("mode %s requires a nonnegative family" % mode)
-    sense = "max" if spec.sign > 0 else "min"
     max_length = config.max_candidate_length
     if max_length is None:
         max_length = 6 if family.dim <= 10 else 4
 
-    candidate = enumerate_candidates(family, max_length, sense)
+    candidate = enumerate_candidates(family, max_length, spec.sense)
     budget = _RESTART_BUDGET
     stopping = True
     tried = {candidate.word}
     budget_exhausted = False
 
     while True:
-        if sense == "min" and candidate.rho == 0.0:
+        if spec.sense == "min" and candidate.rho == 0.0:
             return RunOutcome(
                 status=TERMINATED, mode=mode, value=0.0, bounds=(0.0, 0.0),
                 candidate=candidate,
@@ -493,13 +483,13 @@ def _run(family: MatrixFamily, config: RunConfig,
             root = roots[violation.chain]
             try:
                 replacement = restart_product(
-                    family, root, (violation.j, violation.path), sense)
+                    family, root, (violation.j, violation.path), spec.sense)
             except RestartFailedError:
                 # The violation is numerically marginal: re-enumerate with a
                 # longer cap, after every failed restart; a word already
                 # tried (the candidate among them) ends the stopping tests.
                 max_length += 2
-                replacement = enumerate_candidates(family, max_length, sense)
+                replacement = enumerate_candidates(family, max_length, spec.sense)
             if replacement.word in tried:
                 stopping = False
                 continue

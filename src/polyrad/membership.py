@@ -19,8 +19,8 @@ a point strictly outside it is below 1 (reversed for the antinorm variants).
 The bodies of modes P and L are monotone, so a single vertex already
 bounds the value (:func:`one_vertex_bound`).  Mode R's value is bounded
 from below by a recent optimal support, d vertices of full rank that
-represent ``z`` exactly (:func:`support_bound`).  The engine records
-either bound without an LP when it settles a point.  Each body builds its
+represent ``z`` exactly (:func:`support_bound`).  :meth:`Mode.bound`
+picks the mode's, which settles a point without an LP.  Each body builds its
 own program; the antinorm LP starts from the best covering vertex's basis
 and the balanced-hull LP from the best cached support's, and each runs
 phase 2 alone, unless :func:`solve_lp` has to solve it again in two
@@ -61,13 +61,27 @@ MODE_L = "L"
 
 @dataclass(frozen=True)
 class Mode:
-    """One mode's body: ``sign`` +1 for the norms R and P (inside means a
-    value of at least 1), -1 for the antinorm L (at most 1); ``balanced``
-    marks mode R's symmetric body, the only one for signed families: its
-    duals pair with ``|s|`` and its vertices must span linearly."""
+    """One mode's body and the rules growth and verification read from it:
+    ``sign`` +1 for the norms R and P (inside means a value of at least 1),
+    -1 for the antinorm L (at most 1), ``balanced`` for mode R's symmetric
+    body (signed families; duals pair with ``|s|``), the candidate search's
+    ``sense`` and the ``span`` its vertices need (``spans_check``)."""
 
     sign: int
     balanced: bool
+    sense = property(lambda self: "max" if self.sign > 0 else "min")
+    span = property(lambda self: "linear" if self.balanced else "positive")
+
+    def slack(self, t: float) -> float:
+        """How far value ``t`` lies outside the body, negative inside."""
+        return 1.0 - t if self.sign > 0 else t - 1.0
+
+    def bound(self, z, points, supports) -> Tuple[float, Optional[list]]:
+        """The value of ``z`` that ``points`` of the body prove, and mode R's
+        LP start: :func:`support_bound` in R, :func:`one_vertex_bound` in P, L."""
+        if self.balanced:
+            return support_bound(z, points, supports)
+        return one_vertex_bound(self, z, points)[0], None
 
 
 MODES = {

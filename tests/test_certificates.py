@@ -319,6 +319,12 @@ def _refusal(case, jsr_outcome, lsr_outcome):
             cert, vertices=cert.vertices + (np.ones(3),))
     if case == "index":
         return fam, dataclasses.replace(cert, word=cert.word + (3,))
+    # deserialize refuses both, but a certificate built in memory never
+    # meets it.
+    if case == "no vertices":
+        return fam, dataclasses.replace(cert, vertices=())
+    if case == "empty word":
+        return fam, dataclasses.replace(cert, word=())
     if case == "primitive":
         return fam, dataclasses.replace(cert, word=cert.word * 2)
     if case == "zero radius":
@@ -368,6 +374,8 @@ class TestRefusals:
         ("mode", "unknown mode"),
         ("dimension", "vertex dimension mismatch"),
         ("index", "word index out of range"),
+        ("no vertices", "certificate must contain vertices and a word"),
+        ("empty word", "certificate must contain vertices and a word"),
         ("primitive", "word is not primitive"),
         ("zero radius", "candidate product has zero spectral radius"),
         ("cone", "cone ray 1 not strictly invariant"),

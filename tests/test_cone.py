@@ -24,20 +24,20 @@ def scaled_overlap():
 class TestDetection:
     def test_balanced_vertices_detect_nothing(self):
         V = [np.array([1.0, 2.0, 1.5]), np.array([0.5, 0.4, 0.6])]
-        assert detect_near_boundary(V, 0.01) == []
+        assert detect_near_boundary(V) == []
 
     def test_single_collapsing_coordinate(self):
         V = [np.array([1.0, 1e-9, 1.0])]
-        assert detect_near_boundary(V, 0.01) == [(2,)]
+        assert detect_near_boundary(V) == [(2,)]
 
     def test_duplicate_sets_merged(self):
         V = [np.array([1.0, 1e-9, 1.0]), np.array([2.0, 1e-9, 2.0])]
-        assert detect_near_boundary(V, 0.01) == [(2,)]
+        assert detect_near_boundary(V) == [(2,)]
 
     def test_full_dimension_sets_skipped(self):
         # A zero vector collapses everywhere, which leaves no room for a ray.
         V = [np.array([0.0, 0.0])]
-        assert detect_near_boundary(V, 0.01) == []
+        assert detect_near_boundary(V) == []
 
 
 class TestRays:

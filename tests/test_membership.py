@@ -325,6 +325,48 @@ class TestOneVertexBound:
             one_vertex_bound(MODES[MODE_R], np.ones(2), np.eye(2))
 
 
+class TestModeTable:
+    """The rules each mode's record owns."""
+
+    @pytest.mark.parametrize("mode, sense, span", [
+        (MODE_R, "max", "linear"),
+        (MODE_P, "max", "positive"),
+        (MODE_L, "min", "positive"),
+    ])
+    def test_sense_and_span(self, mode, sense, span):
+        assert set(MODES) == {MODE_R, MODE_P, MODE_L}
+        assert (MODES[mode].sense, MODES[mode].span) == (sense, span)
+
+    # Inside a norm body (R, P) a value is at least 1, inside the antinorm
+    # body (L) at most 1; a zero image has the value inf.
+    @pytest.mark.parametrize("mode, inside, outside", [
+        (MODE_R, 1.25, 0.75), (MODE_P, 1.25, 0.75), (MODE_L, 0.75, 1.25),
+    ])
+    def test_slack_is_negative_inside(self, mode, inside, outside):
+        spec = MODES[mode]
+        assert spec.slack(inside) == -0.25
+        assert spec.slack(outside) == 0.25
+        assert spec.slack(INF) == (INF if mode == MODE_L else -INF)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_slack_on_the_boundary_is_positive_zero(self, mode):
+        # verify reports worst_slack, so -(1.0 - t) would read -0.0 in L.
+        assert repr(MODES[mode].slack(1.0)) == "0.0"
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_bound_is_the_modes_cheap_bound(self, mode):
+        rng = np.random.default_rng(3)
+        V = rng.uniform(0.1, 1.0, size=(5, 3))
+        z = rng.uniform(0.1, 1.0, size=3)
+        supports = [(0, 1, 2), (1, 3, 4)]
+        if mode == MODE_R:
+            expected = support_bound(z, V, supports)
+            assert expected[1] is not None
+        else:
+            expected = (one_vertex_bound(MODES[mode], z, V)[0], None)
+        assert MODES[mode].bound(z, V, supports) == expected
+
+
 class TestSupportCache:
     """The exits of the mode-R support cache that prove nothing."""
 
