@@ -341,7 +341,9 @@ def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
     the j-th root vertex to the violating point.  The new candidate is the
     smallest power ``r`` such that appending ``r`` turns of the j-th cyclic
     permutation to the path crosses spectral radius 1 in the normalized
-    family, up to ``_RESTART_TURNS`` turns.
+    family, up to ``_RESTART_TURNS`` turns.  A new word whose product
+    is not finite in the unscaled family also raises
+    :class:`RestartFailedError`.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -360,7 +362,14 @@ def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
         crossed = rho > 1.0 + 1e-12 if sense == "max" else rho < 1.0 - 1e-12
         if crossed:
             new_word = canonical_word(primitive_root_word(path + cycle * r))
-            replacement = make_candidate(family, new_word)
+            try:
+                with np.errstate(over="ignore"):
+                    replacement = make_candidate(family, new_word)
+            except MatrixError as exc:
+                # The word was found in the scaled family; its product in
+                # the unscaled one can overflow.
+                raise RestartFailedError("the restart word's product failed: %s"
+                                         % exc) from exc
             improved = (replacement.rho_per_step > candidate.rho_per_step
                         if sense == "max"
                         else replacement.rho_per_step < candidate.rho_per_step)

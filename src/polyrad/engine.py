@@ -485,9 +485,10 @@ def _run(family: MatrixFamily, config: RunConfig,
                 replacement = restart_product(
                     family, root, (violation.j, violation.path), spec.sense)
             except RestartFailedError:
-                # The violation is numerically marginal: re-enumerate with a
-                # longer cap, after every failed restart; a word already
-                # tried (the candidate among them) ends the stopping tests.
+                # The violation is numerically marginal, or the new word's
+                # product overflows: re-enumerate with a longer cap, after
+                # every failed restart; a word already tried (the candidate
+                # among them) ends the stopping tests.
                 max_length += 2
                 replacement = enumerate_candidates(family, max_length, spec.sense)
             if replacement.word in tried:

@@ -21,10 +21,10 @@ bounds the value (:func:`one_vertex_bound`).  Mode R's value is bounded
 from below by a recent optimal support, d vertices of full rank that
 represent ``z`` exactly (:func:`support_bound`).  :meth:`Mode.bound`
 picks the mode's, which settles a point without an LP.  Each body builds its
-own program; the antinorm LP starts from the best covering vertex's basis
-and the balanced-hull LP from the best cached support's, and each runs
-phase 2 alone, unless :func:`solve_lp` has to solve it again in two
-phases.
+own program; the antinorm LP starts from the best covering vertex's basis,
+the balanced-hull LP from the best cached support's and the cone margin LP
+from its least coordinate, and each runs phase 2 alone, unless
+:func:`solve_lp` has to solve it again in two phases.
 """
 
 from __future__ import annotations
@@ -367,8 +367,11 @@ def cone_ray_margin(image, H) -> float:
     Used to certify that the image of a cone ray stays strictly inside the
     cone spanned by ``H`` and the all-ones direction.  The margin is free,
     so the LP maximizes ``t+ - t-`` over the columns ``[1 | -1 | H^T]``.
-    Returns ``inf`` when the margin is unbounded.  Every ray must have the
-    dimension of ``image``.
+    It starts from ``t = min(image)`` with no ray weight, which is feasible:
+    ``t+`` (``t-`` when that minimum is negative) is basic in the row of the
+    minimum and every other row's slack in its own.  Returns ``inf`` when
+    the margin is unbounded.  Every ray must have the dimension of
+    ``image``.
     """
     image = np.asarray(image, dtype=float)
     rays = np.asarray(H, dtype=float)
@@ -379,7 +382,10 @@ def cone_ray_margin(image, H) -> float:
     objective = np.append([1.0, -1.0], np.zeros(len(rays)))
     A = np.hstack([np.ones((image.size, 1)) * [1.0, -1.0], rays.T])
     rows = [(row, LE, rhs) for row, rhs in zip(A, image)]
-    outcome = solve_lp(LinearProgram("max", objective, rows))
+    start = [None] * image.size
+    least = int(np.argmin(image))
+    start[least] = 0 if image[least] >= 0.0 else 1
+    outcome = solve_lp(LinearProgram("max", objective, rows), start=start)
     if outcome.status == UNBOUNDED:
         return _INF
     if outcome.status != OPTIMAL:

@@ -8,10 +8,11 @@ and the primal simplex then finishes as phase 2.  The covering programs
 of the mode-P norm, ``min{sum c : V^T c >= z, c >= 0}``, take this path.
 A caller that knows a primal feasible basis may pass it as ``start``; the
 primal simplex then runs as phase 2 alone, with no artificial variables.
-The mode-L antinorm programs start from their best single vertex, and the
-mode-R balanced-hull programs from their best cached support.  A started
-solve that fails is solved again without its start.  Every other program
-runs the two-phase primal simplex.
+The mode-L antinorm programs start from their best single vertex, the
+mode-R balanced-hull programs from their best cached support, and the cone
+margin program from its least coordinate.  A started solve that fails is
+solved again without its start.  Every other program runs the two-phase
+primal simplex.
 
 Pivoting accumulates error, so every 25 pivots, and before either loop
 reports any status but unbounded, the tableau is rebuilt for the current
@@ -24,16 +25,11 @@ zero.  A refused basis keeps its pivoted tableau, except in a started
 solve, which raises :class:`LPCyclingError` instead so that
 :func:`solve_lp` solves the program again without the start.
 
-Each basis is rebuilt once; a loop that opens on a just-rebuilt basis does
-not rebuild it again.  A started solve's phase 2 opens on the rebuild of
-its start.  On the dual path, when the dual loop's confirming rebuild was
-accepted, phase 2 opens on that rebuild as its own rebuild of the same
-basis would write it: the reduced costs unclipped and the basic values
-clipped at zero.  If a basic value is below -1e-7, that rebuild would be
-refused, so the dual loop's tableau stays, clipped reduced costs and all.
-Phase 2 therefore makes no pivot, and no rebuild, exactly when every
-reduced cost it opens on is at least ``-PIVOT_TOL``; otherwise it pivots
-from the tableau its rebuild would have written.
+The rebuild keeps the last basis it solved, and that solve: a rebuild of
+the same basis, from either loop, reuses it and applies only its own
+acceptance test and clipping.  So each basis is solved once, and a loop
+that opens on a basis the previous one confirmed, or that a started solve
+rebuilt for its start, confirms it again without a solve.
 
 A loop reports a status only right after a rebuild, so phase 1's verdict
 and the answer are read from the tableau the last rebuild wrote: the
@@ -104,10 +100,11 @@ class LinearProgram:
 class LPOutcome:
     """A solve's status, value and assignment, its pivot counts (phase 1,
     the dual simplex on the slack-basis path, and phase 2), whether phase 2
-    started from the caller's basis, with no phase 1, and how many rebuilds
-    of the tableau (see the module docstring) it accepted and refused.  A
-    start that :func:`solve_lp` drops leaves no count: the outcome is the
-    unstarted solve's."""
+    started from the caller's basis, with no phase 1, and how many solves of
+    a new basis (see the module docstring) its rebuild accepted and
+    refused; a rebuild that reuses a solve is not counted.  A start that
+    :func:`solve_lp` drops leaves no count: the outcome is the unstarted
+    solve's."""
 
     status: str
     value: Optional[float] = None
@@ -128,7 +125,7 @@ def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
 
 
 def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
-           choose, fresh: bool) -> Tuple[str, int]:
+           choose) -> Tuple[str, int]:
     """Pivot until ``choose`` reports a status; returns it and the number of
     pivots.
 
@@ -141,10 +138,8 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
 
     ``refactor(basis, T, obj)`` is the rebuild of the module docstring.  It
     runs every 25 pivots and again before any status but unbounded is
-    returned, so that status is confirmed on a fresh tableau.  ``fresh``
-    says that ``T`` and ``obj`` already hold the rebuild of ``basis``: each
-    basis is rebuilt once, so a status found before the first pivot is then
-    returned without rebuilding it again.
+    returned, so that status is confirmed on a fresh tableau; a basis the
+    rebuild has already solved costs no second solve.
     """
     m, width = T.shape
     cap = 2000 + 200 * (m + width - 1)
@@ -152,6 +147,7 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
     stalled = 0
     since_refactor = 0
     pivots = 0
+    fresh = False
     for _ in range(cap):
         if since_refactor >= 25:
             refactor(basis, T, obj)
@@ -187,8 +183,7 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
 
 
 def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
-                allowed: np.ndarray, bounded: bool, refactor,
-                fresh: bool = False) -> Tuple[str, int]:
+                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int]:
     """Run primal simplex pivots from a primal feasible basis until optimal
     or unbounded; returns the status and the number of pivots.
 
@@ -228,7 +223,7 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
             leave = int(tied[np.argmax(column[tied])])
         return leave, enter, best <= tie_tol
 
-    return _drive(T, obj, basis, refactor, choose, fresh)
+    return _drive(T, obj, basis, refactor, choose)
 
 
 def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
@@ -275,7 +270,7 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
             pick = int(np.where(tied, pivots, 0.0).argmin())
         return leave, int(eligible[pick]), ratios[pick] <= 1e-9
 
-    return _drive(T, obj, basis, refactor, choose, False)
+    return _drive(T, obj, basis, refactor, choose)
 
 
 def _start_columns(start: Sequence[Optional[int]], ineq: np.ndarray,
@@ -387,12 +382,12 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         T[T[:, -1] < 0] *= -1.0
         T[:, art0:total] = np.eye(m, nart)
         basis = np.arange(art0, total)
-    # The unpivoted system the rebuild solves; the reduced costs, before
-    # clipping, of the last rebuild (None when it was refused); and the
-    # counts of accepted and refused rebuilds.
+    # The unpivoted system the rebuild solves; the last basis it solved,
+    # with that solve (basic values and B^-1 A, None for a singular basis);
+    # and the counts of solves whose rebuild was accepted and refused.
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
-    last_reduced = None
+    kept = None
     rebuilds = refused = 0
 
     def make_refactor(cost_full: np.ndarray, dual: bool = False,
@@ -402,23 +397,25 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         raising instead when ``strict``.  ``dual`` checks the reduced costs
         instead of the basic values."""
         def refactor(basis_now: np.ndarray, T: np.ndarray, obj: np.ndarray) -> None:
-            nonlocal last_reduced, rebuilds, refused
-            B = A_std[:, basis_now]
-            try:
-                y = np.linalg.solve(B, b_std)
-                y += np.linalg.solve(B, b_std - B @ y)
-                Binv_A = np.linalg.solve(B, A_std)
-            except np.linalg.LinAlgError:
-                y = Binv_A = None
-            last_reduced = None
+            nonlocal kept, rebuilds, refused
+            new = kept is None or not np.array_equal(kept[0], basis_now)
+            if new:
+                B = A_std[:, basis_now]
+                try:
+                    y = np.linalg.solve(B, b_std)
+                    y += np.linalg.solve(B, b_std - B @ y)
+                    Binv_A = np.linalg.solve(B, A_std)
+                except np.linalg.LinAlgError:
+                    y = Binv_A = None
+                kept = (basis_now.copy(), y, Binv_A)
+            _, y, Binv_A = kept
             if (y is not None and np.all(np.isfinite(y))
                     and np.all(np.isfinite(Binv_A))):
                 cb = cost_full[basis_now]
                 reduced = cost_full - cb @ Binv_A
                 # A program without rows has no basic values, hence initial.
                 if float((reduced if dual else y).min(initial=0.0)) >= -1e-7:
-                    last_reduced = reduced
-                    rebuilds += 1
+                    rebuilds += new
                     if dual:
                         reduced = np.clip(reduced, 0.0, None)
                     else:
@@ -428,7 +425,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                     obj[:-1] = reduced
                     obj[-1] = -float(cb @ y)
                     return
-            refused += 1
+            refused += new
             if strict:
                 raise LPCyclingError("the rebuild refused a basis of the started solve")
         return refactor
@@ -438,8 +435,6 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     allowed = np.ones(total, dtype=bool)
     refactor2 = make_refactor(cost2, strict=start is not None)
     pivots1 = 0
-    # Whether phase 2 opens on a rebuild of its first basis.
-    fresh = start is not None
     if start is not None:
         basis = _start_columns(start, ineq, ncols)
         obj = np.empty(total + 1)
@@ -458,15 +453,6 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         if status == INFEASIBLE:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
                              rebuilds=rebuilds, rebuilds_refused=refused)
-        if last_reduced is not None:
-            # Phase 2 opens on the dual loop's confirming rebuild (see the
-            # module docstring), whose basic values T[:, -1] holds unclipped.
-            fresh = True
-            if float(T[:, -1].min(initial=0.0)) >= -1e-7:
-                y = np.clip(T[:, -1], 0.0, None)
-                T[:, -1] = y
-                obj[:-1] = last_reduced
-                obj[-1] = -float(cost2[basis] @ y)
     else:
         # Phase 1: minimize the sum of artificials.
         cost1 = np.zeros(total)
@@ -504,7 +490,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                 obj = obj - cb * T[r]
     started = start is not None
     status, pivots2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
-                                  refactor2, fresh)
+                                  refactor2)
     if status == UNBOUNDED:
         return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started,
                          rebuilds, refused)

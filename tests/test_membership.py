@@ -222,13 +222,16 @@ class TestConeRayMargin:
     ], ids=["negative", "positive"])
     def test_no_rays_gives_the_least_coordinate(self, monkeypatch, image, parts):
         # Closed form, exact: the margin is min(image).  It is t+ - t-, so
-        # a negative margin has t- basic.
+        # a negative margin has t- basic.  The LP starts at that optimum,
+        # with no phase 1.
         outcomes = []
         solve = membership.solve_lp
         monkeypatch.setattr(membership, "solve_lp",
-                            lambda lp: outcomes.append(solve(lp)) or outcomes[-1])
+                            lambda lp, **kwargs: outcomes.append(solve(lp, **kwargs))
+                            or outcomes[-1])
         assert cone_ray_margin(np.array(image), []) == min(image)
         assert outcomes[0].assignment.tolist() == parts
+        assert outcomes[0].started and outcomes[0].phase1_pivots == 0
 
     def test_ray_lifts_the_margin_above_the_least_coordinate(self):
         # t <= -1 + c and t <= 3 - c for the ray weight c >= 0: c = 2 gives
@@ -261,6 +264,31 @@ class TestTinyEntries:
     def test_balanced_hull_with_tiny_entries(self):
         V = [[0.0, 1e-9, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0]]
         assert norm_membership_R([0.0, 1e-9, 1e-9, 0.0], V) == 0.0
+
+    @pytest.mark.xfail(raises=LPCyclingError, strict=True,
+                       reason="phase 2 hits the pivot cap")
+    def test_balanced_hull_just_off_the_span(self):
+        # A draw of the HiGHS differential test in test_oracles.py: z lies
+        # just off the span of the two vertices (the determinant of
+        # [v1; v2; z] is about 4e-11), so the value is 0.
+        V = [[0.0, 1e-4, 1e-4], [1.0, 0.0, 1e-4]]
+        assert norm_membership_R([0.00390625, -1.0, -1.0], V) == 0.0
+
+    @pytest.mark.xfail(raises=LPCyclingError, strict=True,
+                       reason="phase 2 hits the pivot cap")
+    @pytest.mark.parametrize("V", [
+        [[0.0, 0.001953125, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0]],
+        [[0.0, 0.001953125, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0],
+         [0.0, 1.0, -1.0]],
+    ], ids=["one-basis", "twin-columns"])
+    def test_balanced_hull_with_reduced_cost_round_off(self, V):
+        # Draws of the same differential test.  z is 1e-4 times the second
+        # vertex, so the value is 1e4.  Each rebuild of the optimal basis
+        # leaves a basic column (or its twin, from the repeated vertex) a
+        # reduced cost of -2.8e-10, below -PIVOT_TOL, and phase 2 pivots it
+        # in again and again.
+        z = [1.0000000000000002e-4, 0.0, 0.0]
+        assert norm_membership_R(z, V) == pytest.approx(1e4)
 
 
 class TestOneVertexBound:

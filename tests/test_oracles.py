@@ -5,6 +5,7 @@ the package itself never imports scipy.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,17 +298,58 @@ def highs_balanced_hull(z, V):
     return -res.fun
 
 
+def exact_rank(rows):
+    """The rank of ``rows``, by Gaussian elimination over the rationals."""
+    rows = [[Fraction(float(x)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def off_the_span(z, V):
+    """Whether ``z`` lies outside the linear span of the rows of ``V``,
+    decided exactly: the balanced hull's value is then 0."""
+    return exact_rank(list(V) + [z]) > exact_rank(V)
+
+
 class TestBalancedHullMembership:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_highs(self, data):
+        # Off the span of the vertices the value is exactly 0, which HiGHS
+        # can miss when z lies just off it (see the test below).
         d = data.draw(st.integers(1, 4))
         k = data.draw(st.integers(1, 5))
         V = vectors(data.draw, signed, k, d)
         z = vectors(data.draw, signed, 1, d)[0]
         assume(np.any(z != 0.0))
         t = norm_membership_R(z, list(V))
-        assert t == pytest.approx(highs_balanced_hull(z, V), rel=1e-9, abs=1e-9)
+        if off_the_span(z, V):
+            assert t == 0.0
+        else:
+            assert t == pytest.approx(highs_balanced_hull(z, V), rel=1e-9, abs=1e-9)
+
+    def test_point_just_off_the_span_is_exactly_zero(self):
+        # A draw of the test above: the determinant of [v1; v2; z] is
+        # 3.90625e-11, so z lies off the span and the value is 0.  HiGHS
+        # reads 1e-4, the value at points of the span nearby.
+        V = np.array([[0.0, 1e-4, 1e-4], [0.875, 0.0, 1e-4]])
+        z = np.array([0.00390625, -1.0, -1.0])
+        (a, b, c), (d, e, f), (g, h, i) = [[Fraction(x) for x in row]
+                                           for row in (V[0], V[1], z)]
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        assert float(det) == 3.90625e-11
+        assert off_the_span(z, V)
+        assert norm_membership_R(z, list(V)) == 0.0
 
     def test_support_start_matches_highs(self, monkeypatch):
         # Each sequence of programs shares one vertex array, which grows by

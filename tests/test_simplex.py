@@ -299,24 +299,31 @@ class TestRebuild:
 
     LP = TestStartBasis.LP
     COVERING = TestStartBasis.COVERING
+    # max 2x + 3y subject to x + y <= 4, x + 3y <= 6 and x >= 1: two phases.
+    TWO_PHASE = LinearProgram("max", [2.0, 3.0],
+                              [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0),
+                               ([1.0, 0.0], ">=", 1.0)])
 
-    @pytest.mark.parametrize("lp, start, solves", [
-        (LP, [0, 1], 3), (LP, None, 6), (COVERING, None, 3),
-    ], ids=["started", "two-phase", "dual-path"])
-    def test_each_final_basis_is_solved_once(self, monkeypatch, lp, start, solves):
-        # Three solves per rebuild, and each basis is rebuilt once.  The
-        # started solve rebuilds its start, which is already optimal, and
-        # phase 2 opens on that rebuild.  The dual path confirms the end of
-        # the dual loop, and phase 2 opens on that rebuild too.  The
-        # two-phase solve confirms the end of phase 1 and, after the
-        # artificials are driven out, of phase 2.  Phase 1's verdict and
-        # the answer are read from the tableau the last rebuild wrote.
+    @pytest.mark.parametrize("lp, start, solves, value", [
+        (LP, [0, 1], 3, 1.0), (LP, None, 3, 1.0), (COVERING, None, 3, 1.0),
+        (TWO_PHASE, None, 6, 9.0),
+    ], ids=["started", "two-phase", "dual-path", "two-phase-pivoting"])
+    def test_each_final_basis_is_solved_once(self, monkeypatch, lp, start, solves,
+                                             value):
+        # Three solves per rebuild, and the rebuild keeps its last solve, so
+        # each basis is solved once.  The started solve rebuilds its start,
+        # which is already optimal, and phase 2 confirms it on that solve.
+        # The dual path and the two-phase solve confirm the end of the dual
+        # loop and of phase 1, and phase 2, which makes no pivot, confirms
+        # the same basis on the same solve.  TWO_PHASE's phase 2 pivots once
+        # and solves its new basis.  Phase 1's verdict and the answer are
+        # read from the tableau the last rebuild wrote.
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda *args: calls.append(1) or solve(*args))
         out = solve_lp(lp, start=start)
-        assert out.value == pytest.approx(1.0)
+        assert out.value == pytest.approx(value)
         assert len(calls) == solves
         assert (out.rebuilds, out.rebuilds_refused) == (solves // 3, 0)
 
@@ -348,10 +355,6 @@ class TestRebuild:
 
     # x <= 1 and x >= 1, with x's cost positive: the dual path.
     PINNED = LinearProgram("min", [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 1.0)])
-    # max 2x + 3y subject to x + y <= 4, x + 3y <= 6 and x >= 1: two phases.
-    TWO_PHASE = LinearProgram("max", [2.0, 3.0],
-                              [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0),
-                               ([1.0, 0.0], ">=", 1.0)])
 
     @pytest.mark.parametrize("lp, start", [
         (PINNED, None), (PINNED, [None, 0]), (TWO_PHASE, None),
