@@ -36,11 +36,12 @@ from .matrices import (
 
 
 # The most words an enumeration may visit, the most entries (k * d * d) of
-# one stack of word products, and the most turns of a cyclic permutation a
-# restart may append.
+# one stack of word products, the most turns of a cyclic permutation a
+# restart may append, and the most letters of a restart's word.
 _ENUMERATION_BUDGET = 500000
 _STACK_ENTRIES = 4096
 _RESTART_TURNS = 50
+_RESTART_LETTERS = 64
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -341,9 +342,11 @@ def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
     the j-th root vertex to the violating point.  The new candidate is the
     smallest power ``r`` such that appending ``r`` turns of the j-th cyclic
     permutation to the path crosses spectral radius 1 in the normalized
-    family, up to ``_RESTART_TURNS`` turns.  A new word whose product
-    is not finite in the unscaled family also raises
-    :class:`RestartFailedError`.
+    family, up to ``_RESTART_TURNS`` turns.  A new word longer than
+    ``_RESTART_LETTERS`` letters (once reduced to its canonical primitive
+    root), or whose product is not finite in the unscaled family, also
+    raises :class:`RestartFailedError`: the caller then searches the
+    candidates again, so restarts cannot double the word without end.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -362,6 +365,9 @@ def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
         crossed = rho > 1.0 + 1e-12 if sense == "max" else rho < 1.0 - 1e-12
         if crossed:
             new_word = canonical_word(primitive_root_word(path + cycle * r))
+            if len(new_word) > _RESTART_LETTERS:
+                raise RestartFailedError("restart word longer than %d letters"
+                                         % _RESTART_LETTERS)
             try:
                 with np.errstate(over="ignore"):
                     replacement = make_candidate(family, new_word)

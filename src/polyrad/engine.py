@@ -420,12 +420,14 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     symmetric twin (:func:`symmetric_twins`).  Stopping violations
     trigger a restart with a provably better candidate, up to ten
     restarts.  Each time the restart machinery cannot improve the
-    candidate (numerically marginal violations), the candidates are
-    enumerated again with a cap two letters longer; when that gives a word
-    already tried, the run continues with the stopping tests disabled,
-    which preserves correctness at the cost of possibly slower
-    termination.  The outcome counts the membership LPs solved and skipped
-    over every growth.
+    candidate (a numerically marginal violation, or a restart word longer
+    than the bound of :func:`restart_product` or whose product
+    overflows), the candidates are enumerated again with a cap two letters
+    longer; when that gives a word already tried, the run continues with
+    the stopping tests disabled, which preserves correctness at the cost
+    of possibly slower termination.  Bounding the restart word keeps
+    restarts from doubling the word without end.  The outcome counts the
+    membership LPs solved and skipped over every growth.
     """
     counts = MembershipCounts()
     outcome = _run(family, config, counts)
@@ -485,10 +487,10 @@ def _run(family: MatrixFamily, config: RunConfig,
                 replacement = restart_product(
                     family, root, (violation.j, violation.path), spec.sense)
             except RestartFailedError:
-                # The violation is numerically marginal, or the new word's
-                # product overflows: re-enumerate with a longer cap, after
-                # every failed restart; a word already tried (the candidate
-                # among them) ends the stopping tests.
+                # The violation is numerically marginal, or the new word is
+                # too long or its product overflows: re-enumerate with a
+                # longer cap, after every failed restart; a word already
+                # tried (the candidate among them) ends the stopping tests.
                 max_length += 2
                 replacement = enumerate_candidates(family, max_length, spec.sense)
             if replacement.word in tried:

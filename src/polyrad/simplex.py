@@ -383,7 +383,8 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         T[:, art0:total] = np.eye(m, nart)
         basis = np.arange(art0, total)
     # The unpivoted system the rebuild solves; the last basis it solved,
-    # with that solve (basic values and B^-1 A, None for a singular basis);
+    # with that solve (basic values and B^-1 A, None for a singular basis or
+    # a solve that is not finite);
     # and the counts of solves whose rebuild was accepted and refused.
     A_std = T[:, :total].copy()
     b_std = T[:, -1].copy()
@@ -405,12 +406,13 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                     y = np.linalg.solve(B, b_std)
                     y += np.linalg.solve(B, b_std - B @ y)
                     Binv_A = np.linalg.solve(B, A_std)
+                    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(Binv_A))):
+                        y = Binv_A = None
                 except np.linalg.LinAlgError:
                     y = Binv_A = None
                 kept = (basis_now.copy(), y, Binv_A)
             _, y, Binv_A = kept
-            if (y is not None and np.all(np.isfinite(y))
-                    and np.all(np.isfinite(Binv_A))):
+            if y is not None:
                 cb = cost_full[basis_now]
                 reduced = cost_full - cb @ Binv_A
                 # A program without rows has no basic values, hence initial.

@@ -22,7 +22,9 @@ from polyrad import (
     verify,
     word_matrix,
 )
+from polyrad import candidates, engine
 from polyrad.candidates import (
+    _RESTART_LETTERS,
     RestartFailedError,
     _block_products,
     _coordinate_permutation,
@@ -328,6 +330,42 @@ class TestRestart:
         root = build_cyclic_root(scaled, cand, with_duals=True)
         with pytest.raises(RestartFailedError):
             restart_product(example_pair_jsr, root, (1, ()), "max")
+
+    def test_restart_word_length_is_bounded(self):
+        # Every power of A_1 after A_2 crosses radius 1, so a path of A_2 and
+        # k - 2 letters A_1 gives the k-letter word A_2 A_1^(k - 1) on the
+        # first turn.
+        fam = MatrixFamily([np.array([[1.0, 1.0], [0.0, 1.0]]),
+                            np.array([[1.0, 0.0], [1.0, 1.0]])])
+        cand = enumerate_candidates(fam, 1, "max")
+        root = build_cyclic_root(normalize_family(fam, cand.rho_per_step), cand,
+                                 with_duals=True)
+
+        def restart(letters):
+            return restart_product(fam, root, (1, (2,) + (1,) * (letters - 2)), "max")
+
+        assert len(restart(_RESTART_LETTERS).word) == _RESTART_LETTERS
+        with pytest.raises(RestartFailedError, match="longer than 64 letters"):
+            restart(_RESTART_LETTERS + 1)
+
+    def test_doubling_restarts_stop_at_the_bound(self, monkeypatch):
+        # The restarts of nonneg-uniform d6 s2 at cap 2 about double the
+        # word; from the 50-letter candidate the next word has 98 letters.
+        calls = []
+
+        def recording(family, root, violation, sense):
+            calls.append((root, violation))
+            return restart_product(family, root, violation, sense)
+
+        monkeypatch.setattr(engine, "restart_product", recording)
+        fam = random_family("nonneg-uniform", 6, 2, 2)
+        run(fam, RunConfig(mode=MODE_P, max_candidate_length=2))
+        assert [len(root.candidate.word) for root, _ in calls] == [2, 4, 5, 8, 14, 26, 50]
+        root, violation = calls[-1]
+        with pytest.raises(RestartFailedError, match="longer than 64 letters"):
+            restart_product(fam, root, violation, "max")
+        monkeypatch.setattr(candidates, "_RESTART_LETTERS", 98)
+        assert len(restart_product(fam, root, violation, "max").word) == 98
 
 
 class TestMakeCandidate:

@@ -22,6 +22,8 @@ from polyrad import (
     symmetric_twins,
     verify,
 )
+from polyrad import engine
+from polyrad.candidates import RestartFailedError, restart_product
 from polyrad.datasets import euler_binary, random_family
 from polyrad.engine import (
     BOUNDARY_TOL,
@@ -194,13 +196,57 @@ class TestErrorsAndEdges:
         lo, hi = out.bounds
         assert lo <= hi
 
-    def test_restart_word_does_not_overflow(self):
-        # Restarts double the word up to 386 letters; the next one's product
-        # overflows in the unscaled family, so the restart fails and the run
-        # re-enumerates two letters longer instead.
-        out = run(random_family("nonneg-uniform", 6, 2, 2),
-                  RunConfig(mode=MODE_P, max_candidate_length=2))
-        assert out.status in (TERMINATED, ITERATION_CAPPED)
+    def test_restart_word_of_bounded_length(self):
+        # Restarts grow the word 2 -> 4 -> 5 -> 8 -> 14 -> 26 -> 50 letters;
+        # the next restart word has 98 letters, more than the bound, so that
+        # restart fails and the run re-enumerates two letters longer.
+        fam = random_family("nonneg-uniform", 6, 2, 2)
+        out = run(fam, RunConfig(mode=MODE_P, max_candidate_length=2))
+        assert out.status == TERMINATED
+        assert out.candidate.word == (2, 2, 1)
+        assert (out.iterations, out.vertex_count) == (2, 6)
+        assert (out.lps_solved, out.lps_skipped) == (83, 33)
+        assert out.value == pytest.approx(3.023916250934036, rel=1e-14)
+        assert verify(fam, out.certificate).verdict
+
+    def test_restart_word_that_overflows_within_the_bound(self, monkeypatch):
+        # Scaled by 1e6, the same restarts reach a 50-letter word whose
+        # product overflows in the unscaled family: that restart fails
+        # within the letter bound, and the run re-enumerates and terminates.
+        failures = []
+
+        def recording(*args):
+            try:
+                return restart_product(*args)
+            except RestartFailedError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(engine, "restart_product", recording)
+        fam = random_family("nonneg-uniform", 6, 2, 2).scaled(1e6)
+        out = run(fam, RunConfig(mode=MODE_P, max_candidate_length=2))
+        assert len(failures) == 1
+        assert failures[0].startswith("the restart word's product failed")
+        assert out.status == TERMINATED
+        assert out.candidate.word == (2, 2, 1)
+        assert verify(fam, out.certificate).verdict
+
+    @pytest.mark.parametrize("seed, word, value", [
+        (216816280, (2, 2, 2, 1), 3.2200044994163024),
+        (1914989129, (2, 2, 1), 2.718080853819157),
+        (1495476471, (2, 2, 1), 2.9242054905426342),
+        (443675400, (2, 2, 1), 3.2101162902616878),
+    ])
+    def test_bounded_restarts_terminate_in_mode_L(self, seed, word, value):
+        # Without the letter bound these restarts grow words of 81 to 516
+        # letters and the runs end capped; re-enumerating finds a short word.
+        fam = random_family("nonneg-uniform", 6, 2, seed)
+        out = run(fam, RunConfig(mode=MODE_L, max_candidate_length=2,
+                                 max_iterations=10))
+        assert out.status == TERMINATED
+        assert out.candidate.word == word
+        assert out.value == pytest.approx(value, rel=1e-14)
+        assert verify(fam, out.certificate).verdict
 
     def test_complex_leading_candidate_inapplicable(self):
         theta = 0.7
@@ -552,5 +598,5 @@ class TestOneVertexSkip:
                                  max_iterations=2))
         assert out.status == ITERATION_CAPPED
         lo, hi = out.bounds
-        assert lo == pytest.approx(3.2199818, abs=1e-6)
-        assert hi == pytest.approx(3.2200121, abs=1e-6)
+        assert lo == pytest.approx(3.2192778, abs=1e-6)
+        assert hi == pytest.approx(3.2200045, abs=1e-6)
