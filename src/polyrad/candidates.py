@@ -36,11 +36,10 @@ from .matrices import (
 
 
 # The most words an enumeration may visit, the most entries (k * d * d) of
-# one stack of word products, the most turns of a cyclic permutation a
-# restart may append, and the most letters of a restart's word.
+# one stack of word products, and the most letters a restart may build its
+# word from (its path and the turns it appends).
 _ENUMERATION_BUDGET = 500000
 _STACK_ENTRIES = 4096
-_RESTART_TURNS = 50
 _RESTART_LETTERS = 64
 
 
@@ -342,11 +341,12 @@ def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
     the j-th root vertex to the violating point.  The new candidate is the
     smallest power ``r`` such that appending ``r`` turns of the j-th cyclic
     permutation to the path crosses spectral radius 1 in the normalized
-    family, up to ``_RESTART_TURNS`` turns.  A new word longer than
-    ``_RESTART_LETTERS`` letters (once reduced to its canonical primitive
-    root), or whose product is not finite in the unscaled family, also
-    raises :class:`RestartFailedError`: the caller then searches the
-    candidates again, so restarts cannot double the word without end.
+    family.  Turns are appended only while the word has at most
+    ``_RESTART_LETTERS`` letters, so restarts cannot double the word
+    without end; a path that does not cross within that bound, a word
+    whose product is not finite in the unscaled family, or no strict
+    improvement raises :class:`RestartFailedError`, and the caller then
+    searches the candidates again.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -359,18 +359,14 @@ def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
     cycle = cyclic_word(candidate.word, j)
     current = word_matrix(scaled, path)
     turn = word_matrix(scaled, cycle)
-    for r in range(1, _RESTART_TURNS + 1):
+    for r in range(1, (_RESTART_LETTERS - len(path)) // len(cycle) + 1):
         current = turn @ current
         rho = spectral_radius(current)
         crossed = rho > 1.0 + 1e-12 if sense == "max" else rho < 1.0 - 1e-12
         if crossed:
-            new_word = canonical_word(primitive_root_word(path + cycle * r))
-            if len(new_word) > _RESTART_LETTERS:
-                raise RestartFailedError("restart word longer than %d letters"
-                                         % _RESTART_LETTERS)
             try:
                 with np.errstate(over="ignore"):
-                    replacement = make_candidate(family, new_word)
+                    replacement = make_candidate(family, path + cycle * r)
             except MatrixError as exc:
                 # The word was found in the scaled family; its product in
                 # the unscaled one can overflow.
@@ -385,6 +381,5 @@ def restart_product(family: MatrixFamily, root: CyclicRoot, violation,
                     "%.17g vs %.17g)" % (replacement.rho_per_step,
                                          candidate.rho_per_step))
             return replacement
-    raise RestartFailedError(
-        "no power up to %d crossed the unit radius; the violation is "
-        "numerically marginal" % _RESTART_TURNS)
+    raise RestartFailedError("no restart word of at most %d letters crossed "
+                             "the unit radius" % _RESTART_LETTERS)

@@ -43,6 +43,7 @@ import numpy as np
 from .candidates import (
     Candidate,
     CyclicRoot,
+    EnumerationBudgetError,
     InapplicableError,
     RestartFailedError,
     build_cyclic_root,
@@ -420,14 +421,14 @@ def run(family: MatrixFamily, config: RunConfig) -> RunOutcome:
     symmetric twin (:func:`symmetric_twins`).  Stopping violations
     trigger a restart with a provably better candidate, up to ten
     restarts.  Each time the restart machinery cannot improve the
-    candidate (a numerically marginal violation, or a restart word longer
-    than the bound of :func:`restart_product` or whose product
-    overflows), the candidates are enumerated again with a cap two letters
-    longer; when that gives a word already tried, the run continues with
-    the stopping tests disabled, which preserves correctness at the cost
-    of possibly slower termination.  Bounding the restart word keeps
-    restarts from doubling the word without end.  The outcome counts the
-    membership LPs solved and skipped over every growth.
+    candidate (no crossing within the letter bound of
+    :func:`restart_product`, a restart word whose product overflows, or
+    no strict improvement), the candidates are enumerated again with a
+    cap two letters longer; when that gives a word already tried, or the
+    longer cap exceeds the enumeration budget, the run continues with the
+    current candidate and the stopping tests disabled, which preserves
+    correctness at the cost of possibly slower termination.  The outcome
+    counts the membership LPs solved and skipped over every growth.
     """
     counts = MembershipCounts()
     outcome = _run(family, config, counts)
@@ -487,12 +488,14 @@ def _run(family: MatrixFamily, config: RunConfig,
                 replacement = restart_product(
                     family, root, (violation.j, violation.path), spec.sense)
             except RestartFailedError:
-                # The violation is numerically marginal, or the new word is
-                # too long or its product overflows: re-enumerate with a
-                # longer cap, after every failed restart; a word already
-                # tried (the candidate among them) ends the stopping tests.
+                # Re-enumerate with a longer cap after every failed restart;
+                # a word already tried, or an enumeration over its budget
+                # (which keeps the candidate), ends the stopping tests.
                 max_length += 2
-                replacement = enumerate_candidates(family, max_length, spec.sense)
+                try:
+                    replacement = enumerate_candidates(family, max_length, spec.sense)
+                except EnumerationBudgetError:
+                    replacement = candidate
             if replacement.word in tried:
                 stopping = False
                 continue

@@ -341,23 +341,22 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
     if outcome.status != OPTIMAL:
         raise MembershipError("antinorm membership LP ended %s" % outcome.status)
     t = float(outcome.value)
-    if outcome.assignment is not None:
-        # Certify from an exactly feasible set of weights: any feasible
-        # decomposition bounds the minimum from above, so the returned
-        # value never undershoots the true optimum.
-        wx = np.clip(outcome.assignment[1:1 + k], 0.0, None)
-        s = float(wx.sum())
-        if s > 0.0:
-            if s < 1.0:
-                wx = wx / s
-            rhs = Vm.T @ wx
-            if Hm is not None:
-                wh = np.clip(outcome.assignment[1 + k:], 0.0, None)
-                rhs = rhs + Hm @ wh
-            pos = z > 0.0
-            blocked = (~pos) & (rhs > 1e-12 * max(1.0, float(rhs.max())))
-            if np.any(pos) and not np.any(blocked):
-                t = max(0.0, float(np.max(rhs[pos] / z[pos])))
+    # Certify from an exactly feasible set of weights: any feasible
+    # decomposition bounds the minimum from above, so the returned
+    # value never undershoots the true optimum.
+    wx = np.clip(outcome.assignment[1:1 + k], 0.0, None)
+    s = float(wx.sum())
+    if s > 0.0:
+        if s < 1.0:
+            wx = wx / s
+        rhs = Vm.T @ wx
+        if Hm is not None:
+            wh = np.clip(outcome.assignment[1 + k:], 0.0, None)
+            rhs = rhs + Hm @ wh
+        pos = z > 0.0
+        blocked = (~pos) & (rhs > 1e-12 * max(1.0, float(rhs.max())))
+        if np.any(pos) and not np.any(blocked):
+            t = max(0.0, float(np.max(rhs[pos] / z[pos])))
     return min(t, bound)
 
 

@@ -334,7 +334,7 @@ class TestRestart:
     def test_restart_word_length_is_bounded(self):
         # Every power of A_1 after A_2 crosses radius 1, so a path of A_2 and
         # k - 2 letters A_1 gives the k-letter word A_2 A_1^(k - 1) on the
-        # first turn.
+        # first turn; at k = 65 no turn fits the bound.
         fam = MatrixFamily([np.array([[1.0, 1.0], [0.0, 1.0]]),
                             np.array([[1.0, 0.0], [1.0, 1.0]])])
         cand = enumerate_candidates(fam, 1, "max")
@@ -345,12 +345,26 @@ class TestRestart:
             return restart_product(fam, root, (1, (2,) + (1,) * (letters - 2)), "max")
 
         assert len(restart(_RESTART_LETTERS).word) == _RESTART_LETTERS
-        with pytest.raises(RestartFailedError, match="longer than 64 letters"):
+        with pytest.raises(RestartFailedError, match="at most 64 letters"):
             restart(_RESTART_LETTERS + 1)
+
+    def test_crossing_after_fifty_turns_within_the_bound(self):
+        # With A_2 scaled down by 56, the path A_2 crosses radius 1 only
+        # after 55 turns of A_1: the 56-letter word A_2 A_1^55.
+        fam = MatrixFamily([np.array([[1.0, 1.0], [0.0, 1.0]]),
+                            np.array([[1.0, 0.0], [1.0, 1.0]]) / 56.0])
+        cand = enumerate_candidates(fam, 1, "max")
+        assert cand.word == (1,)
+        root = build_cyclic_root(normalize_family(fam, cand.rho_per_step), cand,
+                                 with_duals=True)
+        better = restart_product(fam, root, (1, (2,)), "max")
+        assert better.word == (2,) + (1,) * 55
+        assert better.rho_per_step > 1.0
 
     def test_doubling_restarts_stop_at_the_bound(self, monkeypatch):
         # The restarts of nonneg-uniform d6 s2 at cap 2 about double the
-        # word; from the 50-letter candidate the next word has 98 letters.
+        # word; from the 50-letter candidate no turn fits the bound, and the
+        # next word has 98 letters.
         calls = []
 
         def recording(family, root, violation, sense):
@@ -362,7 +376,7 @@ class TestRestart:
         run(fam, RunConfig(mode=MODE_P, max_candidate_length=2))
         assert [len(root.candidate.word) for root, _ in calls] == [2, 4, 5, 8, 14, 26, 50]
         root, violation = calls[-1]
-        with pytest.raises(RestartFailedError, match="longer than 64 letters"):
+        with pytest.raises(RestartFailedError, match="at most 64 letters"):
             restart_product(fam, root, violation, "max")
         monkeypatch.setattr(candidates, "_RESTART_LETTERS", 98)
         assert len(restart_product(fam, root, violation, "max").word) == 98

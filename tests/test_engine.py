@@ -248,6 +248,18 @@ class TestErrorsAndEdges:
         assert out.value == pytest.approx(value, rel=1e-14)
         assert verify(fam, out.certificate).verdict
 
+    def test_re_enumeration_over_budget_keeps_the_candidate(self):
+        # A restart fails here, and re-enumerating at cap 12 (797,160 words)
+        # would exceed the budget: the run keeps its candidate, drops the
+        # stopping tests and ends capped instead of raising.
+        fam = random_family("gaussian-equal-norm", 3, 3, 27)
+        out = run(fam, RunConfig(mode=MODE_R, max_candidate_length=10,
+                                 max_iterations=20))
+        assert out.status == ITERATION_CAPPED
+        lo, hi = out.bounds
+        assert lo == pytest.approx(0.80026, abs=1e-5)
+        assert hi == pytest.approx(0.80293, abs=1e-5)
+
     def test_complex_leading_candidate_inapplicable(self):
         theta = 0.7
         R = np.array([[math.cos(theta), -math.sin(theta)],
