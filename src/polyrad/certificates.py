@@ -28,6 +28,7 @@ import numpy as np
 from .matrices import MatrixFamily, primitive_root_word, spectral_radius, word_matrix
 from .membership import (
     MODES,
+    SupportStore,
     antinorm_membership_ext,
     cone_ray_margin,
     is_zero_image,
@@ -254,9 +255,11 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     the other's settle; vertices are visited from the body's boundary
     inwards (largest coordinate sum first in P, smallest in L), which puts
     that other vertex first.  Mode R settles an image without an LP when
-    the best of the recent optimal supports of its LPs
-    (:func:`~polyrad.membership.support_bound`) puts it inside up to the
-    tolerance, and starts every other LP from that support's basis.  An
+    the best of the recent optimal supports of its LPs, kept with their
+    inverses in one :class:`~polyrad.membership.SupportStore` over the
+    certificate's vertices (:func:`~polyrad.membership.support_bound`),
+    puts it inside up to the tolerance, and starts every other LP from
+    that support's basis.  An
     image passed without an LP contributes the slack of its bound, so
     ``worst_slack`` is then an upper bound on the largest slack rather
     than its exact value.  ``lps_solved`` and ``lps_skipped`` count the
@@ -324,7 +327,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     inside = np.zeros((len(Vm) * (scaled.size + 1), d))
     inside[:len(Vm)] = Vm
     n_inside = len(Vm)
-    supports: List[Tuple[int, ...]] = []  # recent optimal supports (mode R)
+    supports = SupportStore()  # recent optimal supports of Vm (mode R)
     worst = float("-inf")
     for idx in np.argsort(-spec.sign * Vm.sum(axis=1), kind="stable"):
         for j in range(1, scaled.size + 1):

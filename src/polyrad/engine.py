@@ -29,7 +29,8 @@ is the LP's, since the bound lies on the inside of the LP value.  Only
 ``t_N`` of a terminated run can differ from the LP values (it can be such
 a bound): in a capped run the alive points, which always get their LP,
 set the last iteration's extreme.  A mode-R LP that is solved starts from
-the best support's basis, and its own support joins the cache.
+the best support's basis, and its own support joins the growth's
+:class:`~polyrad.membership.SupportStore`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .membership import (
     MODE_L, MODE_P, MODE_R,  # also importable from here
     MODES,
     Mode,
+    SupportStore,
     antinorm_membership_ext,
     antinorm_membership_L,
     is_zero_image,
@@ -135,8 +137,9 @@ class PolytopeState:
     """Growth state; ``words[c]`` is the word of root chain ``c``, the
     candidate's first and then its symmetric twins, and row ``i`` of
     ``vertices`` is the point of ``nodes[i]``.  ``supports`` holds the
-    recent optimal supports of mode-R LPs, as rows of ``vertices``, the
-    newest first (:func:`~polyrad.membership.support_bound`)."""
+    recent optimal supports of mode-R LPs over ``vertices``, whose rows
+    are only ever appended, with their inverses
+    (:class:`~polyrad.membership.SupportStore`)."""
 
     words: Tuple[Word, ...]
     nodes: List[VertexNode] = field(default_factory=list)
@@ -145,7 +148,7 @@ class PolytopeState:
     R: List[Tuple[int, int]] = field(default_factory=list)
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
-    supports: List[Tuple[int, ...]] = field(default_factory=list)
+    supports: SupportStore = field(default_factory=SupportStore)
 
 
 @dataclass

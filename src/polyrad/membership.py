@@ -19,8 +19,10 @@ a point strictly outside it is below 1 (reversed for the antinorm variants).
 The bodies of modes P and L are monotone, so a single vertex already
 bounds the value (:func:`one_vertex_bound`).  Mode R's value is bounded
 from below by a recent optimal support, d vertices of full rank that
-represent ``z`` exactly (:func:`support_bound`).  :meth:`Mode.bound`
-picks the mode's, which settles a point without an LP.  Each body builds its
+represent ``z`` exactly (:func:`support_bound`); a :class:`SupportStore`
+keeps the recent supports of one vertex array with their inverses, so
+the bound is one batched product.  :meth:`Mode.bound` picks the mode's,
+which settles a point without an LP.  Each body builds its
 own program; the antinorm LP starts from the best covering vertex's basis,
 the balanced-hull LP from the best cached support's and the cone margin LP
 from its least coordinate, and each runs phase 2 alone, unless
@@ -46,13 +48,14 @@ from .simplex import (
 )
 
 _INF = float("inf")
-# The number of recent optimal supports of mode-R LPs kept for
-# :func:`support_bound`.
-SUPPORTS = 16
+# The number of recent optimal supports of mode-R LPs a
+# :class:`SupportStore` keeps.
+SUPPORTS = 64
 # Relative round-off: a support's coefficients count only when they
 # reproduce ``z`` to this relative residual, and a mode-R LP value this
 # small against its ceiling ``max|V| / max|z|`` is read as 0.
 _SUPPORT_RESIDUAL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 MODE_R = "R"
 MODE_P = "P"
@@ -145,58 +148,94 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
     return float(values[best]), best
 
 
+class SupportStore:
+    """The recent optimal supports of the mode-R LPs over one vertex array,
+    newest first, at most ``SUPPORTS`` of them.  Support ``k`` is ``d``
+    rows of the array, ``rows[k]`` in increasing order, of full rank;
+    ``VT[k]`` is ``V_S^T``, the transpose of those rows, and ``inv[k]``
+    its inverse.  The array may grow by appended rows, which leaves every
+    entry valid; a store serves no other array."""
+
+    def __init__(self):
+        self.rows = np.empty((0, 0), dtype=np.intp)
+        self.VT = np.empty((0, 0, 0))
+        self.inv = np.empty((0, 0, 0))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 def support_bound(z, Vm: np.ndarray,
-                  supports: Sequence[Tuple[int, ...]]) -> Tuple[float, Optional[list]]:
-    """The balanced-hull membership value of ``z`` that the best cached
+                  supports: SupportStore) -> Tuple[float, Optional[list]]:
+    """The balanced-hull membership value of ``z`` that the best stored
     support proves, and that support's basis as a ``start`` for
     :func:`norm_membership_R` (``(0.0, None)`` when none proves one).
 
-    A support ``S`` is ``d`` rows of ``Vm`` of full rank.  One batched
-    solve gives ``c`` with ``V_S^T c = z`` for every ``S``; ``c`` counts
-    when it reproduces ``z`` to a relative residual of
-    ``_SUPPORT_RESIDUAL``.  Then ``z / |c|_1`` is a point of the balanced
-    hull, so ``t = 1 / |c|_1`` bounds the value from below, and the basis
-    of ``t`` and, per row ``i`` of ``S``, the positive part of ``c_i`` when
-    ``c_i >= 0`` and its negative part otherwise, is primal feasible.
+    One batched product with the stored inverses gives ``c`` with ``V_S^T
+    c = z`` for every support ``S``; ``c`` counts when ``V_S^T c``
+    reproduces ``z`` to a relative residual of ``_SUPPORT_RESIDUAL``.  Then
+    ``z / |c|_1`` is a point of the balanced hull, so ``t = 1 / |c|_1``
+    bounds the value from below, and the basis of ``t`` and, per row ``i``
+    of ``S``, the positive part of ``c_i`` when ``c_i >= 0`` and its
+    negative part otherwise, is primal feasible.  Among equal bounds the
+    newest support wins.
     """
-    if not supports:
+    if not len(supports):
         return 0.0, None
-    rows = np.array(supports)
-    B = Vm[rows]  # B[k] @ y = V_S y; its transpose carries c to V_S^T c
-    try:
-        c = np.linalg.solve(B.transpose(0, 2, 1), z[:, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        return 0.0, None
-    residual = np.max(np.abs(np.einsum("kij,ki->kj", B, c) - z), axis=1)
-    norms = np.where(residual <= _SUPPORT_RESIDUAL * float(np.max(np.abs(z))),
-                     np.abs(c).sum(axis=1), _INF)
+    c = supports.inv @ z
+    residual = abs((supports.VT @ c[:, :, None])[:, :, 0] - z).max(axis=1)
+    norms = np.where(residual <= _SUPPORT_RESIDUAL * float(abs(z).max()),
+                     abs(c).sum(axis=1), _INF)
     best = int(np.argmin(norms))
     if norms[best] == _INF:
         return 0.0, None
     # Variable 1 + x is the positive part of row x's coefficient, 1 + n + x
     # its negative part.
-    parts = np.where(c[best] >= 0.0, 1, 1 + Vm.shape[0]) + rows[best]
+    parts = np.where(c[best] >= 0.0, 1, 1 + Vm.shape[0]) + supports.rows[best]
     return 1.0 / float(norms[best]), [0] + parts.tolist()
 
 
-def _remember_support(supports: list, c: np.ndarray, Vm: np.ndarray) -> None:
+def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> None:
     """Put the support of ``c``, the rows of its ``d`` largest ``|c|``, at
-    the front of ``supports``, keeping ``SUPPORTS`` distinct ones; a support
-    of less than full rank is not kept."""
+    the front of ``supports``, keeping ``SUPPORTS`` distinct ones.
+
+    A support the store holds moves to the front as it is.  A new one pays
+    one inverse of ``V_S^T``, and is not kept when that has no inverse in
+    floating point: ``inv`` raises, or returns entries that are not
+    finite, or ``|V_S|_1 |V_S^-1|_1`` reaches ``1 / (d eps)``, where the
+    rank that ``matrix_rank`` reads from the singular values falls below
+    ``d``.
+    """
     d = Vm.shape[1]
     if c.size < d:
         return
-    support = tuple(sorted(np.argsort(-np.abs(c), kind="stable")[:d].tolist()))
-    if support in supports:
-        supports.remove(support)
-    elif np.linalg.matrix_rank(Vm[list(support)]) < d:
+    support = np.sort(np.argsort(-np.abs(c), kind="stable")[:d])
+    if len(supports):
+        held = (supports.rows == support).all(axis=1).nonzero()[0]
+        if held.size:
+            i = int(held[0])
+            order = np.r_[i, :i, i + 1:len(supports)]
+            supports.rows, supports.VT, supports.inv = (
+                supports.rows[order], supports.VT[order], supports.inv[order])
+            return
+    VT = Vm[support].T
+    try:
+        inv = np.linalg.inv(VT)
+    except np.linalg.LinAlgError:
         return
-    supports.insert(0, support)
-    del supports[SUPPORTS:]
+    # |V_S|_1 is the largest row sum of V_S^T, and |V_S^-1|_1 that of its
+    # inverse; an inverse that is not finite makes the product inf or nan,
+    # which fails the test as well.
+    if not abs(VT).sum(axis=1).max() * abs(inv).sum(axis=1).max() < 1.0 / (d * _EPS):
+        return
+    kept = (supports.rows, supports.VT, supports.inv)
+    supports.rows, supports.VT, supports.inv = (
+        np.concatenate((new[None], old[:SUPPORTS - 1])) if len(supports) else new[None]
+        for new, old in zip((support, VT, inv), kept))
 
 
 def norm_membership_R(z, V, start: Optional[list] = None,
-                      supports: Optional[list] = None) -> float:
+                      supports: Optional[SupportStore] = None) -> float:
     """Membership value of ``z`` in the balanced hull of ``V``.
 
     Maximizes ``t`` subject to ``t z = sum_x c_x x`` with ``sum |c_x| <= 1``;
@@ -205,7 +244,7 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     positive part of row ``x``'s coefficient and ``1 + n + x`` its negative
     part.  ``start``, from :func:`support_bound`, is a primal feasible
     basis, and phase 2 runs from it alone.  ``supports``, when given, is
-    the list of recent optimal supports, and the LP's support is put at its
+    the :class:`SupportStore` of ``V``, and the LP's support is put at its
     front.
 
     Since ``t z = V^T c`` with ``sum |c| <= 1``, ``t max|z|`` is at most

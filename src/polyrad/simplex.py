@@ -102,9 +102,11 @@ class LPOutcome:
     the dual simplex on the slack-basis path, and phase 2), whether phase 2
     started from the caller's basis, with no phase 1, and how many solves of
     a new basis (see the module docstring) its rebuild accepted and
-    refused; a rebuild that reuses a solve is not counted.  A start that
-    :func:`solve_lp` drops leaves no count: the outcome is the unstarted
-    solve's."""
+    refused; a rebuild that reuses a solve is not counted.  Two silent
+    fallbacks are counted too: the loops that switched to Bland's rule, and
+    the columns retired as round-off rays (under ``assume_bounded``, and in
+    phase 1, which is bounded).  A start that :func:`solve_lp` drops leaves
+    no count: the outcome is the unstarted solve's."""
 
     status: str
     value: Optional[float] = None
@@ -114,6 +116,8 @@ class LPOutcome:
     started: bool = False
     rebuilds: int = 0
     rebuilds_refused: int = 0
+    bland_switches: int = 0
+    columns_retired: int = 0
 
 
 def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
@@ -125,9 +129,9 @@ def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
 
 
 def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
-           choose) -> Tuple[str, int]:
-    """Pivot until ``choose`` reports a status; returns it and the number of
-    pivots.
+           choose) -> Tuple[str, int, bool]:
+    """Pivot until ``choose`` reports a status; returns it, the number of
+    pivots and whether the loop switched to Bland's rule.
 
     ``T`` is the constraint tableau with the right-hand side as the last
     column; ``obj`` is the reduced-cost row with ``obj[-1]`` holding the
@@ -161,7 +165,7 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
             # last pivot: any other status comes right after the current
             # basis was rebuilt, and the caller may read its basic values.
             if step == UNBOUNDED or fresh:
-                return step, pivots
+                return step, pivots, bland
             refactor(basis, T, obj)
             since_refactor = 0
             fresh = True
@@ -183,9 +187,9 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
 
 
 def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
-                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int]:
+                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int, bool]:
     """Run primal simplex pivots from a primal feasible basis until optimal
-    or unbounded; returns the status and the number of pivots.
+    or unbounded; returns :func:`_drive`'s status, pivots and Bland switch.
 
     Pricing is Dantzig's rule (most negative reduced cost among the
     ``allowed`` columns) with the leaving row chosen among minimum-ratio
@@ -227,10 +231,10 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
 
 
 def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
-               xtol: np.ndarray, refactor) -> Tuple[str, int]:
+               xtol: np.ndarray, refactor) -> Tuple[str, int, bool]:
     """Run dual simplex pivots from a dual feasible basis until the basic
     solution is primal feasible (optimal) or a row proves the program
-    infeasible; returns the status and the number of pivots.
+    infeasible; returns :func:`_drive`'s status, pivots and Bland switch.
 
     A basic value counts as negative below ``-xtol`` of its column.  The
     leaving row has the most negative basic value, and the entering column
@@ -436,7 +440,8 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     cost2[:ncols] = cost
     allowed = np.ones(total, dtype=bool)
     refactor2 = make_refactor(cost2, strict=start is not None)
-    pivots1 = 0
+    pivots1 = retired = 0
+    bland1 = False
     if start is not None:
         basis = _start_columns(start, ineq, ncols)
         obj = np.empty(total + 1)
@@ -450,11 +455,12 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         basic_scale = np.full(total, bmax)
         basic_scale[ncols:] = np.where(b_std != 0.0, np.abs(b_std), 1e-4 * bmax)
         xtol = DUAL_TOL * basic_scale
-        status, pivots1 = _dual_loop(T, obj, basis, xtol,
-                                     make_refactor(cost2, dual=True))
+        status, pivots1, bland1 = _dual_loop(T, obj, basis, xtol,
+                                             make_refactor(cost2, dual=True))
         if status == INFEASIBLE:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
-                             rebuilds=rebuilds, rebuilds_refused=refused)
+                             rebuilds=rebuilds, rebuilds_refused=refused,
+                             bland_switches=int(bland1))
     else:
         # Phase 1: minimize the sum of artificials.
         cost1 = np.zeros(total)
@@ -462,17 +468,19 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         obj = np.append(cost1, 0.0)
         for r in range(m):
             obj -= T[r]
-        status, pivots1 = _pivot_loop(T, obj, basis, allowed, True,
-                                      make_refactor(cost1))
+        status, pivots1, bland1 = _pivot_loop(T, obj, basis, allowed, True,
+                                              make_refactor(cost1))
         if status != OPTIMAL:
             raise LPCyclingError("phase 1 reported unbounded, which is impossible")
+        retired = total - int(np.count_nonzero(allowed))
         # Judge feasibility by the basic values that the last rebuild wrote
         # (the pivoted ones if it was refused), not by the objective row,
         # whose estimate of the artificial sum drifts over many pivots.
         art_sum = float(np.maximum(T[basis >= art0, -1], 0.0).sum())
         if art_sum > FEAS_TOL:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
-                             rebuilds=rebuilds, rebuilds_refused=refused)
+                             rebuilds=rebuilds, rebuilds_refused=refused,
+                             bland_switches=int(bland1), columns_retired=retired)
 
         # Drive artificials out of the basis where possible; the rest sit on
         # redundant rows at value zero and are barred from re-entering.
@@ -491,11 +499,14 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
             if cb != 0.0:
                 obj = obj - cb * T[r]
     started = start is not None
-    status, pivots2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
-                                  refactor2)
+    open_columns = int(np.count_nonzero(allowed))
+    status, pivots2, bland2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
+                                          refactor2)
+    switches = int(bland1) + int(bland2)
+    retired += open_columns - int(np.count_nonzero(allowed))
     if status == UNBOUNDED:
         return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started,
-                         rebuilds, refused)
+                         rebuilds, refused, switches, retired)
 
     # The answer is the basic solution that the last rebuild wrote (the
     # pivoted one if it was refused), checked against the original
@@ -514,4 +525,4 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         raise LPCyclingError("solution violates constraints by %g" % worst)
 
     return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2, started,
-                     rebuilds, refused)
+                     rebuilds, refused, switches, retired)

@@ -22,7 +22,7 @@ from polyrad import (
     symmetric_twins,
     verify,
 )
-from polyrad import engine
+from polyrad import engine, membership
 from polyrad.candidates import RestartFailedError, restart_product
 from polyrad.datasets import euler_binary, random_family
 from polyrad.engine import (
@@ -580,10 +580,25 @@ class TestOneVertexSkip:
         # Every image of the last iteration is dead, one-vertex bound or not.
         assert MODES[mode].sign * out.t_N > MODES[mode].sign
 
-    def test_mode_r_solves_every_lp(self):
+    def test_mode_r_solves_every_lp(self, monkeypatch):
+        outcomes = []
+        solve = membership.solve_lp
+
+        def recording(*args, **kwargs):
+            outcomes.append(solve(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(membership, "solve_lp", recording)
         out = run(euler_binary(13), RunConfig(mode=MODE_R, max_candidate_length=6,
                                               max_iterations=3))
         assert out.lps_skipped == 0 and out.lps_solved > 0
+        # Degenerate two-phase programs: five of the 14 switch to Bland's
+        # rule in phase 1, the fourth LP (5 vertices) first, and none
+        # retires a column.
+        assert len(outcomes) == 14
+        assert [i for i, o in enumerate(outcomes) if o.bland_switches] == [3, 7, 8, 9, 10]
+        assert outcomes[3].phase2_pivots == 0 and outcomes[3].value < 1e-13
+        assert not any(o.columns_retired for o in outcomes)
 
     @pytest.mark.parametrize("mode, matrix, t, solved", [
         (MODE_P, [[0.5, 0.0], [0.0, 0.5]], 2.0, 0),

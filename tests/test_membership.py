@@ -14,6 +14,7 @@ from polyrad.membership import (
     MODE_P,
     MODE_R,
     MODES,
+    SupportStore,
     _antinorm_lp,
     _remember_support,
     _vertex_basis,
@@ -24,6 +25,17 @@ from polyrad.membership import (
 from polyrad.simplex import LPCyclingError
 
 INF = float("inf")
+
+
+def store_of(V, supports):
+    """A store of ``V`` that remembered ``supports``, the first newest, as
+    the supports of their indicator vectors."""
+    store = SupportStore()
+    for support in reversed(supports):
+        c = np.zeros(len(V))
+        c[list(support)] = 1.0
+        _remember_support(store, c, V)
+    return store
 
 # Nonnegative entries from 1e-10 to 1, with exact zeros.
 TINY = st.one_of(st.just(0.0), st.floats(1e-10, 1.0))
@@ -326,6 +338,18 @@ class TestOneVertexBound:
         bound, _ = one_vertex_bound(MODES[MODE_L], z, V)
         assert bound >= antinorm_membership_ext(z, V, None if H is None else H.T)
 
+    @pytest.mark.xfail(raises=LPCyclingError, strict=True,
+                       reason="both solves end at an answer that violates a "
+                              "row by 1e-4")
+    def test_antinorm_bound_with_a_large_ray_weight(self):
+        # Drawn by the test above.  The value is 0 (HiGHS), at ray weight
+        # 2416; the started and the two-phase solve both raise.
+        V = np.array([[0.0, 0.2416199974170165], [1e-4, 0.0]])
+        z = np.array([0.0, 0.375])
+        H = np.array([[-0.625], [-1e-4]])
+        bound, _ = one_vertex_bound(MODES[MODE_L], z, V)
+        assert bound >= antinorm_membership_ext(z, V, H.T) == 0.0
+
     @settings(max_examples=200, deadline=None)
     @given(instances(), st.data())
     def test_antinorm_without_covering_vertex_is_inf(self, instance, data):
@@ -386,7 +410,8 @@ class TestModeTable:
         rng = np.random.default_rng(3)
         V = rng.uniform(0.1, 1.0, size=(5, 3))
         z = rng.uniform(0.1, 1.0, size=3)
-        supports = [(0, 1, 2), (1, 3, 4)]
+        supports = store_of(V, [(0, 1, 2), (1, 3, 4)])
+        assert supports.rows.tolist() == [[0, 1, 2], [1, 3, 4]]
         if mode == MODE_R:
             expected = support_bound(z, V, supports)
             assert expected[1] is not None
@@ -401,23 +426,38 @@ class TestSupportCache:
     z = np.array([0.3, 0.7])
 
     def test_singular_support_proves_nothing(self):
+        # The store refuses the singular support, so it holds none.
         V = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        assert support_bound(self.z, V, [(0, 1)]) == (0.0, None)
+        assert support_bound(self.z, V, store_of(V, [(0, 1)])) == (0.0, None)
 
     def test_support_that_misses_z_proves_nothing(self):
         # Rows 0 and 1 are independent, but so nearly parallel that the
-        # solved coefficients (about -7e14 and 7e14) miss z by 0.05.
+        # coefficients (about -7e14 and 7e14) miss z by 0.05.
         V = np.array([[1.0, 0.0], [1.0, 1e-15], [0.0, 1.0]])
-        assert support_bound(self.z, V, [(0, 1)]) == (0.0, None)
-        assert support_bound(self.z, V, [(0, 1), (0, 2)]) == (1.0, [0, 1, 3])
+        supports = store_of(V, [(0, 1)])
+        assert len(supports) == 1  # kept: its rank in floating point is 2
+        assert support_bound(self.z, V, supports) == (0.0, None)
+        assert support_bound(self.z, V, store_of(V, [(0, 1), (0, 2)])) == (1.0, [0, 1, 3])
 
     def test_rank_deficient_support_is_not_kept(self):
         V = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        supports = []
+        supports = SupportStore()
         _remember_support(supports, np.array([0.5, 0.4, 0.1]), V)
-        assert supports == []
+        assert len(supports) == 0
         _remember_support(supports, np.array([0.5, 0.1, 0.4]), V)
-        assert supports == [(0, 2)]
+        assert supports.rows.tolist() == [[0, 2]]
+        assert np.array_equal(supports.VT[0], V[[0, 2]].T)
+
+    def test_numerically_singular_support_is_not_kept(self):
+        # LU does not see rows 0 and 1 as singular (the inverse has entries
+        # near 5e16), but their rank in floating point is 1.
+        V = np.array([[0.1, 0.7], [0.3, 2.1], [0.0, 1.0]])
+        assert np.abs(np.linalg.inv(V[:2].T)).max() > 1e16
+        supports = SupportStore()
+        _remember_support(supports, np.array([0.5, 0.4, 0.1]), V)
+        assert len(supports) == 0
+        _remember_support(supports, np.array([0.5, 0.1, 0.4]), V)
+        assert supports.rows.tolist() == [[0, 2]]
 
 
 class TestVertexStart:

@@ -6,6 +6,8 @@ the package itself never imports scipy.
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +36,13 @@ from polyrad.datasets import (  # noqa: E402
     pascal_rhombus,
     random_family,
 )
-from polyrad.membership import cone_ray_margin, support_bound  # noqa: E402
+from polyrad.membership import (  # noqa: E402
+    SUPPORTS,
+    SupportStore,
+    _remember_support,
+    cone_ray_margin,
+    support_bound,
+)
 from polyrad import membership, simplex  # noqa: E402
 from polyrad.simplex import INFEASIBLE, OPTIMAL  # noqa: E402
 
@@ -353,8 +361,8 @@ class TestBalancedHullMembership:
 
     def test_support_start_matches_highs(self, monkeypatch):
         # Each sequence of programs shares one vertex array, which grows by
-        # appended rows as in the engine, and one support list; after the
-        # first LP every solve starts from the best cached support.
+        # appended rows as in the engine, and one support store; after the
+        # first LP every solve starts from the best stored support.
         outcomes = []
         solve = membership.solve_lp
 
@@ -367,7 +375,7 @@ class TestBalancedHullMembership:
         for _ in range(12):
             d = int(rng.integers(2, 6))
             V = rng.uniform(-1.0, 1.0, size=(d + int(rng.integers(0, 4)), d))
-            supports = []
+            supports = SupportStore()
             for _ in range(25):
                 z = rng.uniform(-1.0, 1.0, size=d)
                 z[rng.random(d) < 0.2] = 0.0
@@ -382,6 +390,74 @@ class TestBalancedHullMembership:
                     V = np.vstack((V, z / (1.5 * t)))  # a point outside, kept
         started = [o for o in outcomes if o.started and o.phase1_pivots == 0]
         assert len(started) >= 0.9 * len(outcomes)
+
+
+def moment_curve(d, n):
+    """``n`` points ``(1, s, ..., s^(d-1))`` at ``s = 1/n, ..., 1``: any
+    ``d`` of them are the rows of a Vandermonde matrix of full rank."""
+    return np.vander(np.arange(1, n + 1) / n, d, increasing=True)
+
+
+def indicator(n, support):
+    """A coefficient vector over ``n`` rows whose support is ``support``."""
+    c = np.zeros(n)
+    c[list(support)] = 1.0
+    return c
+
+
+class TestSupportStore:
+    """The mode-R support store against HiGHS and against its own rules."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bound_never_exceeds_highs(self, data):
+        d = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 6))
+        V = vectors(data.draw, signed, k, d)
+        z = vectors(data.draw, signed, 1, d)[0]
+        assume(np.any(z != 0.0))
+        supports = SupportStore()
+        for c in vectors(data.draw, signed, data.draw(st.integers(1, 8)), k):
+            _remember_support(supports, c, V)
+        bound, _ = support_bound(z, V, supports)
+        expected = 0.0 if off_the_span(z, V) else highs_balanced_hull(z, V)
+        assert bound <= expected * (1.0 + 1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_keeps_the_newest_supports_newest_first(self, data):
+        d, n = data.draw(st.sampled_from([(2, 12), (3, 9)]))
+        V = moment_curve(d, n)
+        order = data.draw(st.permutations(list(combinations(range(n), d))))
+        order = order[:data.draw(st.integers(SUPPORTS + 1, len(order)))]
+        supports = SupportStore()
+        for support in order:
+            _remember_support(supports, indicator(n, support), V)
+        newest = [list(support) for support in reversed(order)][:SUPPORTS]
+        assert len(supports) == SUPPORTS == 64
+        assert supports.rows.tolist() == newest
+        assert np.array_equal(supports.VT, V[supports.rows].transpose(0, 2, 1))
+        assert np.allclose(supports.inv @ supports.VT, np.eye(d), atol=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_held_support_moves_to_the_front_as_it_is(self, data):
+        V = moment_curve(3, 7)
+        order = data.draw(st.lists(st.sampled_from(list(combinations(range(7), 3))),
+                                   min_size=1, max_size=10, unique=True))
+        supports = SupportStore()
+        for support in order:
+            _remember_support(supports, indicator(7, support), V)
+        before = (supports.rows, supports.VT, supports.inv)
+        i = data.draw(st.integers(0, len(order) - 1))
+        # Other coefficients with the same support.
+        c = indicator(7, supports.rows[i]) * data.draw(
+            st.lists(st.floats(0.5, 2.0), min_size=7, max_size=7))
+        with mock.patch.object(np.linalg, "inv", side_effect=AssertionError):
+            _remember_support(supports, c, V)
+        moved = [i] + [j for j in range(len(order)) if j != i]
+        for now, then in zip((supports.rows, supports.VT, supports.inv), before):
+            assert np.array_equal(now, then[moved])
 
 
 class TestAntinormMembership:

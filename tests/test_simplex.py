@@ -111,11 +111,14 @@ class TestBasics:
         # x2 improves without limit; a caller that knows its program is
         # bounded reads such a ray as round-off, and the column is retired.
         lp = LinearProgram("max", [1.0, 1.0], [([1.0, 0.0], "<=", 1.0)])
-        assert solve_lp(lp).status == UNBOUNDED
+        out = solve_lp(lp)
+        assert (out.status, out.columns_retired) == (UNBOUNDED, 0)
         out = solve_lp(lp, assume_bounded=True)
         assert out.status == OPTIMAL
         assert out.value == 1.0
         assert np.array_equal(out.assignment, [1.0, 0.0])
+        # The retirement is counted, and the solve never left Dantzig's rule.
+        assert (out.columns_retired, out.bland_switches) == (1, 0)
 
     def test_equality_row(self):
         lp = LinearProgram("min", [1.0, 1.0], [([1.0, 1.0], "=", 2.0)])
