@@ -322,6 +322,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     tolerance = 10.0 * cert.tolerance
     scaled = family.scaled(1.0 / per_step)
     Vm = np.asarray(cert.vertices, dtype=float)
+    H = np.array(cert.cone_H, dtype=float) if cert.cone_H else None  # rays as rows
     # Points known to lie in the body: the vertices, then (modes P and L)
     # t * z for every image z whose LP gave a finite value t.
     inside = np.zeros((len(Vm) * (scaled.size + 1), d))
@@ -343,7 +344,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                     report.lps_solved += 1
                 else:
                     t = (norm_membership_P(z, Vm) if spec.sign > 0
-                         else antinorm_membership_ext(z, Vm, cert.cone_H))
+                         else antinorm_membership_ext(z, Vm, H))
                     report.lps_solved += 1
                     if np.isfinite(t):
                         inside[n_inside] = t * z
@@ -360,7 +361,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
         for j in range(1, scaled.size + 1):
             A = scaled.matrix(j)
             for hidx, h in enumerate(cert.cone_H):
-                margin = cone_ray_margin(A @ h, cert.cone_H)
+                margin = cone_ray_margin(A @ h, H)
                 if not margin > 0.0:
                     failures.append("cone ray %d not strictly invariant under "
                                     "matrix %d" % (hidx + 1, j))

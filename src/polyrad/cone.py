@@ -14,6 +14,7 @@ strictly inside the cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,11 +38,16 @@ class ConeExtension:
 
     ``index_sets`` holds the 1-based coordinate sets carrying the negative
     entries; ``rays`` are the corresponding vectors, equal to the profile
-    off the set and to ``-epsilon`` times the profile on it.
+    off the set and to ``-epsilon`` times the profile on it.  ``matrix``
+    stacks the rays once, one per row, for the membership and margin LPs.
     """
 
     rays: Tuple[np.ndarray, ...]
     index_sets: Tuple[Tuple[int, ...], ...]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return np.array(self.rays, dtype=float)
 
 
 def detect_near_boundary(points: Sequence[np.ndarray]) -> List[Tuple[int, ...]]:
@@ -123,7 +129,7 @@ def validate_cone(scaled: MatrixFamily, extension: ConeExtension):
     for j in range(1, scaled.size + 1):
         A = scaled.matrix(j)
         for idx, h in enumerate(extension.rays):
-            margin = cone_ray_margin(A @ h, extension.rays)
+            margin = cone_ray_margin(A @ h, extension.matrix)
             if not margin > _POS_TOL:
                 return False, (j, idx + 1)
     return True, None

@@ -212,7 +212,7 @@ def _membership(spec: Mode, z, state: PolytopeState, start,
     V = state.vertices
     if spec.sign < 0:
         if extension is not None and extension.rays:
-            return antinorm_membership_ext(z, V, extension.rays)
+            return antinorm_membership_ext(z, V, extension.matrix)
         return antinorm_membership_L(z, V)
     if spec.balanced:
         return norm_membership_R(z, V, start, state.supports)

@@ -22,11 +22,13 @@ from below by a recent optimal support, d vertices of full rank that
 represent ``z`` exactly (:func:`support_bound`); a :class:`SupportStore`
 keeps the recent supports of one vertex array with their inverses, so
 the bound is one batched product.  :meth:`Mode.bound` picks the mode's,
-which settles a point without an LP.  Each body builds its
-own program; the antinorm LP starts from the best covering vertex's basis,
-the balanced-hull LP from the best cached support's and the cone margin LP
-from its least coordinate, and each runs phase 2 alone, unless
-:func:`solve_lp` has to solve it again in two phases.
+which settles a point without an LP.  Each body builds its own program
+as stacked arrays (:meth:`LinearProgram.from_arrays`), and refuses a
+point, vertex or ray that is not finite; the antinorm LP starts from the
+best covering vertex's basis, the balanced-hull LP from the best cached
+support's and the cone margin LP from its least coordinate, and each runs
+phase 2 alone, unless :func:`solve_lp` has to solve it again in two
+phases.
 """
 
 from __future__ import annotations
@@ -113,9 +115,28 @@ def _stack(z, V):
         raise ValueError("the vertex list must be non-empty")
     if Vm.ndim != 2 or Vm.shape[1] != z.size:
         raise ValueError("vertices must match the dimension of z")
+    if not (np.isfinite(z).all() and np.isfinite(Vm).all()):
+        raise ValueError("z and the vertices must be finite")
     if is_zero_image(z):
         raise ValueError("z must be nonzero")
     return z, Vm
+
+
+def _rays(H, d: int) -> Optional[np.ndarray]:
+    """The rays ``H`` as an ``(h, d)`` array, one per row (no copy for a
+    float array), or ``None`` for no rays; refuses rays of another
+    dimension, or with entries that are not finite."""
+    if H is None or not len(H):
+        return None
+    try:
+        rays = np.asarray(H, dtype=float)
+    except ValueError:
+        rays = None
+    if rays is None or rays.ndim != 2 or rays.shape[1] != d:
+        raise ValueError("ray dimension mismatch")
+    if not np.isfinite(rays).all():
+        raise ValueError("the rays must be finite")
+    return rays
 
 
 def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
@@ -150,19 +171,29 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
 
 class SupportStore:
     """The recent optimal supports of the mode-R LPs over one vertex array,
-    newest first, at most ``SUPPORTS`` of them.  Support ``k`` is ``d``
-    rows of the array, ``rows[k]`` in increasing order, of full rank;
-    ``VT[k]`` is ``V_S^T``, the transpose of those rows, and ``inv[k]``
-    its inverse.  The array may grow by appended rows, which leaves every
-    entry valid; a store serves no other array."""
+    at most ``SUPPORTS`` of them.  Support ``k`` is ``d`` rows of the array
+    in increasing order, of full rank, with ``V_S^T``, the transpose of
+    those rows, and its inverse.  The array may grow by appended rows,
+    which leaves every entry valid; a store serves no other array.
+
+    The supports sit in slots of stacks preallocated for ``SUPPORTS`` and
+    never move: ``slot_rows``, ``slot_VT`` and ``slot_inv`` hold them in
+    their first ``len(store)`` slots, and ``order`` lists those slots
+    newest first.  ``rows``, ``VT`` and ``inv`` read the stacks newest
+    first (copies)."""
 
     def __init__(self):
-        self.rows = np.empty((0, 0), dtype=np.intp)
-        self.VT = np.empty((0, 0, 0))
-        self.inv = np.empty((0, 0, 0))
+        self.count = 0
+        self.order = np.empty(SUPPORTS, dtype=np.intp)
+        self.slot_rows = np.empty((0, 0), dtype=np.intp)
+        self.slot_VT = self.slot_inv = np.empty((0, 0, 0))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.count
+
+    rows = property(lambda self: self.slot_rows[self.order[:self.count]])
+    VT = property(lambda self: self.slot_VT[self.order[:self.count]])
+    inv = property(lambda self: self.slot_inv[self.order[:self.count]])
 
 
 def support_bound(z, Vm: np.ndarray,
@@ -180,18 +211,20 @@ def support_bound(z, Vm: np.ndarray,
     negative part otherwise, is primal feasible.  Among equal bounds the
     newest support wins.
     """
-    if not len(supports):
+    n = supports.count
+    if not n:
         return 0.0, None
-    c = supports.inv @ z
-    residual = abs((supports.VT @ c[:, :, None])[:, :, 0] - z).max(axis=1)
+    c = supports.slot_inv[:n] @ z
+    residual = abs((supports.slot_VT[:n] @ c[:, :, None])[:, :, 0] - z).max(axis=1)
     norms = np.where(residual <= _SUPPORT_RESIDUAL * float(abs(z).max()),
                      abs(c).sum(axis=1), _INF)
-    best = int(np.argmin(norms))
+    order = supports.order[:n]
+    best = int(order[norms[order].argmin()])
     if norms[best] == _INF:
         return 0.0, None
     # Variable 1 + x is the positive part of row x's coefficient, 1 + n + x
     # its negative part.
-    parts = np.where(c[best] >= 0.0, 1, 1 + Vm.shape[0]) + supports.rows[best]
+    parts = np.where(c[best] >= 0.0, 1, 1 + Vm.shape[0]) + supports.slot_rows[best]
     return 1.0 / float(norms[best]), [0] + parts.tolist()
 
 
@@ -204,19 +237,21 @@ def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> 
     floating point: ``inv`` raises, or returns entries that are not
     finite, or ``|V_S|_1 |V_S^-1|_1`` reaches ``1 / (d eps)``, where the
     rank that ``matrix_rank`` reads from the singular values falls below
-    ``d``.
+    ``d``.  It takes a free slot, or the oldest support's when the store
+    is full.
     """
     d = Vm.shape[1]
     if c.size < d:
         return
     support = np.sort(np.argsort(-np.abs(c), kind="stable")[:d])
-    if len(supports):
-        held = (supports.rows == support).all(axis=1).nonzero()[0]
+    n = supports.count
+    order = supports.order
+    if n:
+        held = (supports.slot_rows[:n] == support).all(axis=1).nonzero()[0]
         if held.size:
-            i = int(held[0])
-            order = np.r_[i, :i, i + 1:len(supports)]
-            supports.rows, supports.VT, supports.inv = (
-                supports.rows[order], supports.VT[order], supports.inv[order])
+            i = int((order[:n] == held[0]).argmax())
+            order[1:i + 1] = order[:i]
+            order[0] = held[0]
             return
     VT = Vm[support].T
     try:
@@ -228,10 +263,20 @@ def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> 
     # which fails the test as well.
     if not abs(VT).sum(axis=1).max() * abs(inv).sum(axis=1).max() < 1.0 / (d * _EPS):
         return
-    kept = (supports.rows, supports.VT, supports.inv)
-    supports.rows, supports.VT, supports.inv = (
-        np.concatenate((new[None], old[:SUPPORTS - 1])) if len(supports) else new[None]
-        for new, old in zip((support, VT, inv), kept))
+    if not n:
+        supports.slot_rows = np.empty((SUPPORTS, d), dtype=np.intp)
+        supports.slot_VT = np.empty((SUPPORTS, d, d))
+        supports.slot_inv = np.empty((SUPPORTS, d, d))
+    if n < SUPPORTS:
+        slot = n
+        supports.count = n = n + 1
+    else:
+        slot = order[n - 1]
+    order[1:n] = order[:n - 1]
+    order[0] = slot
+    supports.slot_rows[slot] = support
+    supports.slot_VT[slot] = VT
+    supports.slot_inv[slot] = inv
 
 
 def norm_membership_R(z, V, start: Optional[list] = None,
@@ -254,19 +299,23 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     radius on a body that is not full-dimensional.
     """
     z, Vm = _stack(z, V)
-    A = np.hstack([z[:, None], -Vm.T, Vm.T])
-    nvar = A.shape[1]
-    objective = np.zeros(nvar)
+    n, d = Vm.shape
+    # Rows z t - V^T c+ + V^T c- = 0, then the budget sum c+ + sum c- <= 1.
+    A = np.empty((d + 1, 1 + 2 * n))
+    A[:d, 0] = z
+    np.negative(Vm.T, out=A[:d, 1:1 + n])
+    A[:d, 1 + n:] = Vm.T
+    A[d, 0] = 0.0
+    A[d, 1:] = 1.0
+    objective = np.zeros(1 + 2 * n)
     objective[0] = 1.0
-    budget = np.ones(nvar)
-    budget[0] = 0.0
-    rows = [(row, EQ, 0.0) for row in A] + [(budget, LE, 1.0)]
-    lp = LinearProgram("max", objective, rows)
+    b = np.zeros(d + 1)
+    b[d] = 1.0
+    lp = LinearProgram.from_arrays("max", objective, A, [EQ] * d + [LE], b)
     outcome = solve_lp(lp, assume_bounded=True, start=start)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
     if supports is not None:
-        n = Vm.shape[0]
         x = outcome.assignment
         _remember_support(supports, x[1:1 + n] - x[1 + n:], Vm)
     t = float(outcome.value)
@@ -303,7 +352,7 @@ def norm_membership_P(z, V) -> float:
     if np.any(pos & ~np.any(Vm > 0.0, axis=0)):
         return 0.0
     k = Vm.shape[0]
-    lp = LinearProgram("min", np.ones(k), [(row, GE, zi) for row, zi in zip(Vm.T, z)])
+    lp = LinearProgram.from_arrays("min", np.ones(k), Vm.T, [GE] * z.size, z)
     outcome = solve_lp(lp, assume_bounded=True)
     if outcome.status != OPTIMAL:
         raise MembershipError("order-ideal membership LP ended %s" % outcome.status)
@@ -320,17 +369,20 @@ def _antinorm_lp(z, Vm, rays: Optional[np.ndarray], start=None):
     | -H]``, the last block only when ``rays`` (one per column) is given,
     from ``start``: per row, its basic variable (``t`` is variable 0, the
     weight of row ``x`` of ``Vm`` is ``1 + x``) or ``None`` for its slack."""
-    blocks = [z[:, None], -Vm.T]
+    n, d = Vm.shape
+    nvar = 1 + n + (0 if rays is None else rays.shape[1])
+    # Rows z t - V^T c - H^T c_H >= 0, then the budget sum c >= 1.
+    A = np.zeros((d + 1, nvar))
+    A[:d, 0] = z
+    np.negative(Vm.T, out=A[:d, 1:1 + n])
     if rays is not None:
-        blocks.append(-rays)
-    A = np.hstack(blocks)
-    nvar = A.shape[1]
+        np.negative(rays, out=A[:d, 1 + n:])
+    A[d, 1:1 + n] = 1.0
     objective = np.zeros(nvar)
     objective[0] = 1.0
-    budget = np.zeros(nvar)
-    budget[1:1 + Vm.shape[0]] = 1.0
-    rows = [(row, GE, 0.0) for row in A] + [(budget, GE, 1.0)]
-    lp = LinearProgram("min", objective, rows)
+    b = np.zeros(d + 1)
+    b[d] = 1.0
+    lp = LinearProgram.from_arrays("min", objective, A, [GE] * (d + 1), b)
     return solve_lp(lp, assume_bounded=True, start=start)
 
 
@@ -356,7 +408,10 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
 
     Minimizes ``t`` subject to ``t z >= sum_x c_x x + sum_h c_h h`` with
     ``sum_x c_x >= 1`` and all coefficients nonnegative.  Returns ``inf``
-    when no multiple of ``z`` dominates the hull.
+    when no multiple of ``z`` dominates the hull.  ``H`` is a sequence of
+    rays or an ``(h, d)`` array of them, one per row, read without a copy,
+    as :attr:`ConeExtension.matrix <polyrad.cone.ConeExtension.matrix>`
+    stacks them once for a run; ``None`` or no rays is mode L's plain body.
 
     When a vertex ``v*`` covers ``z`` (:func:`one_vertex_bound`), the LP
     starts from its basis (:func:`_vertex_basis`), so no phase 1 runs: at
@@ -367,14 +422,10 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
     """
     z, Vm = _stack(z, V)
     k = Vm.shape[0]
-    rays = [np.asarray(h, dtype=float) for h in (() if H is None else H)]
-    for h in rays:
-        if h.shape != (z.size,):
-            raise ValueError("ray dimension mismatch")
-    Hm = np.column_stack(rays) if rays else None
+    rays = _rays(H, z.size)
     bound, best = one_vertex_bound(MODES[MODE_L], z, Vm)
     start = None if best < 0 else _vertex_basis(z, Vm, best)
-    outcome = _antinorm_lp(z, Vm, Hm, start)
+    outcome = _antinorm_lp(z, Vm, None if rays is None else rays.T, start)
     if outcome.status == INFEASIBLE:
         return bound
     if outcome.status != OPTIMAL:
@@ -389,9 +440,9 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
         if s < 1.0:
             wx = wx / s
         rhs = Vm.T @ wx
-        if Hm is not None:
+        if rays is not None:
             wh = np.clip(outcome.assignment[1 + k:], 0.0, None)
-            rhs = rhs + Hm @ wh
+            rhs = rhs + rays.T @ wh
         pos = z > 0.0
         blocked = (~pos) & (rhs > 1e-12 * max(1.0, float(rhs.max())))
         if np.any(pos) and not np.any(blocked):
@@ -412,18 +463,22 @@ def cone_ray_margin(image, H) -> float:
     ``image``.
     """
     image = np.asarray(image, dtype=float)
-    rays = np.asarray(H, dtype=float)
-    if rays.size == 0:
-        rays = rays.reshape(0, image.size)
-    if rays.ndim != 2 or rays.shape[1] != image.size:
-        raise ValueError("ray dimension mismatch")
-    objective = np.append([1.0, -1.0], np.zeros(len(rays)))
-    A = np.hstack([np.ones((image.size, 1)) * [1.0, -1.0], rays.T])
-    rows = [(row, LE, rhs) for row, rhs in zip(A, image)]
-    start = [None] * image.size
+    d = image.size
+    rays = _rays(H, d)
+    h = 0 if rays is None else len(rays)
+    objective = np.zeros(2 + h)
+    objective[:2] = 1.0, -1.0
+    # Rows t+ - t- + H^T c <= image.
+    A = np.empty((d, 2 + h))
+    A[:, 0] = 1.0
+    A[:, 1] = -1.0
+    if rays is not None:
+        A[:, 2:] = rays.T
+    start = [None] * d
     least = int(np.argmin(image))
     start[least] = 0 if image[least] >= 0.0 else 1
-    outcome = solve_lp(LinearProgram("max", objective, rows), start=start)
+    lp = LinearProgram.from_arrays("max", objective, A, [LE] * d, image)
+    outcome = solve_lp(lp, start=start)
     if outcome.status == UNBOUNDED:
         return _INF
     if outcome.status != OPTIMAL:

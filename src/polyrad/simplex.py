@@ -1,5 +1,10 @@
 """Dense simplex solver with Bland's anti-cycling rule.
 
+A program arrives as row tuples or as stacked arrays (see
+:class:`LinearProgram`), and its objective, coefficients and right-hand
+sides must be finite.  The tableau holds the constraint rows and, as its
+last row, the reduced costs, so one outer product pivots both.
+
 Every variable is nonnegative.  A program whose rows are all inequalities
 and whose costs (in min form) are all strictly positive starts from its
 slack basis, which is then dual feasible: a dual simplex runs until
@@ -76,19 +81,43 @@ class LPFormatError(ValueError):
     """Raised for malformed linear programs."""
 
 
-@dataclass
 class LinearProgram:
-    """A linear program over nonnegative variables.
+    """A linear program over nonnegative variables: ``sense`` ("max" or
+    "min") of ``objective @ x`` subject to ``A[i] @ x relations[i] b[i]``
+    for every row ``i``, each relation one of ``"<="``, ``"="``, ``">="``.
+    Any other bound on a variable is written as a row, and a free quantity
+    as the difference of two variables by the program that builds it.
 
-    ``rows`` is a list of ``(coefficients, relation, rhs)`` triples with
-    relation one of ``"<="``, ``"="``, ``">="``.  Any other bound on a
-    variable is written as a row, and a free quantity as the difference of
-    two variables by the program that builds it.
+    ``LinearProgram(sense, objective, rows)`` takes the rows as a list of
+    ``(coefficients, relation, rhs)`` triples, which :func:`solve_lp`
+    stacks; :meth:`from_arrays` takes ``A``, ``relations`` and ``b``
+    already stacked, which it reads as they are.  ``rows`` reads either
+    form back as triples.
     """
 
-    sense: str
-    objective: Sequence[float]
-    rows: List[Tuple[Sequence[float], str, float]]
+    def __init__(self, sense: str, objective: Sequence[float],
+                 rows: List[Tuple[Sequence[float], str, float]]):
+        self.sense = sense
+        self.objective = objective
+        self._rows = rows
+        self._arrays = None
+
+    @classmethod
+    def from_arrays(cls, sense: str, objective: Sequence[float], A: np.ndarray,
+                    relations: Sequence[str], b: np.ndarray) -> "LinearProgram":
+        """The program with coefficient matrix ``A``, one relation per row
+        and right-hand sides ``b``."""
+        lp = cls(sense, objective, None)
+        lp._arrays = (A, relations, b)
+        return lp
+
+    @property
+    def rows(self) -> List[Tuple[Sequence[float], str, float]]:
+        if self._rows is None:
+            A, relations, b = self._arrays
+            self._rows = list(zip(A, np.asarray(relations).tolist(),
+                                  np.asarray(b).tolist()))
+        return self._rows
 
     @property
     def bounds(self) -> List[Tuple[float, float]]:
@@ -100,9 +129,11 @@ class LinearProgram:
 class LPOutcome:
     """A solve's status, value and assignment, its pivot counts (phase 1,
     the dual simplex on the slack-basis path, and phase 2), whether phase 2
-    started from the caller's basis, with no phase 1, and how many solves of
-    a new basis (see the module docstring) its rebuild accepted and
-    refused; a rebuild that reuses a solve is not counted.  Two silent
+    started from the caller's basis, with no phase 1, how many solves of a
+    new basis (see the module docstring) its rebuild accepted and refused,
+    and how many ``np.linalg.solve`` calls those made: three per new basis,
+    one for a basis whose first solve finds it singular.  A rebuild that
+    reuses a solve is not counted and makes no call.  Two silent
     fallbacks are counted too: the loops that switched to Bland's rule, and
     the columns retired as round-off rays (under ``assume_bounded``, and in
     phase 1, which is bounded).  A start that :func:`solve_lp` drops leaves
@@ -116,26 +147,30 @@ class LPOutcome:
     started: bool = False
     rebuilds: int = 0
     rebuilds_refused: int = 0
+    solves: int = 0
     bland_switches: int = 0
     columns_retired: int = 0
 
 
-def _pivot(T: np.ndarray, leave: int, enter: int) -> None:
-    """Pivot ``T`` on row ``leave`` and column ``enter``."""
-    T[leave] /= T[leave, enter]
-    factors = T[:, enter].copy()
+def _pivot(W: np.ndarray, leave: int, enter: int) -> None:
+    """Pivot ``W`` on row ``leave`` and column ``enter``: one outer-product
+    update of every row, the objective row included."""
+    row = W[leave]
+    row /= row[enter]
+    factors = W[:, enter].copy()
     factors[leave] = 0.0
-    T -= factors[:, None] * T[leave]
+    W -= np.multiply.outer(factors, row)
 
 
-def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
+def _drive(W: np.ndarray, basis: np.ndarray, refactor,
            choose) -> Tuple[str, int, bool]:
     """Pivot until ``choose`` reports a status; returns it, the number of
     pivots and whether the loop switched to Bland's rule.
 
-    ``T`` is the constraint tableau with the right-hand side as the last
-    column; ``obj`` is the reduced-cost row with ``obj[-1]`` holding the
-    negative of the current objective value.  ``choose(bland)`` returns a
+    ``W`` is the tableau: its rows but the last are the constraint rows
+    ``T``, with the right-hand side as the last column, and its last row is
+    the reduced-cost row ``obj``, with ``obj[-1]`` holding the negative of
+    the current objective value.  ``choose(bland)`` returns a
     ``(leave, enter, degenerate)`` pivot, ``None`` to look again, or a
     status.  After a long run of degenerate pivots ``bland`` turns on, and
     ``choose`` must then follow Bland's rule, which cannot cycle.
@@ -145,6 +180,7 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
     returned, so that status is confirmed on a fresh tableau; a basis the
     rebuild has already solved costs no second solve.
     """
+    T, obj = W[:-1], W[-1]
     m, width = T.shape
     cap = 2000 + 200 * (m + width - 1)
     bland = False
@@ -177,8 +213,7 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
                 bland = True
         else:
             stalled = 0
-        _pivot(T, leave, enter)
-        obj -= obj[enter] * T[leave]
+        _pivot(W, leave, enter)
         basis[leave] = enter
         pivots += 1
         since_refactor += 1
@@ -186,8 +221,8 @@ def _drive(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, refactor,
     raise LPCyclingError("pivot cap exceeded (%d iterations)" % cap)
 
 
-def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
-                allowed: np.ndarray, bounded: bool, refactor) -> Tuple[str, int, bool]:
+def _pivot_loop(W: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
+                bounded: bool, refactor) -> Tuple[str, int, bool]:
     """Run primal simplex pivots from a primal feasible basis until optimal
     or unbounded; returns :func:`_drive`'s status, pivots and Bland switch.
 
@@ -197,41 +232,54 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
     conditioned.  Under Bland's rule both are the smallest index.  A pivot
     is degenerate when its ratio is zero.
     """
-    ncols = T.shape[1] - 1
+    T, obj = W[:-1], W[-1]
+    m, ncols = T.shape[0], T.shape[1] - 1
+    rhs, costs = T[:, -1], obj[:ncols]
 
     def choose(bland: bool):
-        negative = (obj[:ncols] < -PIVOT_TOL) & allowed
-        candidates = np.nonzero(negative)[0]
-        if candidates.size == 0:
+        if bland:
+            priced = (costs < -PIVOT_TOL) & allowed
+            enter = int(priced.argmax())
+            if not priced[enter]:
+                return OPTIMAL
+        elif not ncols:
             return OPTIMAL
-        if bland:
-            enter = int(candidates[0])
         else:
-            enter = int(candidates[np.argmin(obj[candidates])])
+            # The first most negative reduced cost among the allowed columns.
+            priced = np.where(allowed, costs, _INF)
+            enter = int(priced.argmin())
+            if not priced[enter] < -PIVOT_TOL:
+                return OPTIMAL
         column = T[:, enter]
-        eligible = np.nonzero(column > PIVOT_TOL)[0]
-        if eligible.size == 0:
-            if bounded:
-                # The problem is known to be bounded, so an "improving ray"
-                # is round-off noise; retire the column and move on.
-                allowed[enter] = False
-                return None
-            return UNBOUNDED
-        ratios = T[eligible, -1] / column[eligible]
-        best = float(ratios.min())
+        eligible = column > PIVOT_TOL
+        # Rows that are not eligible read as an infinite ratio.
+        ratios = np.divide(rhs, column, out=np.full(m, _INF), where=eligible)
+        best = float(ratios.min(initial=_INF))
         tie_tol = 1e-9 * max(1.0, abs(best))
-        tied = eligible[ratios <= best + tie_tol]
-        if bland:
+        if best < _INF:
+            tied = (ratios <= best + tie_tol).nonzero()[0]
+        elif eligible.any():
+            tied = eligible.nonzero()[0]  # every eligible ratio overflowed
+        elif bounded:
+            # The problem is known to be bounded, so an "improving ray" is
+            # round-off noise; retire the column and move on.
+            allowed[enter] = False
+            return None
+        else:
+            return UNBOUNDED
+        if tied.size == 1:
+            leave = int(tied[0])
+        elif bland:
             leave = int(min(tied, key=lambda r: basis[r]))
         else:
-            leave = int(tied[np.argmax(column[tied])])
+            leave = int(tied[column[tied].argmax()])
         return leave, enter, best <= tie_tol
 
-    return _drive(T, obj, basis, refactor, choose)
+    return _drive(W, basis, refactor, choose)
 
 
-def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
-               xtol: np.ndarray, refactor) -> Tuple[str, int, bool]:
+def _dual_loop(W: np.ndarray, basis: np.ndarray, xtol: np.ndarray,
+               refactor) -> Tuple[str, int, bool]:
     """Run dual simplex pivots from a dual feasible basis until the basic
     solution is primal feasible (optimal) or a row proves the program
     infeasible; returns :func:`_drive`'s status, pivots and Bland switch.
@@ -243,19 +291,27 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
     entering column the smallest index the ratio test allows.  A pivot is
     degenerate when its ratio is zero.
     """
-    ncols = T.shape[1] - 1
+    T, obj = W[:-1], W[-1]
+    m, ncols = T.shape[0], T.shape[1] - 1
 
     def choose(bland: bool):
-        rows = (T[:, -1] < -xtol[basis]).nonzero()[0]
-        if rows.size == 0:
+        if not m:
             return OPTIMAL
+        values = T[:, -1]
+        negative = values < -xtol[basis]
         if bland:
+            rows = negative.nonzero()[0]
+            if not rows.size:
+                return OPTIMAL
             leave = int(min(rows, key=lambda r: basis[r]))
         else:
-            leave = int(rows[T[rows, -1].argmin()])
+            # The first most negative basic value among the negative ones.
+            leave = int(np.where(negative, values, _INF).argmin())
+            if not negative[leave]:
+                return OPTIMAL
         row = T[leave, :ncols]
         eligible = (row < -PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
+        if not eligible.size:
             # A negative basic value that no nonnegative change of the
             # nonbasic columns can raise.
             return INFEASIBLE
@@ -265,6 +321,8 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
         # costs that round-off made negative count as zero.
         pivots = row[eligible]
         costs = np.maximum(obj[eligible], 0.0)
+        if pivots.size == 1:
+            return leave, int(eligible[0]), costs[0] / -pivots[0] <= 1e-9
         ratios = costs / -pivots
         bound = ((costs + DUAL_TOL) / -pivots).min()
         tied = ratios <= bound
@@ -274,7 +332,7 @@ def _dual_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
             pick = int(np.where(tied, pivots, 0.0).argmin())
         return leave, int(eligible[pick]), ratios[pick] <= 1e-9
 
-    return _drive(T, obj, basis, refactor, choose)
+    return _drive(W, basis, refactor, choose)
 
 
 def _start_columns(start: Sequence[Optional[int]], ineq: np.ndarray,
@@ -283,13 +341,16 @@ def _start_columns(start: Sequence[Optional[int]], ineq: np.ndarray,
     a variable's own column, or the row's slack."""
     if len(start) != ineq.size:
         raise LPFormatError("the start basis needs one entry per row")
-    slack = ncols + np.cumsum(ineq) - 1
+    # A row's slack column, only when some row names its slack.  At the
+    # sizes of the membership programs this loop is cheaper than array
+    # operations.
+    slack = (ncols - 1 + ineq.cumsum()).tolist() if None in start else None
     basis = []
     for r, var in enumerate(start):
         if var is None and ineq[r]:
-            basis.append(int(slack[r]))
+            basis.append(slack[r])
         elif var is not None and 0 <= var < ncols:
-            basis.append(int(var))
+            basis.append(var)
         else:
             raise LPFormatError("row %d starts from %r, neither a variable nor "
                                 "the slack of an inequality row" % (r, var))
@@ -322,38 +383,59 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
     return _solve(lp, assume_bounded, None)
 
 
-def _solve(lp: LinearProgram, assume_bounded: bool,
-           start: Optional[Sequence[Optional[int]]]) -> LPOutcome:
+def _arrays(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         np.ndarray]:
+    """``lp``'s objective, coefficient matrix, relations and right-hand
+    sides as arrays, the rows stacked unless they came stacked; raises
+    :class:`LPFormatError` for a program that is malformed."""
     if lp.sense not in ("max", "min"):
         raise LPFormatError("sense must be 'max' or 'min'")
     c0 = np.asarray(lp.objective, dtype=float)
     if c0.ndim != 1:
         raise LPFormatError("objective must be a vector")
     ncols = c0.size
-    m = len(lp.rows)
-    rels = [rel for _, rel, _ in lp.rows]
+    if lp._arrays is None:
+        rows = lp.rows
+        m = len(rows)
+        rels = [rel for _, rel, _ in rows]
+        try:
+            A0 = (np.array([coeffs for coeffs, _, _ in rows], dtype=float)
+                  if m else np.zeros((0, ncols)))
+        except ValueError:
+            A0 = None
+        try:
+            b0 = np.array([rhs for _, _, rhs in rows], dtype=float).reshape(m)
+        except ValueError:
+            raise LPFormatError("every right-hand side must be a number") from None
+    else:
+        A0, rels, b0 = lp._arrays
+        A0 = np.asarray(A0, dtype=float)
+        b0 = np.asarray(b0, dtype=float)
+        m = b0.size
+        if b0.shape != (m,) or len(rels) != m:
+            raise LPFormatError("every row needs one relation and one right-hand side")
     for rel in rels:
         if rel not in (LE, EQ, GE):
             raise LPFormatError("unknown relation %r" % (rel,))
-    try:
-        A0 = (np.array([coeffs for coeffs, _, _ in lp.rows], dtype=float)
-              if m else np.zeros((0, ncols)))
-    except ValueError:
-        A0 = None
     if A0 is None or A0.shape != (m, ncols):
         raise LPFormatError("each row must hold one number per variable")
-    try:
-        b0 = np.array([rhs for _, _, rhs in lp.rows], dtype=float).reshape(m)
-    except ValueError:
-        raise LPFormatError("every right-hand side must be a number") from None
-    le = np.array([rel == LE for rel in rels], dtype=bool)
-    ineq = np.array([rel != EQ for rel in rels], dtype=bool)
+    if not np.isfinite(c0).all():
+        raise LPFormatError("the objective must be finite")
+    return c0, A0, np.asarray(rels, dtype=str), b0
+
+
+def _solve(lp: LinearProgram, assume_bounded: bool,
+           start: Optional[Sequence[Optional[int]]]) -> LPOutcome:
+    c0, A0, rels, b0 = _arrays(lp)
+    m, ncols = A0.shape
+    le = rels == LE
+    ineq = rels != EQ
 
     # Phase 2 objective (min form).  When it is strictly positive and every
     # row is an inequality, the slack basis is dual feasible.  Adding to 0.0
     # turns -0.0 into +0.0, here, in the tableau and in the solution.
     cost = 0.0 + (c0 if lp.sense == "min" else -c0)
-    dual = bool(np.all(ineq)) and bool(np.all(cost > 0.0))
+    dual = bool(ineq.all()) and bool((cost > 0.0).all())
 
     # The tableau's columns are, in this order, [variables | slacks |
     # artificials | rhs]: variable j in column j, one slack per inequality
@@ -365,13 +447,17 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     art0 = ncols + nslack
     nart = 0 if dual or start is not None else m
     total = art0 + nart
-    T = np.zeros((m, total + 1))
-    T[:, :ncols] = 0.0 + A0
+    # W is the tableau: the constraint rows T, then the objective row obj.
+    W = np.zeros((m + 1, total + 1))
+    T = W[:m]
+    np.add(A0, 0.0, out=T[:, :ncols])
     T[:, -1] = b0
+    if not np.isfinite(T).all():
+        raise LPFormatError("every coefficient and right-hand side must be finite")
     # Equilibrate: scaling a row changes neither the feasible set nor the
     # objective but keeps the tableau well conditioned.
-    scale = np.abs(T[:, :ncols]).max(axis=1, initial=0.0)
-    factor = 1.0 / np.where(scale > 0.0, scale, 1.0)
+    row_mag = np.abs(T[:, :ncols]).max(axis=1, initial=0.0)
+    factor = 1.0 / np.where(row_mag > 0.0, row_mag, 1.0)
     T *= factor[:, None]
     if dual:
         # Orient each row so that its slack enters with +1: the slack basis
@@ -383,17 +469,29 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         # Slacks enter with +-1, not with the row's factor, which would
         # give a row with a tiny coefficient a huge slack column.
         T[ineq, ncols + np.arange(nslack)] = np.where(le, 1.0, -1.0)[ineq]
-        T[T[:, -1] < 0] *= -1.0
-        T[:, art0:total] = np.eye(m, nart)
+        negative = T[:, -1] < 0.0
+        if negative.any():
+            T[negative] *= -1.0
+        if nart:
+            T[:, art0:total] = np.eye(m)
         basis = np.arange(art0, total)
-    # The unpivoted system the rebuild solves; the last basis it solved,
-    # with that solve (basic values and B^-1 A, None for a singular basis or
-    # a solve that is not finite);
-    # and the counts of solves whose rebuild was accepted and refused.
-    A_std = T[:, :total].copy()
-    b_std = T[:, -1].copy()
+    # The unpivoted system the rebuild solves.  A started solve has no
+    # artificials, and its first rebuild writes all of W, so the system is
+    # the T built so far.
+    if start is not None:
+        A_std, b_std = T[:, :-1], T[:, -1]
+        W = np.empty_like(W)
+        T = W[:m]
+    else:
+        A_std = T[:, :total].copy()
+        b_std = T[:, -1].copy()
+    obj = W[m]
+    # The last basis the rebuild solved, with that solve (basic values and
+    # B^-1 A, None for a singular basis or a solve that is not finite); the
+    # counts of solves whose rebuild was accepted and refused, and of
+    # np.linalg.solve calls.
     kept = None
-    rebuilds = refused = 0
+    rebuilds = refused = solves = 0
 
     def make_refactor(cost_full: np.ndarray, dual: bool = False,
                       strict: bool = False):
@@ -402,15 +500,17 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         raising instead when ``strict``.  ``dual`` checks the reduced costs
         instead of the basic values."""
         def refactor(basis_now: np.ndarray, T: np.ndarray, obj: np.ndarray) -> None:
-            nonlocal kept, rebuilds, refused
-            new = kept is None or not np.array_equal(kept[0], basis_now)
+            nonlocal kept, rebuilds, refused, solves
+            new = kept is None or not (kept[0] == basis_now).all()
             if new:
                 B = A_std[:, basis_now]
+                solves += 1
                 try:
                     y = np.linalg.solve(B, b_std)
+                    solves += 2
                     y += np.linalg.solve(B, b_std - B @ y)
                     Binv_A = np.linalg.solve(B, A_std)
-                    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(Binv_A))):
+                    if not (np.isfinite(y).all() and np.isfinite(Binv_A).all()):
                         y = Binv_A = None
                 except np.linalg.LinAlgError:
                     y = Binv_A = None
@@ -423,9 +523,9 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                 if float((reduced if dual else y).min(initial=0.0)) >= -1e-7:
                     rebuilds += new
                     if dual:
-                        reduced = np.clip(reduced, 0.0, None)
+                        reduced = np.maximum(reduced, 0.0)
                     else:
-                        y = np.clip(y, 0.0, None)
+                        y = np.maximum(y, 0.0)
                     T[:, :-1] = Binv_A
                     T[:, -1] = y
                     obj[:-1] = reduced
@@ -444,10 +544,9 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     bland1 = False
     if start is not None:
         basis = _start_columns(start, ineq, ncols)
-        obj = np.empty(total + 1)
         refactor2(basis, T, obj)
     elif dual:
-        obj = np.append(cost2, 0.0)
+        obj[:-1] = cost2
         # A basic variable's scale is the largest rhs, or for a slack its
         # own row's rhs; a row with rhs 0 takes 1e-4 of the largest, so
         # that round-off on it does not count.
@@ -455,20 +554,20 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         basic_scale = np.full(total, bmax)
         basic_scale[ncols:] = np.where(b_std != 0.0, np.abs(b_std), 1e-4 * bmax)
         xtol = DUAL_TOL * basic_scale
-        status, pivots1, bland1 = _dual_loop(T, obj, basis, xtol,
+        status, pivots1, bland1 = _dual_loop(W, basis, xtol,
                                              make_refactor(cost2, dual=True))
         if status == INFEASIBLE:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
                              rebuilds=rebuilds, rebuilds_refused=refused,
-                             bland_switches=int(bland1))
+                             solves=solves, bland_switches=int(bland1))
     else:
         # Phase 1: minimize the sum of artificials.
         cost1 = np.zeros(total)
         cost1[art0:] = 1.0
-        obj = np.append(cost1, 0.0)
+        obj[:-1] = cost1
         for r in range(m):
             obj -= T[r]
-        status, pivots1, bland1 = _pivot_loop(T, obj, basis, allowed, True,
+        status, pivots1, bland1 = _pivot_loop(W, basis, allowed, True,
                                               make_refactor(cost1))
         if status != OPTIMAL:
             raise LPCyclingError("phase 1 reported unbounded, which is impossible")
@@ -480,7 +579,8 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         if art_sum > FEAS_TOL:
             return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
                              rebuilds=rebuilds, rebuilds_refused=refused,
-                             bland_switches=int(bland1), columns_retired=retired)
+                             solves=solves, bland_switches=int(bland1),
+                             columns_retired=retired)
 
         # Drive artificials out of the basis where possible; the rest sit on
         # redundant rows at value zero and are barred from re-entering.
@@ -490,23 +590,24 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                 nonzero = np.nonzero(np.abs(T[r, :art0]) > PIVOT_TOL)[0]
                 if nonzero.size:
                     basis[r] = int(nonzero[0])
-                    _pivot(T, r, basis[r])
+                    _pivot(W, r, basis[r])
                     pivots1 += 1
 
-        obj = np.append(cost2, 0.0)
+        obj[:-1] = cost2
+        obj[-1] = 0.0
         for r in range(m):
             cb = obj[basis[r]]
             if cb != 0.0:
-                obj = obj - cb * T[r]
+                obj -= cb * T[r]
     started = start is not None
     open_columns = int(np.count_nonzero(allowed))
-    status, pivots2, bland2 = _pivot_loop(T, obj, basis, allowed, assume_bounded,
+    status, pivots2, bland2 = _pivot_loop(W, basis, allowed, assume_bounded,
                                           refactor2)
     switches = int(bland1) + int(bland2)
     retired += open_columns - int(np.count_nonzero(allowed))
     if status == UNBOUNDED:
         return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started,
-                         rebuilds, refused, switches, retired)
+                         rebuilds, refused, solves, switches, retired)
 
     # The answer is the basic solution that the last rebuild wrote (the
     # pivoted one if it was refused), checked against the original
@@ -515,14 +616,14 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     x = np.zeros(total)
     x[basis] = T[:, -1]
     x = 0.0 + x[:ncols]
-    lhs = A0 @ x
-    r = np.where(le, lhs - b0, np.where(ineq, b0 - lhs, np.abs(lhs - b0)))
-    row_mag = np.max(np.abs(A0), axis=1, initial=0.0)
-    xmag = float(np.max(np.abs(x), initial=0.0))
+    # gap > 0 violates a "<=" row, gap < 0 a ">=" row, either an "=" row.
+    gap = A0 @ x - b0
+    r = np.where(le, gap, np.where(ineq, -gap, np.abs(gap)))
+    xmag = float(np.abs(x).max(initial=0.0))
     scale = np.maximum(np.maximum(1.0, row_mag * max(1.0, xmag)), np.abs(b0))
     worst = float(np.fmax.reduce(r / scale, initial=0.0))
     if worst > 1e-6:
         raise LPCyclingError("solution violates constraints by %g" % worst)
 
     return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2, started,
-                     rebuilds, refused, switches, retired)
+                     rebuilds, refused, solves, switches, retired)

@@ -22,9 +22,11 @@ from polyrad.membership import (
     one_vertex_bound,
     support_bound,
 )
-from polyrad.simplex import LPCyclingError
+from polyrad.simplex import LinearProgram, LPCyclingError
+from test_simplex import assert_same_outcome
 
 INF = float("inf")
+NAN = float("nan")
 
 
 def store_of(V, supports):
@@ -116,6 +118,44 @@ class TestArrayInput:
         H = [np.array([0.1, 0.1, -1.0])]
         assert (antinorm_membership_ext(self.z, self.V, H)
                 == antinorm_membership_ext(self.z, list(self.V), H))
+
+    @pytest.mark.parametrize("call", [
+        lambda z, V: norm_membership_R(
+            z, V, support_bound(z, V, store_of(V, [(0, 1, 2)]))[1], SupportStore()),
+        norm_membership_P,
+        antinorm_membership_L,
+        lambda z, V: antinorm_membership_ext(z, V, [[0.1, 0.1, -1.0]]),
+        lambda z, V: cone_ray_margin(z - 0.5, [[0.1, 0.1, -1.0], [1.0, -0.5, 0.2]]),
+    ], ids=["R", "P", "L", "ext", "cone-margin"])
+    def test_program_matches_its_rows(self, monkeypatch, call):
+        # Each membership program is built as arrays; given as the row
+        # tuples that LinearProgram.rows reads back, it solves to the same
+        # outcome, field by field.
+        programs = []
+        solve = membership.solve_lp
+
+        def recording(lp, **kwargs):
+            outcome = solve(lp, **kwargs)
+            programs.append((lp, kwargs, outcome))
+            return outcome
+
+        monkeypatch.setattr(membership, "solve_lp", recording)
+        call(self.z, self.V)
+        (lp, kwargs, outcome), = programs
+        rows = LinearProgram(lp.sense, lp.objective, lp.rows)
+        assert_same_outcome(solve(rows, **kwargs), outcome)
+
+    @pytest.mark.parametrize("call", [
+        lambda: norm_membership_P([1.0, 1.0], [[INF, 0.0], [0.0, 1.0]]),
+        lambda: norm_membership_R([NAN, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        lambda: antinorm_membership_L([1.0, INF], [[1.0, 1.0]]),
+        lambda: antinorm_membership_ext([1.0, 1.0], [[1.0, 1.0]], [[NAN, 0.0]]),
+        lambda: cone_ray_margin([1.0, 1.0], [[INF, 0.0]]),
+    ], ids=["P-vertex", "R-point", "L-point", "ext-ray", "cone-ray"])
+    def test_non_finite_input_rejected(self, call):
+        # The first two used to return nan and 0.0.
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 class TestMonotonePolytope:

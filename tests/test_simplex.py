@@ -1,11 +1,34 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from polyrad import LinearProgram, simplex, solve_lp
+from polyrad import LinearProgram, LPOutcome, simplex, solve_lp
 from polyrad.simplex import (INFEASIBLE, LPCyclingError, LPFormatError, OPTIMAL,
                              UNBOUNDED)
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def as_arrays(lp: LinearProgram) -> LinearProgram:
+    """``lp`` with its rows stacked, through :meth:`LinearProgram.from_arrays`."""
+    n = len(lp.objective)
+    A = np.array([coeffs for coeffs, _, _ in lp.rows], dtype=float).reshape(-1, n)
+    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+    return LinearProgram.from_arrays(lp.sense, lp.objective, A,
+                                     [rel for _, rel, _ in lp.rows], b)
+
+
+def assert_same_outcome(a: LPOutcome, b: LPOutcome) -> None:
+    """``a`` and ``b`` agree field by field, bit for bit."""
+    for field in dataclasses.fields(LPOutcome):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "assignment" and x is not None and y is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        else:
+            assert repr(x) == repr(y), field.name
 
 
 def oracle_solve(lp: LinearProgram):
@@ -103,9 +126,10 @@ class TestBasics:
                            [([1.0, -1.0], ">=", 1.0), ([1.0, -1.0], "<=", 0.0)])
         assert solve_lp(lp).status == INFEASIBLE
 
+    UNBOUNDED_LP = LinearProgram("max", [1.0, -1.0], [([1.0, -1.0], ">=", 0.0)])
+
     def test_unbounded(self):
-        lp = LinearProgram("max", [1.0, -1.0], [([1.0, -1.0], ">=", 0.0)])
-        assert solve_lp(lp).status == UNBOUNDED
+        assert solve_lp(self.UNBOUNDED_LP).status == UNBOUNDED
 
     def test_assume_bounded_retires_an_improving_ray(self):
         # x2 improves without limit; a caller that knows its program is
@@ -188,6 +212,29 @@ class TestBasics:
     def test_malformed_rows_rejected(self, rows):
         with pytest.raises(LPFormatError):
             solve_lp(LinearProgram("max", [1.0, 1.0], rows))
+
+    @pytest.mark.parametrize("lp", [
+        LinearProgram("max", [1.0], [([NAN], "<=", 1.0)]),
+        LinearProgram("max", [1.0], [([1.0], "<=", INF)]),
+        LinearProgram("min", [1.0], [([1.0], ">=", NAN)]),
+        LinearProgram("max", [INF], [([1.0], "<=", 1.0)]),
+    ], ids=["nan-coefficient", "infinite-rhs", "nan-rhs", "infinite-objective"])
+    def test_non_finite_data_rejected(self, lp):
+        # The first three used to read unbounded, optimal nan and optimal 0.0.
+        with pytest.raises(LPFormatError, match="finite"):
+            solve_lp(lp)
+        with pytest.raises(LPFormatError, match="finite"):
+            solve_lp(as_arrays(lp), start=[None])
+
+    @pytest.mark.parametrize("A, relations, b", [
+        (np.ones((2, 1)), ["<="], np.ones(2)),
+        (np.ones((2, 1)), ["<=", "<"], np.ones(2)),
+        (np.ones((2, 2)), ["<=", "<="], np.ones(2)),
+        (np.ones((2, 1)), ["<=", "<="], np.ones((2, 1))),
+    ], ids=["one-relation-short", "unknown-relation", "row-width", "matrix-rhs"])
+    def test_malformed_arrays_rejected(self, A, relations, b):
+        with pytest.raises(LPFormatError):
+            solve_lp(LinearProgram.from_arrays("max", [1.0], A, relations, b))
 
 
 class TestPivotCounts:
@@ -307,28 +354,38 @@ class TestRebuild:
                               [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0),
                                ([1.0, 0.0], ">=", 1.0)])
 
+    # max x + y subject to x + y <= 4 and x <= 3, from the slack basis,
+    # which is feasible but not optimal: phase 2 pivots twice.
+    STARTED_PIVOTING = LinearProgram("max", [1.0, 1.0],
+                                     [([1.0, 1.0], "<=", 4.0), ([1.0, 0.0], "<=", 3.0)])
+
     @pytest.mark.parametrize("lp, start, solves, value", [
-        (LP, [0, 1], 3, 1.0), (LP, None, 3, 1.0), (COVERING, None, 3, 1.0),
-        (TWO_PHASE, None, 6, 9.0),
-    ], ids=["started", "two-phase", "dual-path", "two-phase-pivoting"])
+        (LP, [0, 1], 3, 1.0), (STARTED_PIVOTING, [None, None], 6, 4.0),
+        (LP, None, 3, 1.0), (COVERING, None, 3, 1.0), (TWO_PHASE, None, 6, 9.0),
+    ], ids=["started", "started-pivoting", "two-phase", "dual-path",
+            "two-phase-pivoting"])
     def test_each_final_basis_is_solved_once(self, monkeypatch, lp, start, solves,
                                              value):
         # Three solves per rebuild, and the rebuild keeps its last solve, so
         # each basis is solved once.  The started solve rebuilds its start,
         # which is already optimal, and phase 2 confirms it on that solve.
-        # The dual path and the two-phase solve confirm the end of the dual
-        # loop and of phase 1, and phase 2, which makes no pivot, confirms
-        # the same basis on the same solve.  TWO_PHASE's phase 2 pivots once
-        # and solves its new basis.  Phase 1's verdict and the answer are
-        # read from the tableau the last rebuild wrote.
+        # STARTED_PIVOTING's phase 2 pivots from its start and solves the
+        # basis it ends on; it makes two pivots but rebuilds only that one,
+        # before reporting it optimal.  The dual path and the two-phase
+        # solve confirm the end of the dual loop and of phase 1, and phase
+        # 2, which makes no pivot, confirms the same basis on the same
+        # solve.  TWO_PHASE's phase 2 pivots once and solves its new basis.
+        # Phase 1's verdict and the answer are read from the tableau the
+        # last rebuild wrote.  LPOutcome.solves counts the calls.
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda *args: calls.append(1) or solve(*args))
         out = solve_lp(lp, start=start)
         assert out.value == pytest.approx(value)
-        assert len(calls) == solves
+        assert len(calls) == out.solves == solves
         assert (out.rebuilds, out.rebuilds_refused) == (solves // 3, 0)
+        assert out.started == (start is not None)
 
     @pytest.mark.parametrize("lp, start, cause", [
         (LP, [0, 1], "singular"),
@@ -350,6 +407,9 @@ class TestRebuild:
         assert plain.value == pytest.approx(1.0)
         assert not plain.started
         assert plain.rebuilds == 0 and plain.rebuilds_refused > 0
+        # A singular basis costs the one solve that finds it singular.
+        per_basis = 1 if cause == "singular" else 3
+        assert plain.solves == per_basis * plain.rebuilds_refused
         out = solve_lp(lp, start=start)
         assert (out.status, out.value, out.phase1_pivots, out.phase2_pivots,
                 out.started) == (plain.status, plain.value, plain.phase1_pivots,
@@ -388,6 +448,37 @@ class TestRebuild:
         out = solve_lp(self.INFEASIBLE_LP)
         assert out.status == INFEASIBLE
         assert out.rebuilds == 0 and out.rebuilds_refused > 0
+
+
+class TestArrayForm:
+    """A program given as row tuples and as stacked arrays is one program:
+    the two forms give the same outcome, field by field."""
+
+    def test_random_programs_match_their_rows(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            lp = random_bounded_program(rng)
+            stacked = as_arrays(lp)
+            assert_same_outcome(solve_lp(stacked), solve_lp(lp))
+            for (a, rel, rhs), (a2, rel2, rhs2) in zip(stacked.rows, lp.rows):
+                assert np.array_equal(a, a2) and (rel, rhs) == (rel2, rhs2)
+
+    @pytest.mark.parametrize("lp, start", [
+        (TestStartBasis.LP, [0, 1]), (TestStartBasis.LP, [0, 0]),
+        (TestStartBasis.COVERING, None), (TestRebuild.TWO_PHASE, None),
+        (TestRebuild.INFEASIBLE_LP, None), (TestBasics.UNBOUNDED_LP, None),
+    ], ids=["started", "refused-start", "dual-path", "two-phase", "infeasible",
+            "unbounded"])
+    def test_each_path_matches_its_rows(self, lp, start):
+        assert_same_outcome(solve_lp(as_arrays(lp), start=start),
+                            solve_lp(lp, start=start))
+
+    def test_rows_read_back_as_triples(self):
+        lp = LinearProgram.from_arrays("min", [1.0, 2.0], np.eye(2), [">=", "="],
+                                       np.array([1.0, 2.0]))
+        assert [(a.tolist(), rel, rhs) for a, rel, rhs in lp.rows] == [
+            ([1.0, 0.0], ">=", 1.0), ([0.0, 1.0], "=", 2.0)]
+        assert lp.bounds == [(0.0, INF)] * 2
 
 
 class TestDeterminism:
