@@ -23,7 +23,7 @@ represent ``z`` exactly (:func:`support_bound`); a :class:`SupportStore`
 keeps the recent supports of one vertex array with their inverses, so
 the bound is one batched product.  :meth:`Mode.bound` picks the mode's,
 which settles a point without an LP.  Each body builds its own program
-as stacked arrays (:meth:`LinearProgram.from_arrays`), and refuses a
+as arrays (:class:`~polyrad.simplex.LinearProgram`), and refuses a
 point, vertex or ray that is not finite; the antinorm LP starts from the
 best covering vertex's basis, the balanced-hull LP from the best cached
 support's and the cone margin LP from its least coordinate, and each runs
@@ -311,7 +311,7 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     objective[0] = 1.0
     b = np.zeros(d + 1)
     b[d] = 1.0
-    lp = LinearProgram.from_arrays("max", objective, A, [EQ] * d + [LE], b)
+    lp = LinearProgram("max", objective, A, [EQ] * d + [LE], b)
     outcome = solve_lp(lp, assume_bounded=True, start=start)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
@@ -352,7 +352,7 @@ def norm_membership_P(z, V) -> float:
     if np.any(pos & ~np.any(Vm > 0.0, axis=0)):
         return 0.0
     k = Vm.shape[0]
-    lp = LinearProgram.from_arrays("min", np.ones(k), Vm.T, [GE] * z.size, z)
+    lp = LinearProgram("min", np.ones(k), Vm.T, [GE] * z.size, z)
     outcome = solve_lp(lp, assume_bounded=True)
     if outcome.status != OPTIMAL:
         raise MembershipError("order-ideal membership LP ended %s" % outcome.status)
@@ -382,7 +382,7 @@ def _antinorm_lp(z, Vm, rays: Optional[np.ndarray], start=None):
     objective[0] = 1.0
     b = np.zeros(d + 1)
     b[d] = 1.0
-    lp = LinearProgram.from_arrays("min", objective, A, [GE] * (d + 1), b)
+    lp = LinearProgram("min", objective, A, [GE] * (d + 1), b)
     return solve_lp(lp, assume_bounded=True, start=start)
 
 
@@ -477,7 +477,7 @@ def cone_ray_margin(image, H) -> float:
     start = [None] * d
     least = int(np.argmin(image))
     start[least] = 0 if image[least] >= 0.0 else 1
-    lp = LinearProgram.from_arrays("max", objective, A, [LE] * d, image)
+    lp = LinearProgram("max", objective, A, [LE] * d, image)
     outcome = solve_lp(lp, start=start)
     if outcome.status == UNBOUNDED:
         return _INF

@@ -1,8 +1,8 @@
 """Dense simplex solver with Bland's anti-cycling rule.
 
-A program arrives as row tuples or as stacked arrays (see
-:class:`LinearProgram`), and its objective, coefficients and right-hand
-sides must be finite.  The tableau holds the constraint rows and, as its
+A program is one record of arrays (see :class:`LinearProgram`): its
+objective, coefficient matrix, one relation per row and right-hand sides,
+all of them finite.  The tableau holds the constraint rows and, as its
 last row, the reduced costs, so one outer product pivots both.
 
 Every variable is nonnegative.  A program whose rows are all inequalities
@@ -51,6 +51,7 @@ loop switches to Bland's rule (smallest index), which cannot cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,6 +82,7 @@ class LPFormatError(ValueError):
     """Raised for malformed linear programs."""
 
 
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """A linear program over nonnegative variables: ``sense`` ("max" or
     "min") of ``objective @ x`` subject to ``A[i] @ x relations[i] b[i]``
@@ -88,40 +90,30 @@ class LinearProgram:
     Any other bound on a variable is written as a row, and a free quantity
     as the difference of two variables by the program that builds it.
 
-    ``LinearProgram(sense, objective, rows)`` takes the rows as a list of
-    ``(coefficients, relation, rhs)`` triples, which :func:`solve_lp`
-    stacks; :meth:`from_arrays` takes ``A``, ``relations`` and ``b``
-    already stacked, which it reads as they are.  ``rows`` reads either
-    form back as triples.
+    A frozen record: :func:`solve_lp` reads ``objective``, ``A`` and ``b``
+    as float arrays and refuses a program that is ragged, not numeric or
+    not finite.  Programs compare by identity, as arrays have no single
+    truth value.
     """
 
-    def __init__(self, sense: str, objective: Sequence[float],
-                 rows: List[Tuple[Sequence[float], str, float]]):
-        self.sense = sense
-        self.objective = objective
-        self._rows = rows
-        self._arrays = None
+    sense: str
+    objective: Sequence[float]
+    A: np.ndarray
+    relations: Sequence[str]
+    b: np.ndarray
 
-    @classmethod
-    def from_arrays(cls, sense: str, objective: Sequence[float], A: np.ndarray,
-                    relations: Sequence[str], b: np.ndarray) -> "LinearProgram":
-        """The program with coefficient matrix ``A``, one relation per row
-        and right-hand sides ``b``."""
-        lp = cls(sense, objective, None)
-        lp._arrays = (A, relations, b)
-        return lp
-
-    @property
+    @cached_property
     def rows(self) -> List[Tuple[Sequence[float], str, float]]:
-        if self._rows is None:
-            A, relations, b = self._arrays
-            self._rows = list(zip(A, np.asarray(relations).tolist(),
-                                  np.asarray(b).tolist()))
-        return self._rows
+        """The rows read back as ``(coefficients, relation, rhs)`` triples.
+        Neither this nor :attr:`bounds` is read by the solver: both are
+        kept for the benchmark's tracer (``bench/tracing.py``), which takes
+        an LP's shape from them, until it reads the arrays instead."""
+        return list(zip(self.A, np.asarray(self.relations).tolist(),
+                        np.asarray(self.b).tolist()))
 
     @property
     def bounds(self) -> List[Tuple[float, float]]:
-        """``(0, inf)`` per variable, read by ``bench/tracing.py``."""
+        """``(0, inf)`` per variable, a read-back like :attr:`rows`."""
         return [(0.0, _INF)] * len(self.objective)
 
 
@@ -386,38 +378,28 @@ def solve_lp(lp: LinearProgram, assume_bounded: bool = False,
 def _arrays(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                          np.ndarray]:
     """``lp``'s objective, coefficient matrix, relations and right-hand
-    sides as arrays, the rows stacked unless they came stacked; raises
-    :class:`LPFormatError` for a program that is malformed."""
+    sides as arrays; raises :class:`LPFormatError` for a program that is
+    malformed."""
     if lp.sense not in ("max", "min"):
         raise LPFormatError("sense must be 'max' or 'min'")
-    c0 = np.asarray(lp.objective, dtype=float)
+    try:
+        c0 = np.asarray(lp.objective, dtype=float)
+        A0 = np.asarray(lp.A, dtype=float)
+        b0 = np.asarray(lp.b, dtype=float)
+    except (TypeError, ValueError):
+        # A ragged or non-numeric objective, matrix or right-hand side.
+        raise LPFormatError("the objective, coefficients and right-hand sides "
+                            "must be arrays of numbers") from None
     if c0.ndim != 1:
         raise LPFormatError("objective must be a vector")
-    ncols = c0.size
-    if lp._arrays is None:
-        rows = lp.rows
-        m = len(rows)
-        rels = [rel for _, rel, _ in rows]
-        try:
-            A0 = (np.array([coeffs for coeffs, _, _ in rows], dtype=float)
-                  if m else np.zeros((0, ncols)))
-        except ValueError:
-            A0 = None
-        try:
-            b0 = np.array([rhs for _, _, rhs in rows], dtype=float).reshape(m)
-        except ValueError:
-            raise LPFormatError("every right-hand side must be a number") from None
-    else:
-        A0, rels, b0 = lp._arrays
-        A0 = np.asarray(A0, dtype=float)
-        b0 = np.asarray(b0, dtype=float)
-        m = b0.size
-        if b0.shape != (m,) or len(rels) != m:
-            raise LPFormatError("every row needs one relation and one right-hand side")
+    m = b0.size
+    rels = lp.relations
+    if b0.shape != (m,) or len(rels) != m:
+        raise LPFormatError("every row needs one relation and one right-hand side")
     for rel in rels:
         if rel not in (LE, EQ, GE):
             raise LPFormatError("unknown relation %r" % (rel,))
-    if A0 is None or A0.shape != (m, ncols):
+    if A0.shape != (m, c0.size):
         raise LPFormatError("each row must hold one number per variable")
     if not np.isfinite(c0).all():
         raise LPFormatError("the objective must be finite")

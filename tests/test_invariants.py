@@ -3,6 +3,8 @@ eigenvalues rather than against polyrad's own functions.
 
 - Homogeneity: the radius of ``c F`` is ``c`` times the radius of ``F``.
 - Transposition: ``F`` and its transpose have the same radius.
+- Permutation: a permutation similarity ``P F P^T`` leaves the radius
+  unchanged.
 - Sandwich: LSR <= min_i rho(A_i) and max_i rho(A_i) <= JSR.
 - Every terminated run's certificate passes ``verify``.
 """
@@ -49,6 +51,9 @@ def _family(name: str, transform: str) -> MatrixFamily:
     family = FAMILIES[name]()
     if transform == "T":
         return family.transposed()
+    if transform == "perm":
+        perm = np.random.default_rng(0).permutation(family.dim)
+        return MatrixFamily([A[np.ix_(perm, perm)] for A in family.matrices])
     if transform:
         return family.scaled(float(transform))
     return family
@@ -75,6 +80,12 @@ def test_homogeneity(name, mode, c):
 @pytest.mark.parametrize("name, mode", TRANSPOSABLE)
 def test_transposition(name, mode):
     assert exact_value(name, mode, "T") == pytest.approx(
+        exact_value(name, mode), rel=REL)
+
+
+@pytest.mark.parametrize("name, mode", CASES)
+def test_permutation(name, mode):
+    assert exact_value(name, mode, "perm") == pytest.approx(
         exact_value(name, mode), rel=REL)
 
 

@@ -187,6 +187,18 @@ class TestSpectralRadius:
         assert spectral_radius(c * M) == pytest.approx(
             abs(c) * rho, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.xfail(strict=True,
+                       reason="eig reads the ill-conditioned top eigenvalue of M "
+                              "and 3M 4.85e-10 apart, relative; a Newton "
+                              "refinement (ROADMAP item 4) would mend it")
+    def test_scaling_homogeneity_of_an_ill_conditioned_eigenvalue(self):
+        # A draw of test_scaling_homogeneity: the top eigenvalue, near 3,
+        # is nearly defective.
+        M = np.array([[3.0, 2.079504098120425e-102, 2.6580697468673755e-06],
+                      [1.0, 3.0, 0.0], [1.0, 0.0, 0.0]])
+        assert spectral_radius(3.0 * M) == pytest.approx(
+            3.0 * spectral_radius(M), rel=1e-10, abs=1e-10)
+
 
 def per_matrix_radius(M):
     """The radius rule applied to one matrix on its own: the top modulus of

@@ -22,8 +22,8 @@ from polyrad.membership import (
     one_vertex_bound,
     support_bound,
 )
-from polyrad.simplex import LinearProgram, LPCyclingError
-from test_simplex import assert_same_outcome
+from polyrad.simplex import LPCyclingError
+from test_simplex import assert_same_outcome, from_rows
 
 INF = float("inf")
 NAN = float("nan")
@@ -128,9 +128,9 @@ class TestArrayInput:
         lambda z, V: cone_ray_margin(z - 0.5, [[0.1, 0.1, -1.0], [1.0, -0.5, 0.2]]),
     ], ids=["R", "P", "L", "ext", "cone-margin"])
     def test_program_matches_its_rows(self, monkeypatch, call):
-        # Each membership program is built as arrays; given as the row
-        # tuples that LinearProgram.rows reads back, it solves to the same
-        # outcome, field by field.
+        # Each membership program, rebuilt from the row tuples that
+        # LinearProgram.rows reads back for the benchmark's tracer, solves
+        # to the same outcome, field by field.
         programs = []
         solve = membership.solve_lp
 
@@ -142,7 +142,7 @@ class TestArrayInput:
         monkeypatch.setattr(membership, "solve_lp", recording)
         call(self.z, self.V)
         (lp, kwargs, outcome), = programs
-        rows = LinearProgram(lp.sense, lp.objective, lp.rows)
+        rows = from_rows(lp.sense, lp.objective, lp.rows)
         assert_same_outcome(solve(rows, **kwargs), outcome)
 
     @pytest.mark.parametrize("call", [
@@ -194,13 +194,13 @@ class TestMonotonePolytope:
             t = norm_membership_P(z, V)
             # Feasibility of the claimed value: t*z must lie under the hull.
             Vm = np.array(V)
-            from polyrad import LinearProgram, solve_lp
+            from polyrad import solve_lp
             k = len(V)
             rows = [(np.concatenate(([0.0], np.ones(k))), "<=", 1.0)]
             for i in range(3):
                 rows.append((np.concatenate(([0.0], -Vm[:, i])), "<=",
                              -t * z[i] * (1 - 1e-9)))
-            out = solve_lp(LinearProgram("max", np.zeros(k + 1), rows))
+            out = solve_lp(from_rows("max", np.zeros(k + 1), rows))
             assert out.status == "optimal"
 
 

@@ -20,7 +20,6 @@ from polyrad import (  # noqa: E402
     MODE_L,
     MODE_P,
     MODE_R,
-    LinearProgram,
     RunConfig,
     antinorm_membership_ext,
     norm_membership_P,
@@ -45,7 +44,7 @@ from polyrad.membership import (  # noqa: E402
 )
 from polyrad import membership, simplex  # noqa: E402
 from polyrad.simplex import INFEASIBLE, OPTIMAL  # noqa: E402
-from test_simplex import as_arrays, assert_same_outcome  # noqa: E402
+from test_simplex import from_rows  # noqa: E402
 
 INF = float("inf")
 
@@ -142,18 +141,15 @@ def random_positive_cost_program(rng):
     for e in np.eye(n):
         if rng.random() < 0.3:
             rows.append((e, "<=", float(rng.uniform(0.5, 3.0))))
-    return LinearProgram(sense, objective, rows)
+    return from_rows(sense, objective, rows)
 
 
 def highs_solve(lp):
-    A_ub, b_ub = [], []
-    for a, rel, rhs in lp.rows:
-        sign = 1.0 if rel == "<=" else -1.0
-        A_ub.append(sign * np.asarray(a))
-        b_ub.append(sign * rhs)
+    # Every row as "<=", a ">=" row negated; every variable is nonnegative.
+    sign = np.where(np.asarray(lp.relations) == "<=", 1.0, -1.0)
     c = np.asarray(lp.objective, dtype=float)
-    res = linprog(c if lp.sense == "min" else -c, A_ub=np.array(A_ub),
-                  b_ub=np.array(b_ub), bounds=lp.bounds, method="highs")
+    res = linprog(c if lp.sense == "min" else -c, A_ub=sign[:, None] * lp.A,
+                  b_ub=sign * lp.b, bounds=(0.0, None), method="highs")
     value = None
     if res.status == 0:
         value = res.fun if lp.sense == "min" else -res.fun
@@ -184,20 +180,12 @@ class TestSlackBasisStart:
                 assert out.value == pytest.approx(value, rel=1e-9, abs=1e-9)
         assert min(seen.values()) >= 50
 
-    def test_random_programs_match_their_rows(self):
-        # The stacked form of each program solves to the same outcome as
-        # its row tuples, field by field, on the dual path and off it.
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            lp = random_positive_cost_program(rng)
-            assert_same_outcome(solve_lp(as_arrays(lp)), solve_lp(lp))
-
     def test_signed_or_zero_cost_keeps_two_phases(self, monkeypatch):
         monkeypatch.setattr(simplex, "_dual_loop", None)
         rows = [([1.0, 1.0], ">=", 1.0), ([1.0, 0.0], "<=", 2.0),
                 ([0.0, 1.0], "<=", 2.0)]
         for objective, expected in (([1.0, 0.0], 0.0), ([1.0, -1.0], -2.0)):
-            lp = LinearProgram("min", objective, rows)
+            lp = from_rows("min", objective, rows)
             out = solve_lp(lp)
             assert out.status == OPTIMAL
             assert out.value == pytest.approx(expected)
@@ -384,6 +372,19 @@ class TestBalancedHullMembership:
         assert float(det) == -1.25e-5
         assert off_the_span(z, V)
         assert norm_membership_R(z, list(V[::-1])) == 0.0
+        assert norm_membership_R(z, list(V)) == 0.0
+
+    @pytest.mark.xfail(strict=True,
+                       reason="z is one ulp off the line of the one vertex, and "
+                              "the LP reads it as on it; a span test would "
+                              "mend it")
+    def test_point_one_ulp_off_the_line_of_one_vertex_is_exactly_zero(self):
+        # A draw of test_matches_highs.  z differs from the vertex by one ulp
+        # in one entry, so it lies off the vertex's line and the value is 0,
+        # but the LP returns 1.0000000000000002.
+        V = np.array([[0.0, 1.0000000000000002e-4, 1e-4]])
+        z = np.array([0.0, 1e-4, 1e-4])
+        assert off_the_span(z, V)
         assert norm_membership_R(z, list(V)) == 0.0
 
     def test_support_start_matches_highs(self, monkeypatch):
