@@ -25,11 +25,21 @@ The mode's record bounds an image's membership value without an LP
 below in P and from above in L, the best of the run's recent optimal
 supports from below in R.  When that bound already puts the image inside
 the body, it is recorded as the image's value and no LP runs; the verdict
-is the LP's, since the bound lies on the inside of the LP value.  Only
-``t_N`` of a terminated run can differ from the LP values (it can be such
-a bound): in a capped run the alive points, which always get their LP,
-set the last iteration's extreme.  A mode-R LP that is solved starts from
-the best support's basis, and its own support joins the growth's
+is the LP's, since the bound lies on the inside of the LP value.
+
+In mode R the supports' facets also bound the value from above
+(:func:`~polyrad.membership.facet_bound`).  An image that they put
+outside the body past ``BOUNDARY_TOL`` is alive, and no duplicate, by the
+LP's reckoning too, so it gets no LP while the polytope grows: its facet
+bound is recorded, and the image is kept as deferred until the next
+iteration completes.  An alive image's value is read only by the bounds
+of a capped run, from the last complete iteration, so before
+:func:`final_bounds` a capped run solves that iteration's deferred LPs,
+each over the vertices the image was classified against; a terminated
+run's last iteration has no alive image.  So ``t_N`` and the bounds of a
+capped run are LP values, and only ``t_N`` of a terminated run can be a
+bound.  A mode-R LP that is solved starts from the best support's basis,
+and its own support joins the growth's
 :class:`~polyrad.membership.SupportStore`.
 """
 
@@ -74,6 +84,7 @@ from .membership import (
     SupportStore,
     antinorm_membership_ext,
     antinorm_membership_L,
+    facet_bound,
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
@@ -138,8 +149,17 @@ class PolytopeState:
     candidate's first and then its symmetric twins, and row ``i`` of
     ``vertices`` is the point of ``nodes[i]``.  ``supports`` holds the
     recent optimal supports of mode-R LPs over ``vertices``, whose rows
-    are only ever appended, with their inverses
-    (:class:`~polyrad.membership.SupportStore`)."""
+    are only ever appended, with their inverses and facets
+    (:class:`~polyrad.membership.SupportStore`).
+
+    ``t_history[k]`` holds iteration ``k``'s membership values, in the
+    order of its pairs.  An image that a facet proved outside holds that
+    facet bound, an upper bound on its value, except in the iteration that
+    a capped run's :func:`final_bounds` reads, where :func:`_solve_deferred`
+    has put its LP value.  ``deferred`` lists the last complete
+    iteration's such images as ``(place, z, n, start)``: the image's place
+    in that iteration, the image, the vertex count it was classified
+    against and its LP start."""
 
     words: Tuple[Word, ...]
     nodes: List[VertexNode] = field(default_factory=list)
@@ -149,12 +169,16 @@ class PolytopeState:
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
     supports: SupportStore = field(default_factory=SupportStore)
+    deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = field(
+        default_factory=list)
 
 
 @dataclass
 class MembershipCounts:
-    """Images whose membership LP a run solved, and images a one-vertex or
-    support bound settled without one."""
+    """Images whose membership LP a run solved, and images a one-vertex,
+    support or facet bound settled without one; an image a facet proved
+    outside moves to ``solved`` when a capped run solves its LP for its
+    bounds."""
 
     solved: int = 0
     skipped: int = 0
@@ -169,9 +193,9 @@ class RunOutcome:
     mode: str
     value: Optional[float] = None
     bounds: Optional[Tuple[float, float]] = None
-    # The last complete iteration's extreme membership value; in a
-    # terminated run it can be a one-vertex bound (P, L) or a support
-    # bound (R).
+    # The last complete iteration's extreme membership value, an LP value
+    # in a capped run; in a terminated run it can be a one-vertex bound
+    # (P, L) or a support bound (R).
     t_N: Optional[float] = None
     certificate: Optional[Certificate] = None
     iterations: int = 0
@@ -183,9 +207,10 @@ class RunOutcome:
     message: str = ""
     # The word of every seeded root chain, the candidate's first.
     root_words: Tuple[Word, ...] = ()
-    # Membership LPs solved, and images settled by one vertex or a cached
-    # support without an LP, over every growth of the run (restarts
-    # included).
+    # Membership LPs solved, and images settled by one vertex, a cached
+    # support or a cached facet without an LP, over every growth of the
+    # run (restarts included); an image whose LP a capped run solves for
+    # its bounds counts as solved.
     lps_solved: int = 0
     lps_skipped: int = 0
 
@@ -278,9 +303,11 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     iteration; alive points become vertices and seed the next iteration's
     pairs; a zero image is dead in modes R and P without an LP, and so is
     an image whose one-vertex bound (modes P and L) or support bound (mode
-    R) puts it inside the body.  Every other mode-R LP starts from the best
-    support's basis.  ``counts``, when given, tallies the LPs solved and
-    skipped.
+    R) puts it inside the body.  A mode-R image whose facet bound puts it
+    outside is alive without an LP; its facet bound is recorded and it
+    joins ``state.deferred`` (:func:`_solve_deferred`).  Every other mode-R
+    LP starts from the best support's basis.  ``counts``, when given,
+    tallies the LPs solved and skipped.
     ``duals``, when given, holds each root chain's duals, and an alive
     point is tested against those of the chain it descends from.  Raises
     :class:`StoppingViolation` when a dual test fails,
@@ -291,6 +318,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     if counts is None:
         counts = MembershipCounts()
     t_values: List[float] = []
+    deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = []
     new_frontier: List[int] = []
     for vid, p in state.R:
         node = state.nodes[vid]
@@ -304,6 +332,13 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
         else:
             t, start = spec.bound(z, state.vertices, state.supports)
             if _is_dead(spec, t, config.remove_boundary):
+                counts.skipped += 1
+            elif spec.balanced and spec.slack(t_hi := facet_bound(
+                    z, state.vertices, state.supports)) > BOUNDARY_TOL:
+                # Outside past the boundary: alive and no duplicate, so its
+                # LP waits until a capped run's final_bounds reads it.
+                deferred.append((len(t_values), z, len(state.nodes), start))
+                t = t_hi
                 counts.skipped += 1
             else:
                 t = _membership(spec, z, state, start, extension)
@@ -331,6 +366,18 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     state.U = new_frontier
     state.R = [(u, p) for u in new_frontier for p in range(1, scaled.size + 1)]
     state.t_history.append(t_values)
+    state.deferred = deferred
+
+
+def _solve_deferred(state: PolytopeState, counts: MembershipCounts) -> None:
+    """Put the LP value of every image of the last complete iteration that
+    a facet proved outside in place of its facet bound, each over the
+    vertices it was classified against and from the start it had then."""
+    for place, z, n, start in state.deferred:
+        state.t_history[-1][place] = norm_membership_R(z, state.vertices[:n], start)
+        counts.solved += 1
+        counts.skipped -= 1
+    state.deferred = []
 
 
 def final_bounds(state: PolytopeState, mode: str,
@@ -400,6 +447,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily,
     rho = candidate.rho_per_step
     value = bounds = t_N = certificate = None
     if status != INAPPLICABLE:
+        _solve_deferred(state, counts)
         lower, upper, t_N = final_bounds(state, config.mode, rho)
         bounds = (lower, upper)
     if status == TERMINATED:

@@ -22,13 +22,16 @@ from below by a recent optimal support, d vertices of full rank that
 represent ``z`` exactly (:func:`support_bound`); a :class:`SupportStore`
 keeps the recent supports of one vertex array with their inverses, so
 the bound is one batched product.  :meth:`Mode.bound` picks the mode's,
-which settles a point without an LP.  Each body builds its own program
-as arrays (:class:`~polyrad.simplex.LinearProgram`), and refuses a
-point, vertex or ray that is not finite; the antinorm LP starts from the
-best covering vertex's basis, the balanced-hull LP from the best cached
-support's and the cone margin LP from its least coordinate, and each runs
-phase 2 alone, unless :func:`solve_lp` has to solve it again in two
-phases.
+which settles a point without an LP.  From above, mode R's value is
+bounded by the facets of those LPs, their optimal dual directions with
+their reach over the vertices (:func:`facet_bound`), again one batched
+product; growth uses it to find alive points without an LP.  Each body
+builds its own program as arrays
+(:class:`~polyrad.simplex.LinearProgram`), and refuses a point, vertex
+or ray that is not finite; the antinorm LP starts from the best covering
+vertex's basis, the balanced-hull LP from the best cached support's and
+the cone margin LP from its least coordinate, and each runs phase 2
+alone, unless :func:`solve_lp` has to solve it again in two phases.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ SUPPORTS = 64
 # small against its ceiling ``max|V| / max|z|`` is read as 0.
 _SUPPORT_RESIDUAL = 1e-12
 _EPS = float(np.finfo(float).eps)
+# Relative margin of a facet bound (:func:`facet_bound`), above the LP's
+# round-off, so that a value it proves outside the body is outside by the
+# LP's reckoning too.
+_FACET_MARGIN = 1e-9
 
 MODE_R = "R"
 MODE_P = "P"
@@ -176,17 +183,33 @@ class SupportStore:
     those rows, and its inverse.  The array may grow by appended rows,
     which leaves every entry valid; a store serves no other array.
 
+    Each support also keeps the facet of the LP that stored or last
+    refreshed it: the dual direction ``y = (V_S^T)^-T sign(c_S)``, whose
+    reach ``max_i |v_i . y|`` over the rows of the array bounds the
+    balanced hull (:func:`facet_bound`).  A support keeps that LP's
+    coefficients ``c_S``, and :func:`facet_bound` sets the facets of the
+    slots in ``stale`` before it answers, so a store that is never asked,
+    as in :func:`~polyrad.certificates.verify`, computes none.  The
+    reaches cover the first ``seen`` rows, whose largest entry is
+    ``peak``; :func:`facet_bound` folds in the rows appended since it
+    last answered.
+
     The supports sit in slots of stacks preallocated for ``SUPPORTS`` and
-    never move: ``slot_rows``, ``slot_VT`` and ``slot_inv`` hold them in
+    never move: ``slot_rows``, ``slot_VT``, ``slot_inv``, ``slot_c``,
+    ``slot_y``, ``slot_y1`` (``|y|_1``) and ``slot_reach`` hold them in
     their first ``len(store)`` slots, and ``order`` lists those slots
     newest first.  ``rows``, ``VT`` and ``inv`` read the stacks newest
     first (copies)."""
 
     def __init__(self):
-        self.count = 0
+        self.count = self.seen = 0
+        self.peak = 0.0
+        self.stale = set()
         self.order = np.empty(SUPPORTS, dtype=np.intp)
         self.slot_rows = np.empty((0, 0), dtype=np.intp)
         self.slot_VT = self.slot_inv = np.empty((0, 0, 0))
+        self.slot_c = self.slot_y = np.empty((0, 0))
+        self.slot_y1 = self.slot_reach = np.empty(0)
 
     def __len__(self) -> int:
         return self.count
@@ -209,7 +232,8 @@ def support_bound(z, Vm: np.ndarray,
     bounds the value from below, and the basis of ``t`` and, per row ``i``
     of ``S``, the positive part of ``c_i`` when ``c_i >= 0`` and its
     negative part otherwise, is primal feasible.  Among equal bounds the
-    newest support wins.
+    newest support wins.  The supports' facets bound the value from above
+    (:func:`facet_bound`).
     """
     n = supports.count
     if not n:
@@ -228,17 +252,69 @@ def support_bound(z, Vm: np.ndarray,
     return 1.0 / float(norms[best]), [0] + parts.tolist()
 
 
+def facet_bound(z, Vm: np.ndarray, supports: SupportStore) -> float:
+    """The balanced-hull membership value of ``z`` that the stored facets
+    bound from above, ``inf`` when none does.
+
+    The balanced hull of the rows ``v_i`` lies between the two hyperplanes
+    ``|x . y| = max_i |v_i . y|`` for every ``y``, so a point ``t z`` of it
+    has ``t <= reach / |y . z|``; by duality the optimal ``y`` of an LP
+    makes this exact for the points of its facet.  One batched product
+    with the stored directions gives every ``y . z``, after the stale
+    facets are set and the rows of ``Vm`` appended since the store last
+    answered are folded into the reaches.  Each dot product of ``d``
+    terms is off by at most ``delta = d eps |y|_1 max(|z|, |V|)``
+    (largest entries), so a facet gives ``(reach + delta) / (|y . z| -
+    delta)`` when ``|y . z| > delta``, and the least of these is raised
+    by ``_FACET_MARGIN`` relative, beyond the round-off of the LP that
+    would otherwise give the value.
+    """
+    n = supports.count
+    if not n:
+        return _INF
+    if supports.stale:
+        _set_facets(supports, Vm)
+    y, reach = supports.slot_y[:n], supports.slot_reach[:n]
+    if Vm.shape[0] > supports.seen:
+        new = Vm[supports.seen:]
+        np.maximum(reach, abs(new @ y.T).max(axis=0), out=reach)
+        supports.peak = max(supports.peak, float(abs(new).max()))
+        supports.seen = Vm.shape[0]
+    scale = z.size * _EPS * max(float(abs(z).max()), supports.peak)
+    delta = scale * supports.slot_y1[:n]
+    excess = abs(y @ z) - delta
+    proving = excess > 0.0
+    if not proving.any():
+        return _INF
+    t = ((reach + delta)[proving] / excess[proving]).min()
+    return float(t) * (1.0 + _FACET_MARGIN)
+
+
+def _set_facets(supports: SupportStore, Vm: np.ndarray) -> None:
+    """Give each stale slot the facet ``y = (V_S^T)^-T sign(c_S)`` of its
+    support, with its reach over the rows the store has seen."""
+    slots = np.fromiter(supports.stale, dtype=np.intp, count=len(supports.stale))
+    supports.stale.clear()
+    signs = np.sign(supports.slot_c[slots])
+    y = (supports.slot_inv[slots].transpose(0, 2, 1) @ signs[:, :, None])[:, :, 0]
+    supports.slot_y[slots] = y
+    supports.slot_y1[slots] = abs(y).sum(axis=1)
+    reach = abs(Vm[:supports.seen] @ y.T).max(axis=0, initial=0.0)
+    supports.slot_reach[slots] = reach
+
+
 def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> None:
     """Put the support of ``c``, the rows of its ``d`` largest ``|c|``, at
-    the front of ``supports``, keeping ``SUPPORTS`` distinct ones.
+    the front of ``supports``, keeping ``SUPPORTS`` distinct ones, with
+    ``c`` on the support, whose signs give its facet.
 
-    A support the store holds moves to the front as it is.  A new one pays
-    one inverse of ``V_S^T``, and is not kept when that has no inverse in
-    floating point: ``inv`` raises, or returns entries that are not
-    finite, or ``|V_S|_1 |V_S^-1|_1`` reaches ``1 / (d eps)``, where the
-    rank that ``matrix_rank`` reads from the singular values falls below
-    ``d``.  It takes a free slot, or the oldest support's when the store
-    is full.
+    A support the store holds moves to the front as it is, and only its
+    ``c_S`` (and so its facet) is replaced.  A new one pays one inverse
+    of ``V_S^T``, and is not kept when that has no inverse in floating
+    point: ``inv`` raises, or returns entries that are not finite, or
+    ``|V_S|_1 |V_S^-1|_1`` reaches ``1 / (d eps)``, where the rank that
+    ``matrix_rank`` reads from the singular values falls below ``d``.  It
+    takes a free slot, or the oldest support's when the store is full.
     """
     d = Vm.shape[1]
     if c.size < d:
@@ -252,6 +328,8 @@ def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> 
             i = int((order[:n] == held[0]).argmax())
             order[1:i + 1] = order[:i]
             order[0] = held[0]
+            supports.slot_c[held[0]] = c[support]
+            supports.stale.add(int(held[0]))
             return
     VT = Vm[support].T
     try:
@@ -267,6 +345,10 @@ def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> 
         supports.slot_rows = np.empty((SUPPORTS, d), dtype=np.intp)
         supports.slot_VT = np.empty((SUPPORTS, d, d))
         supports.slot_inv = np.empty((SUPPORTS, d, d))
+        supports.slot_c = np.empty((SUPPORTS, d))
+        supports.slot_y = np.empty((SUPPORTS, d))
+        supports.slot_y1 = np.empty(SUPPORTS)
+        supports.slot_reach = np.empty(SUPPORTS)
     if n < SUPPORTS:
         slot = n
         supports.count = n = n + 1
@@ -277,6 +359,8 @@ def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> 
     supports.slot_rows[slot] = support
     supports.slot_VT[slot] = VT
     supports.slot_inv[slot] = inv
+    supports.slot_c[slot] = c[support]
+    supports.stale.add(int(slot))
 
 
 def norm_membership_R(z, V, start: Optional[list] = None,

@@ -386,15 +386,18 @@ def _arrays(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
         c0 = np.asarray(lp.objective, dtype=float)
         A0 = np.asarray(lp.A, dtype=float)
         b0 = np.asarray(lp.b, dtype=float)
+        rels = lp.relations
+        nrels = len(rels)
     except (TypeError, ValueError):
-        # A ragged or non-numeric objective, matrix or right-hand side.
+        # A ragged or non-numeric objective, matrix or right-hand side, or
+        # relations without a length.
         raise LPFormatError("the objective, coefficients and right-hand sides "
-                            "must be arrays of numbers") from None
+                            "must be arrays of numbers, and the relations a "
+                            "sequence") from None
     if c0.ndim != 1:
         raise LPFormatError("objective must be a vector")
     m = b0.size
-    rels = lp.relations
-    if b0.shape != (m,) or len(rels) != m:
+    if b0.shape != (m,) or nrels != m:
         raise LPFormatError("every row needs one relation and one right-hand side")
     for rel in rels:
         if rel not in (LE, EQ, GE):

@@ -627,3 +627,29 @@ class TestOneVertexSkip:
         lo, hi = out.bounds
         assert lo == pytest.approx(3.2192778, abs=1e-6)
         assert hi == pytest.approx(3.2200045, abs=1e-6)
+
+
+class TestFacetSkip:
+    """A mode-R image that a cached facet proves outside gets no LP until a
+    capped run's bounds read it; the bounds stay exact LP values."""
+
+    @pytest.mark.parametrize("d, seed, caps, vertices, bounds", [
+        (8, 3, dict(max_iterations=3), 113,
+         (0.6651534930125546, 1.5082116880958258)),
+        (8, 3, dict(max_iterations=10, vertex_cap=60), 61,
+         (0.6651534930125546, 4.446442977158704)),
+        (7, 6, dict(max_iterations=10, vertex_cap=60), 61,
+         (0.6583994434228505, 0.838233600479837)),
+    ], ids=["d8-s3-iteration-cap", "d8-s3-vertex-cap", "d7-s6-vertex-cap"])
+    def test_capped_bounds_equal_the_lp_values(self, d, seed, caps, vertices,
+                                               bounds):
+        # The values of a run that solved every alive image's LP.  Leaving
+        # the facet bounds of the last iteration in place read 1.4074 as the
+        # first upper bound, below the true one.
+        out = run(random_family("gaussian-equal-norm", d, 2, seed),
+                  RunConfig(mode=MODE_R, max_candidate_length=6, **caps))
+        assert out.status == ITERATION_CAPPED
+        assert out.vertex_count == vertices
+        assert out.bounds[0] == bounds[0]
+        assert out.bounds[1] == pytest.approx(bounds[1], rel=1e-14)
+        assert out.lps_skipped > 0

@@ -40,6 +40,7 @@ from polyrad.membership import (  # noqa: E402
     SupportStore,
     _remember_support,
     cone_ray_margin,
+    facet_bound,
     support_bound,
 )
 from polyrad import membership, simplex  # noqa: E402
@@ -486,6 +487,53 @@ class TestSupportStore:
         moved = [i] + [j for j in range(len(order)) if j != i]
         for now, then in zip((supports.rows, supports.VT, supports.inv), before):
             assert np.array_equal(now, then[moved])
+
+
+# Multiples of 1/8 in [-1, 1]: balanced-hull programs over them stay clear
+# of the simplex's known failures on tiny entries.
+eighths = st.integers(-8, 8).map(lambda k: k / 8.0)
+
+
+class TestFacetBound:
+    """The facets of a support store bound the balanced-hull value from
+    above; :func:`~polyrad.membership.facet_bound` against HiGHS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bound_is_at_least_highs(self, data):
+        d = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 6))
+        V = vectors(data.draw, eighths, k, d)
+        supports = SupportStore()
+        for z in vectors(data.draw, eighths, data.draw(st.integers(1, 4)), d):
+            if np.any(z):
+                norm_membership_R(z, V, None, supports)
+        # Rows appended after the store's facets were set must be folded in.
+        V = np.vstack((V, vectors(data.draw, eighths, data.draw(st.integers(0, 2)), d)))
+        z = vectors(data.draw, signed, 1, d)[0]
+        assume(np.any(z != 0.0))
+        bound = facet_bound(z, V, supports)
+        expected = 0.0 if off_the_span(z, V) else highs_balanced_hull(z, V)
+        assert bound >= expected * (1.0 - 1e-12)
+
+    def test_cancelling_facet_proves_no_inside_point_outside(self):
+        # Two nearly parallel vertices: the facet through v1 and -v2 has
+        # y = (2e12, -2e12) roughly, and z, near v1 on that facet, makes
+        # y . z cancel to about 1 with a round-off of about 1e-4.  Without
+        # the round-off margin the bound reads 0.99993, which would prove
+        # this point of value 1.00005 outside the body.
+        V = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        supports = SupportStore()
+        _remember_support(supports, np.array([0.9, -0.1]), V)
+        z = np.array([0.8887171792948236, 0.888717179294768])
+        (p, q), (r, s) = [[Fraction(x) for x in row] for row in V]
+        det = p * s - q * r
+        a = (Fraction(z[0]) * s - Fraction(z[1]) * r) / det
+        b = (p * Fraction(z[1]) - q * Fraction(z[0])) / det
+        exact = 1 / (abs(a) + abs(b))  # the parallelogram's value
+        assert 1.0 < exact < 1.0001
+        assert facet_bound(z, V, supports) >= exact
+        assert np.abs(supports.slot_y[0]).max() > 1e12
 
 
 class TestAntinormMembership:

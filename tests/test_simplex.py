@@ -219,8 +219,10 @@ class TestBasics:
         ([1.0], [["one"]], ["<="], [1.0]),
         ([1.0], [[1.0]], ["<="], ["one"]),
         (["one"], [[1.0]], ["<="], [1.0]),
+        ([1.0], [[1.0]], None, [1.0]),
     ], ids=["one-relation-short", "unknown-relation", "row-width", "matrix-rhs",
-            "non-numeric-coefficient", "non-numeric-rhs", "non-numeric-objective"])
+            "non-numeric-coefficient", "non-numeric-rhs", "non-numeric-objective",
+            "no-relations"])
     def test_malformed_arrays_rejected(self, objective, A, relations, b):
         with pytest.raises(LPFormatError):
             solve_lp(LinearProgram("max", objective, A, relations, b))
