@@ -28,13 +28,13 @@ import numpy as np
 from .matrices import MatrixFamily, primitive_root_word, spectral_radius, word_matrix
 from .membership import (
     MODES,
-    SupportStore,
     antinorm_membership_ext,
     cone_ray_margin,
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
 )
+from .stores import SupportStore
 
 CERT_VERSION = 1
 FAMILY_FILE_VERSION = 1
@@ -256,8 +256,8 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     inwards (largest coordinate sum first in P, smallest in L), which puts
     that other vertex first.  Mode R settles an image without an LP when
     the best of the recent optimal supports of its LPs, kept with their
-    inverses in one :class:`~polyrad.membership.SupportStore` over the
-    certificate's vertices (:func:`~polyrad.membership.support_bound`),
+    inverses in one :class:`~polyrad.stores.SupportStore` over the
+    certificate's vertices (:func:`~polyrad.stores.support_bound`),
     puts it inside up to the tolerance, and starts every other LP from
     that support's basis.  An
     image passed without an LP contributes the slack of its bound, so

@@ -27,20 +27,25 @@ supports from below in R.  When that bound already puts the image inside
 the body, it is recorded as the image's value and no LP runs; the verdict
 is the LP's, since the bound lies on the inside of the LP value.
 
-In mode R the supports' facets also bound the value from above
-(:func:`~polyrad.membership.facet_bound`).  An image that they put
-outside the body past ``BOUNDARY_TOL`` is alive, and no duplicate, by the
-LP's reckoning too, so it gets no LP while the polytope grows: its facet
-bound is recorded, and the image is kept as deferred until the next
-iteration completes.  An alive image's value is read only by the bounds
-of a capped run, from the last complete iteration, so before
-:func:`final_bounds` a capped run solves that iteration's deferred LPs,
-each over the vertices the image was classified against; a terminated
-run's last iteration has no alive image.  So ``t_N`` and the bounds of a
-capped run are LP values, and only ``t_N`` of a terminated run can be a
-bound.  A mode-R LP that is solved starts from the best support's basis,
-and its own support joins the growth's
-:class:`~polyrad.membership.SupportStore`.
+The optimal duals of the growth's recent LPs bound the value on the
+other side, as facets: in mode R the supports' facets from above
+(:func:`~polyrad.stores.facet_bound`), in mode L the clipped row
+duals of the antinorm LPs from below
+(:func:`~polyrad.stores.antinorm_facet_bound`); mode P keeps none.
+An image that they put outside the body past ``BOUNDARY_TOL`` is alive,
+and no duplicate, by the LP's reckoning too, so it gets no LP while the
+polytope grows: its facet bound is recorded, and the image is kept as
+deferred until the next iteration completes.  An alive image's value is
+read only by the bounds of a capped run, from the last complete
+iteration, so before :func:`final_bounds` a capped run solves that
+iteration's deferred LPs, each over the vertices the image was
+classified against and with the rays of the run's cone extension; a
+terminated run's last iteration has no alive image.  So ``t_N`` and the
+bounds of a capped run are LP values, and only ``t_N`` of a terminated
+run can be a bound.  A mode-R LP that is solved starts from the best
+support's basis, and its own support joins the growth's
+:class:`~polyrad.stores.SupportStore`; the duals of a solved mode-L
+LP join the growth's :class:`~polyrad.stores.FacetStore`.
 """
 
 from __future__ import annotations
@@ -81,14 +86,13 @@ from .membership import (
     MODE_L, MODE_P, MODE_R,  # also importable from here
     MODES,
     Mode,
-    SupportStore,
     antinorm_membership_ext,
     antinorm_membership_L,
-    facet_bound,
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
 )
+from .stores import FacetStore, SupportStore, antinorm_facet_bound, facet_bound
 
 TERMINATED = "terminated"
 ITERATION_CAPPED = "iteration_capped"
@@ -150,13 +154,16 @@ class PolytopeState:
     ``vertices`` is the point of ``nodes[i]``.  ``supports`` holds the
     recent optimal supports of mode-R LPs over ``vertices``, whose rows
     are only ever appended, with their inverses and facets
-    (:class:`~polyrad.membership.SupportStore`).
+    (:class:`~polyrad.stores.SupportStore`), and ``facets`` the
+    clipped duals of recent mode-L LPs over them
+    (:class:`~polyrad.stores.FacetStore`).
 
     ``t_history[k]`` holds iteration ``k``'s membership values, in the
     order of its pairs.  An image that a facet proved outside holds that
-    facet bound, an upper bound on its value, except in the iteration that
-    a capped run's :func:`final_bounds` reads, where :func:`_solve_deferred`
-    has put its LP value.  ``deferred`` lists the last complete
+    facet bound, an upper bound on its value in mode R and a lower bound
+    in mode L, except in the iteration that a capped run's
+    :func:`final_bounds` reads, where :func:`_solve_deferred` has put its
+    LP value.  ``deferred`` lists the last complete
     iteration's such images as ``(place, z, n, start)``: the image's place
     in that iteration, the image, the vertex count it was classified
     against and its LP start."""
@@ -169,6 +176,7 @@ class PolytopeState:
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
     supports: SupportStore = field(default_factory=SupportStore)
+    facets: FacetStore = field(default_factory=FacetStore)
     deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = field(
         default_factory=list)
 
@@ -231,17 +239,33 @@ def _initial_state(roots: Sequence[CyclicRoot], family_size: int) -> PolytopeSta
     return state
 
 
-def _membership(spec: Mode, z, state: PolytopeState, start,
-                extension: Optional[ConeExtension]) -> float:
+def _membership(spec: Mode, z, V: np.ndarray, start,
+                extension: Optional[ConeExtension],
+                store: Optional[FacetStore] = None) -> float:
+    """The LP value of ``z`` over ``V`` with the extension's rays; an
+    optimal LP of mode R or L feeds ``store``, the growth's store of ``V``."""
     # Looked up by name per call, so that wrapping the module attribute works.
-    V = state.vertices
     if spec.sign < 0:
         if extension is not None and extension.rays:
-            return antinorm_membership_ext(z, V, extension.matrix)
-        return antinorm_membership_L(z, V)
+            return antinorm_membership_ext(z, V, extension.matrix, store)
+        return antinorm_membership_L(z, V, store)
     if spec.balanced:
-        return norm_membership_R(z, V, start, state.supports)
+        return norm_membership_R(z, V, start, store)
     return norm_membership_P(z, V)
+
+
+def _facet_bound(spec: Mode, z, V: np.ndarray, store: FacetStore) -> float:
+    """The value of ``z`` that the facets of ``store``, the growth's store
+    of ``V``, bound on the far side from the mode's
+    :meth:`~polyrad.membership.Mode.bound`: from above in R
+    (:func:`~polyrad.stores.facet_bound`), from below in L
+    (:func:`~polyrad.stores.antinorm_facet_bound`); ``inf`` in P, which
+    keeps no facets."""
+    if spec.balanced:
+        return facet_bound(z, V, store)
+    if spec.sign < 0:
+        return antinorm_facet_bound(z, V, store)
+    return math.inf
 
 
 def _is_dead(spec: Mode, t: float, remove_boundary: bool) -> bool:
@@ -303,11 +327,12 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     iteration; alive points become vertices and seed the next iteration's
     pairs; a zero image is dead in modes R and P without an LP, and so is
     an image whose one-vertex bound (modes P and L) or support bound (mode
-    R) puts it inside the body.  A mode-R image whose facet bound puts it
-    outside is alive without an LP; its facet bound is recorded and it
-    joins ``state.deferred`` (:func:`_solve_deferred`).  Every other mode-R
-    LP starts from the best support's basis.  ``counts``, when given,
-    tallies the LPs solved and skipped.
+    R) puts it inside the body.  A mode-R or mode-L image whose facet
+    bound (:func:`_facet_bound`) puts it outside is alive without an LP;
+    its facet bound is recorded and it joins ``state.deferred``
+    (:func:`_solve_deferred`).  Every other mode-R LP starts from the best
+    support's basis; an optimal LP of mode R or L feeds the growth's
+    store.  ``counts``, when given, tallies the LPs solved and skipped.
     ``duals``, when given, holds each root chain's duals, and an alive
     point is tested against those of the chain it descends from.  Raises
     :class:`StoppingViolation` when a dual test fails,
@@ -317,6 +342,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     spec = MODES[config.mode]
     if counts is None:
         counts = MembershipCounts()
+    store = state.supports if spec.balanced else state.facets
     t_values: List[float] = []
     deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = []
     new_frontier: List[int] = []
@@ -333,15 +359,15 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
             t, start = spec.bound(z, state.vertices, state.supports)
             if _is_dead(spec, t, config.remove_boundary):
                 counts.skipped += 1
-            elif spec.balanced and spec.slack(t_hi := facet_bound(
-                    z, state.vertices, state.supports)) > BOUNDARY_TOL:
+            elif spec.slack(t_far := _facet_bound(
+                    spec, z, state.vertices, store)) > BOUNDARY_TOL:
                 # Outside past the boundary: alive and no duplicate, so its
                 # LP waits until a capped run's final_bounds reads it.
                 deferred.append((len(t_values), z, len(state.nodes), start))
-                t = t_hi
+                t = t_far
                 counts.skipped += 1
             else:
-                t = _membership(spec, z, state, start, extension)
+                t = _membership(spec, z, state.vertices, start, extension, store)
                 counts.solved += 1
         t_values.append(t)
         if _is_dead(spec, t, config.remove_boundary):
@@ -369,12 +395,16 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     state.deferred = deferred
 
 
-def _solve_deferred(state: PolytopeState, counts: MembershipCounts) -> None:
+def _solve_deferred(state: PolytopeState, spec: Mode,
+                    extension: Optional[ConeExtension],
+                    counts: MembershipCounts) -> None:
     """Put the LP value of every image of the last complete iteration that
     a facet proved outside in place of its facet bound, each over the
-    vertices it was classified against and from the start it had then."""
+    vertices it was classified against, with the extension's rays, from
+    the start it had then."""
     for place, z, n, start in state.deferred:
-        state.t_history[-1][place] = norm_membership_R(z, state.vertices[:n], start)
+        state.t_history[-1][place] = _membership(
+            spec, z, state.vertices[:n], start, extension)
         counts.solved += 1
         counts.skipped -= 1
     state.deferred = []
@@ -447,7 +477,7 @@ def _grow(family: MatrixFamily, scaled: MatrixFamily,
     rho = candidate.rho_per_step
     value = bounds = t_N = certificate = None
     if status != INAPPLICABLE:
-        _solve_deferred(state, counts)
+        _solve_deferred(state, spec, extension, counts)
         lower, upper, t_N = final_bounds(state, config.mode, rho)
         bounds = (lower, upper)
     if status == TERMINATED:

@@ -18,15 +18,11 @@ a point strictly outside it is below 1 (reversed for the antinorm variants).
 
 The bodies of modes P and L are monotone, so a single vertex already
 bounds the value (:func:`one_vertex_bound`).  Mode R's value is bounded
-from below by a recent optimal support, d vertices of full rank that
-represent ``z`` exactly (:func:`support_bound`); a :class:`SupportStore`
-keeps the recent supports of one vertex array with their inverses, so
-the bound is one batched product.  :meth:`Mode.bound` picks the mode's,
-which settles a point without an LP.  From above, mode R's value is
-bounded by the facets of those LPs, their optimal dual directions with
-their reach over the vertices (:func:`facet_bound`), again one batched
-product; growth uses it to find alive points without an LP.  Each body
-builds its own program as arrays
+from below by a recent optimal support
+(:func:`~polyrad.stores.support_bound`).  :meth:`Mode.bound` picks the
+mode's, which settles a point without an LP.  The optimal LPs of modes R
+and L feed the stores of :mod:`polyrad.stores`, whose facets bound the
+value on the other side.  Each body builds its own program as arrays
 (:class:`~polyrad.simplex.LinearProgram`), and refuses a point, vertex
 or ray that is not finite; the antinorm LP starts from the best covering
 vertex's basis, the balanced-hull LP from the best cached support's and
@@ -51,20 +47,16 @@ from .simplex import (
     LinearProgram,
     solve_lp,
 )
+from .stores import (
+    _SUPPORT_RESIDUAL,
+    FacetStore,
+    SupportStore,
+    _remember_dual,
+    _remember_support,
+    support_bound,
+)
 
 _INF = float("inf")
-# The number of recent optimal supports of mode-R LPs a
-# :class:`SupportStore` keeps.
-SUPPORTS = 64
-# Relative round-off: a support's coefficients count only when they
-# reproduce ``z`` to this relative residual, and a mode-R LP value this
-# small against its ceiling ``max|V| / max|z|`` is read as 0.
-_SUPPORT_RESIDUAL = 1e-12
-_EPS = float(np.finfo(float).eps)
-# Relative margin of a facet bound (:func:`facet_bound`), above the LP's
-# round-off, so that a value it proves outside the body is outside by the
-# LP's reckoning too.
-_FACET_MARGIN = 1e-9
 
 MODE_R = "R"
 MODE_P = "P"
@@ -90,7 +82,8 @@ class Mode:
 
     def bound(self, z, points, supports) -> Tuple[float, Optional[list]]:
         """The value of ``z`` that ``points`` of the body prove, and mode R's
-        LP start: :func:`support_bound` in R, :func:`one_vertex_bound` in P, L."""
+        LP start: :func:`~polyrad.stores.support_bound` in R,
+        :func:`one_vertex_bound` in P, L."""
         if self.balanced:
             return support_bound(z, points, supports)
         return one_vertex_bound(self, z, points)[0], None
@@ -158,7 +151,8 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
     z_i``, so the best such ``t`` bounds the value from above, with or
     without cone rays; with no covering vertex, or a negative coordinate
     in ``z``, the bound is ``(inf, -1)``.  Mode R's body is not monotone;
-    its bound comes from a cached support (:func:`support_bound`).
+    its bound comes from a cached support
+    (:func:`~polyrad.stores.support_bound`).
     """
     if spec.balanced:
         raise ValueError("the balanced body has no one-vertex bound")
@@ -176,193 +170,6 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
     return float(values[best]), best
 
 
-class SupportStore:
-    """The recent optimal supports of the mode-R LPs over one vertex array,
-    at most ``SUPPORTS`` of them.  Support ``k`` is ``d`` rows of the array
-    in increasing order, of full rank, with ``V_S^T``, the transpose of
-    those rows, and its inverse.  The array may grow by appended rows,
-    which leaves every entry valid; a store serves no other array.
-
-    Each support also keeps the facet of the LP that stored or last
-    refreshed it: the dual direction ``y = (V_S^T)^-T sign(c_S)``, whose
-    reach ``max_i |v_i . y|`` over the rows of the array bounds the
-    balanced hull (:func:`facet_bound`).  A support keeps that LP's
-    coefficients ``c_S``, and :func:`facet_bound` sets the facets of the
-    slots in ``stale`` before it answers, so a store that is never asked,
-    as in :func:`~polyrad.certificates.verify`, computes none.  The
-    reaches cover the first ``seen`` rows, whose largest entry is
-    ``peak``; :func:`facet_bound` folds in the rows appended since it
-    last answered.
-
-    The supports sit in slots of stacks preallocated for ``SUPPORTS`` and
-    never move: ``slot_rows``, ``slot_VT``, ``slot_inv``, ``slot_c``,
-    ``slot_y``, ``slot_y1`` (``|y|_1``) and ``slot_reach`` hold them in
-    their first ``len(store)`` slots, and ``order`` lists those slots
-    newest first.  ``rows``, ``VT`` and ``inv`` read the stacks newest
-    first (copies)."""
-
-    def __init__(self):
-        self.count = self.seen = 0
-        self.peak = 0.0
-        self.stale = set()
-        self.order = np.empty(SUPPORTS, dtype=np.intp)
-        self.slot_rows = np.empty((0, 0), dtype=np.intp)
-        self.slot_VT = self.slot_inv = np.empty((0, 0, 0))
-        self.slot_c = self.slot_y = np.empty((0, 0))
-        self.slot_y1 = self.slot_reach = np.empty(0)
-
-    def __len__(self) -> int:
-        return self.count
-
-    rows = property(lambda self: self.slot_rows[self.order[:self.count]])
-    VT = property(lambda self: self.slot_VT[self.order[:self.count]])
-    inv = property(lambda self: self.slot_inv[self.order[:self.count]])
-
-
-def support_bound(z, Vm: np.ndarray,
-                  supports: SupportStore) -> Tuple[float, Optional[list]]:
-    """The balanced-hull membership value of ``z`` that the best stored
-    support proves, and that support's basis as a ``start`` for
-    :func:`norm_membership_R` (``(0.0, None)`` when none proves one).
-
-    One batched product with the stored inverses gives ``c`` with ``V_S^T
-    c = z`` for every support ``S``; ``c`` counts when ``V_S^T c``
-    reproduces ``z`` to a relative residual of ``_SUPPORT_RESIDUAL``.  Then
-    ``z / |c|_1`` is a point of the balanced hull, so ``t = 1 / |c|_1``
-    bounds the value from below, and the basis of ``t`` and, per row ``i``
-    of ``S``, the positive part of ``c_i`` when ``c_i >= 0`` and its
-    negative part otherwise, is primal feasible.  Among equal bounds the
-    newest support wins.  The supports' facets bound the value from above
-    (:func:`facet_bound`).
-    """
-    n = supports.count
-    if not n:
-        return 0.0, None
-    c = supports.slot_inv[:n] @ z
-    residual = abs((supports.slot_VT[:n] @ c[:, :, None])[:, :, 0] - z).max(axis=1)
-    norms = np.where(residual <= _SUPPORT_RESIDUAL * float(abs(z).max()),
-                     abs(c).sum(axis=1), _INF)
-    order = supports.order[:n]
-    best = int(order[norms[order].argmin()])
-    if norms[best] == _INF:
-        return 0.0, None
-    # Variable 1 + x is the positive part of row x's coefficient, 1 + n + x
-    # its negative part.
-    parts = np.where(c[best] >= 0.0, 1, 1 + Vm.shape[0]) + supports.slot_rows[best]
-    return 1.0 / float(norms[best]), [0] + parts.tolist()
-
-
-def facet_bound(z, Vm: np.ndarray, supports: SupportStore) -> float:
-    """The balanced-hull membership value of ``z`` that the stored facets
-    bound from above, ``inf`` when none does.
-
-    The balanced hull of the rows ``v_i`` lies between the two hyperplanes
-    ``|x . y| = max_i |v_i . y|`` for every ``y``, so a point ``t z`` of it
-    has ``t <= reach / |y . z|``; by duality the optimal ``y`` of an LP
-    makes this exact for the points of its facet.  One batched product
-    with the stored directions gives every ``y . z``, after the stale
-    facets are set and the rows of ``Vm`` appended since the store last
-    answered are folded into the reaches.  Each dot product of ``d``
-    terms is off by at most ``delta = d eps |y|_1 max(|z|, |V|)``
-    (largest entries), so a facet gives ``(reach + delta) / (|y . z| -
-    delta)`` when ``|y . z| > delta``, and the least of these is raised
-    by ``_FACET_MARGIN`` relative, beyond the round-off of the LP that
-    would otherwise give the value.
-    """
-    n = supports.count
-    if not n:
-        return _INF
-    if supports.stale:
-        _set_facets(supports, Vm)
-    y, reach = supports.slot_y[:n], supports.slot_reach[:n]
-    if Vm.shape[0] > supports.seen:
-        new = Vm[supports.seen:]
-        np.maximum(reach, abs(new @ y.T).max(axis=0), out=reach)
-        supports.peak = max(supports.peak, float(abs(new).max()))
-        supports.seen = Vm.shape[0]
-    scale = z.size * _EPS * max(float(abs(z).max()), supports.peak)
-    delta = scale * supports.slot_y1[:n]
-    excess = abs(y @ z) - delta
-    proving = excess > 0.0
-    if not proving.any():
-        return _INF
-    t = ((reach + delta)[proving] / excess[proving]).min()
-    return float(t) * (1.0 + _FACET_MARGIN)
-
-
-def _set_facets(supports: SupportStore, Vm: np.ndarray) -> None:
-    """Give each stale slot the facet ``y = (V_S^T)^-T sign(c_S)`` of its
-    support, with its reach over the rows the store has seen."""
-    slots = np.fromiter(supports.stale, dtype=np.intp, count=len(supports.stale))
-    supports.stale.clear()
-    signs = np.sign(supports.slot_c[slots])
-    y = (supports.slot_inv[slots].transpose(0, 2, 1) @ signs[:, :, None])[:, :, 0]
-    supports.slot_y[slots] = y
-    supports.slot_y1[slots] = abs(y).sum(axis=1)
-    reach = abs(Vm[:supports.seen] @ y.T).max(axis=0, initial=0.0)
-    supports.slot_reach[slots] = reach
-
-
-def _remember_support(supports: SupportStore, c: np.ndarray, Vm: np.ndarray) -> None:
-    """Put the support of ``c``, the rows of its ``d`` largest ``|c|``, at
-    the front of ``supports``, keeping ``SUPPORTS`` distinct ones, with
-    ``c`` on the support, whose signs give its facet.
-
-    A support the store holds moves to the front as it is, and only its
-    ``c_S`` (and so its facet) is replaced.  A new one pays one inverse
-    of ``V_S^T``, and is not kept when that has no inverse in floating
-    point: ``inv`` raises, or returns entries that are not finite, or
-    ``|V_S|_1 |V_S^-1|_1`` reaches ``1 / (d eps)``, where the rank that
-    ``matrix_rank`` reads from the singular values falls below ``d``.  It
-    takes a free slot, or the oldest support's when the store is full.
-    """
-    d = Vm.shape[1]
-    if c.size < d:
-        return
-    support = np.sort(np.argsort(-np.abs(c), kind="stable")[:d])
-    n = supports.count
-    order = supports.order
-    if n:
-        held = (supports.slot_rows[:n] == support).all(axis=1).nonzero()[0]
-        if held.size:
-            i = int((order[:n] == held[0]).argmax())
-            order[1:i + 1] = order[:i]
-            order[0] = held[0]
-            supports.slot_c[held[0]] = c[support]
-            supports.stale.add(int(held[0]))
-            return
-    VT = Vm[support].T
-    try:
-        inv = np.linalg.inv(VT)
-    except np.linalg.LinAlgError:
-        return
-    # |V_S|_1 is the largest row sum of V_S^T, and |V_S^-1|_1 that of its
-    # inverse; an inverse that is not finite makes the product inf or nan,
-    # which fails the test as well.
-    if not abs(VT).sum(axis=1).max() * abs(inv).sum(axis=1).max() < 1.0 / (d * _EPS):
-        return
-    if not n:
-        supports.slot_rows = np.empty((SUPPORTS, d), dtype=np.intp)
-        supports.slot_VT = np.empty((SUPPORTS, d, d))
-        supports.slot_inv = np.empty((SUPPORTS, d, d))
-        supports.slot_c = np.empty((SUPPORTS, d))
-        supports.slot_y = np.empty((SUPPORTS, d))
-        supports.slot_y1 = np.empty(SUPPORTS)
-        supports.slot_reach = np.empty(SUPPORTS)
-    if n < SUPPORTS:
-        slot = n
-        supports.count = n = n + 1
-    else:
-        slot = order[n - 1]
-    order[1:n] = order[:n - 1]
-    order[0] = slot
-    supports.slot_rows[slot] = support
-    supports.slot_VT[slot] = VT
-    supports.slot_inv[slot] = inv
-    supports.slot_c[slot] = c[support]
-    supports.stale.add(int(slot))
-
-
 def norm_membership_R(z, V, start: Optional[list] = None,
                       supports: Optional[SupportStore] = None) -> float:
     """Membership value of ``z`` in the balanced hull of ``V``.
@@ -371,10 +178,10 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     the signed coefficients are split into positive and negative parts,
     over the columns ``[z | -V^T | V^T]``: variable ``1 + x`` is the
     positive part of row ``x``'s coefficient and ``1 + n + x`` its negative
-    part.  ``start``, from :func:`support_bound`, is a primal feasible
-    basis, and phase 2 runs from it alone.  ``supports``, when given, is
-    the :class:`SupportStore` of ``V``, and the LP's support is put at its
-    front.
+    part.  ``start``, from :func:`~polyrad.stores.support_bound`, is a
+    primal feasible basis, and phase 2 runs from it alone.  ``supports``,
+    when given, is the :class:`~polyrad.stores.SupportStore` of ``V``, and
+    the LP's support is put at its front.
 
     Since ``t z = V^T c`` with ``sum |c| <= 1``, ``t max|z|`` is at most
     ``max|V|``.  A value below ``_SUPPORT_RESIDUAL`` of that ceiling is the
@@ -482,12 +289,13 @@ def _vertex_basis(z, Vm, best: int) -> list:
     return start
 
 
-def antinorm_membership_L(z, V) -> float:
+def antinorm_membership_L(z, V, facets: Optional[FacetStore] = None) -> float:
     """Antinorm membership value: infeasible programs return ``inf``."""
-    return antinorm_membership_ext(z, V, None)
+    return antinorm_membership_ext(z, V, None, facets)
 
 
-def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
+def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
+                            facets: Optional[FacetStore] = None) -> float:
     """Antinorm membership against the hull of ``V`` plus recession rays ``H``.
 
     Minimizes ``t`` subject to ``t z >= sum_x c_x x + sum_h c_h h`` with
@@ -503,6 +311,9 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
     ``t z_i - v*_i`` is nonnegative, so that basis is primal feasible.  The
     returned value is the smaller of the certified LP value and the
     one-vertex bound; both bound the true minimum from above.
+    ``facets``, when given, is the :class:`~polyrad.stores.FacetStore` of
+    ``V``, and an optimal LP's duals join it
+    (:func:`~polyrad.stores._remember_dual`).
     """
     z, Vm = _stack(z, V)
     k = Vm.shape[0]
@@ -514,6 +325,8 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None) -> float:
         return bound
     if outcome.status != OPTIMAL:
         raise MembershipError("antinorm membership LP ended %s" % outcome.status)
+    if facets is not None:
+        _remember_dual(facets, outcome.duals, Vm, rays)
     t = float(outcome.value)
     # Certify from an exactly feasible set of weights: any feasible
     # decomposition bounds the minimum from above, so the returned

@@ -129,7 +129,16 @@ class LPOutcome:
     fallbacks are counted too: the loops that switched to Bland's rule, and
     the columns retired as round-off rays (under ``assume_bounded``, and in
     phase 1, which is bounded).  A start that :func:`solve_lp` drops leaves
-    no count: the outcome is the unstarted solve's."""
+    no count: the outcome is the unstarted solve's.
+
+    ``duals`` holds an optimal program's row duals ``pi`` when every row
+    is an inequality (``None`` otherwise): ``b . pi`` is the value, ``pi``
+    is nonnegative on the rows that bound the objective (``>=`` rows of a
+    min, ``<=`` rows of a max) and nonpositive on the others, up to the
+    pricing tolerance, and ``A^T pi`` is at most the objective in a min,
+    at least it in a max.  They are read from the final tableau's slack
+    reduced costs, mapped back through row equilibration and orientation,
+    so they cost no solve."""
 
     status: str
     value: Optional[float] = None
@@ -142,6 +151,7 @@ class LPOutcome:
     solves: int = 0
     bland_switches: int = 0
     columns_retired: int = 0
+    duals: Optional[np.ndarray] = None
 
 
 def _pivot(W: np.ndarray, leave: int, enter: int) -> None:
@@ -610,5 +620,13 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     if worst > 1e-6:
         raise LPCyclingError("solution violates constraints by %g" % worst)
 
+    duals = None
+    if nslack == m:
+        # Row i's slack enters the equilibrated, oriented row with +-1, so
+        # its reduced cost is -(+-1) times that row's multiplier in min
+        # form; undoing the row's factor and orientation gives the dual of
+        # the original row, negated for a max.
+        bounding = le if lp.sense == "max" else ~le
+        duals = np.where(bounding, 1.0, -1.0) * factor * obj[ncols:art0]
     return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2, started,
-                     rebuilds, refused, solves, switches, retired)
+                     rebuilds, refused, solves, switches, retired, duals)

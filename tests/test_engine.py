@@ -24,7 +24,12 @@ from polyrad import (
 )
 from polyrad import engine, membership
 from polyrad.candidates import RestartFailedError, restart_product
-from polyrad.datasets import euler_binary, random_family
+from polyrad.datasets import (
+    euler_binary,
+    euler_ternary_14,
+    overlap_free,
+    random_family,
+)
 from polyrad.engine import (
     BOUNDARY_TOL,
     ITERATION_CAPPED,
@@ -630,8 +635,9 @@ class TestOneVertexSkip:
 
 
 class TestFacetSkip:
-    """A mode-R image that a cached facet proves outside gets no LP until a
-    capped run's bounds read it; the bounds stay exact LP values."""
+    """A mode-R or mode-L image that a cached facet proves outside gets no
+    LP until a capped run's bounds read it; the bounds stay exact LP
+    values."""
 
     @pytest.mark.parametrize("d, seed, caps, vertices, bounds", [
         (8, 3, dict(max_iterations=3), 113,
@@ -652,4 +658,22 @@ class TestFacetSkip:
         assert out.vertex_count == vertices
         assert out.bounds[0] == bounds[0]
         assert out.bounds[1] == pytest.approx(bounds[1], rel=1e-14)
+        assert out.lps_skipped > 0
+
+    @pytest.mark.parametrize("family, caps, vertices, bounds, t_N", [
+        (overlap_free, dict(max_candidate_length=11, max_iterations=10), 175,
+         (2.415987872720829, 2.417562630139343), 1.0006518068390553),
+        (euler_ternary_14, dict(max_candidate_length=6, max_iterations=3), 18,
+         (4.572125936840966, 4.6104778120402905), 1.008388193092035),
+    ], ids=["overlap-free", "euler-ternary-14"])
+    def test_capped_antinorm_bounds_equal_the_lp_values(self, family, caps,
+                                                        vertices, bounds, t_N):
+        # The values of a run that solved every alive image's LP.  Leaving
+        # the facet bounds of the last iteration in place read lower bounds
+        # of 2.4159941349509997 and 4.5796656291412825, above the true ones.
+        out = run(family(), RunConfig(mode=MODE_L, **caps))
+        assert out.status == ITERATION_CAPPED
+        assert out.vertex_count == vertices
+        assert out.bounds == bounds
+        assert out.t_N == t_N
         assert out.lps_skipped > 0

@@ -14,14 +14,12 @@ from polyrad.membership import (
     MODE_P,
     MODE_R,
     MODES,
-    SupportStore,
     _antinorm_lp,
-    _remember_support,
     _vertex_basis,
     cone_ray_margin,
     one_vertex_bound,
-    support_bound,
 )
+from polyrad.stores import SupportStore, _remember_support, support_bound
 from polyrad.simplex import LPCyclingError
 from test_simplex import assert_same_outcome, from_rows
 

@@ -36,15 +36,24 @@ from polyrad.datasets import (  # noqa: E402
     random_family,
 )
 from polyrad.membership import (  # noqa: E402
-    SUPPORTS,
-    SupportStore,
-    _remember_support,
+    MODES,
+    _antinorm_lp,
+    _vertex_basis,
     cone_ray_margin,
+    one_vertex_bound,
+)
+from polyrad.stores import (  # noqa: E402
+    SUPPORTS,
+    FacetStore,
+    SupportStore,
+    _remember_dual,
+    _remember_support,
+    antinorm_facet_bound,
     facet_bound,
     support_bound,
 )
 from polyrad import membership, simplex  # noqa: E402
-from polyrad.simplex import INFEASIBLE, OPTIMAL  # noqa: E402
+from polyrad.simplex import INFEASIBLE, OPTIMAL, LinearProgram  # noqa: E402
 from test_simplex import from_rows  # noqa: E402
 
 INF = float("inf")
@@ -155,6 +164,82 @@ def highs_solve(lp):
     if res.status == 0:
         value = res.fun if lp.sense == "min" else -res.fun
     return res.status, value
+
+
+def check_duals(lp, out):
+    """``out.duals`` are row duals of ``lp``'s optimum: feasible and signed
+    up to the pricing tolerance, scaled by each row's largest entry, with
+    ``b . pi`` equal to the value."""
+    A, b = np.asarray(lp.A, dtype=float), np.asarray(lp.b, dtype=float)
+    c = np.asarray(lp.objective, dtype=float)
+    pi = out.duals
+    assert pi.shape == b.shape
+    tol = 1e-9 / np.maximum(np.abs(A).max(axis=1), 1e-300)
+    # Signed so that a positive dual tightens the objective's bound.
+    flip = 1.0 if lp.sense == "min" else -1.0
+    bounding = (np.asarray(lp.relations) == ">=") == (lp.sense == "min")
+    assert np.all(np.where(bounding, pi, -pi) >= -tol)
+    assert np.all(flip * (c - A.T @ pi) >= -1e-9 * max(1.0, float(np.abs(pi).max())))
+    assert b @ pi == pytest.approx(out.value, rel=1e-9, abs=1e-12)
+
+
+class TestDuals:
+    """``LPOutcome.duals`` of all-inequality programs in both senses: mode
+    P's covering shape on the dual path, mode L's antinorm shape with rays
+    from a vertex basis or in two phases, and mixed relations."""
+
+    @staticmethod
+    def both_senses(lp):
+        yield lp
+        yield dataclasses.replace(lp, sense="max" if lp.sense == "min" else "min",
+                                  objective=-np.asarray(lp.objective, dtype=float))
+
+    def test_random_programs_match_highs(self):
+        rng = np.random.default_rng(33)
+        checked = {"P": 0, "L": 0, "mixed": 0, "started": 0}
+        for _ in range(150):
+            d, k = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            V = rng.uniform(SMALL, 1.0, size=(k, d)) * (rng.random((k, d)) < 0.7)
+            z = rng.uniform(SMALL, 1.0, size=d) * (rng.random(d) < 0.7)
+            z[int(rng.integers(d))] = 1.0
+            H = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 3)), d))
+            A = np.hstack([z[:, None], -V.T, -H.T])
+            budget = np.zeros(A.shape[1])
+            budget[1:k + 1] = 1.0
+            objective = np.zeros(A.shape[1])
+            objective[0] = 1.0
+            shapes = {
+                "P": LinearProgram("min", np.ones(k), V.T, [">="] * d, z),
+                "L": LinearProgram("min", objective, np.vstack([A, budget]),
+                                   [">="] * (d + 1), np.append(np.zeros(d), 1.0)),
+                "mixed": random_positive_cost_program(rng),
+            }
+            for shape, lp in shapes.items():
+                for posed in self.both_senses(lp):
+                    out = solve_lp(posed, assume_bounded=shape != "mixed")
+                    status, value = highs_solve(posed)
+                    if status != 0:
+                        continue
+                    assert out.status == OPTIMAL
+                    assert out.value == pytest.approx(value, rel=1e-9, abs=1e-9)
+                    check_duals(posed, out)
+                    checked[shape] += 1
+            _, best = one_vertex_bound(MODES[MODE_L], z, V)
+            if best >= 0:
+                # The solve of antinorm_membership_ext, from the vertex basis.
+                out = _antinorm_lp(z, V, H.T if len(H) else None,
+                                   _vertex_basis(z, V, best))
+                if out.status == OPTIMAL and out.started:
+                    check_duals(shapes["L"], out)
+                    checked["started"] += 1
+        assert min(checked.values()) >= 100
+
+    def test_equality_row_gives_none(self):
+        lp = from_rows("max", [1.0, 1.0], [([1.0, 1.0], "<=", 2.0),
+                                           ([1.0, -1.0], "=", 0.0)])
+        out = solve_lp(lp)
+        assert out.status == OPTIMAL and out.value == pytest.approx(2.0)
+        assert out.duals is None
 
 
 class TestSlackBasisStart:
@@ -496,7 +581,7 @@ eighths = st.integers(-8, 8).map(lambda k: k / 8.0)
 
 class TestFacetBound:
     """The facets of a support store bound the balanced-hull value from
-    above; :func:`~polyrad.membership.facet_bound` against HiGHS."""
+    above; :func:`~polyrad.stores.facet_bound` against HiGHS."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -534,6 +619,72 @@ class TestFacetBound:
         assert 1.0 < exact < 1.0001
         assert facet_bound(z, V, supports) >= exact
         assert np.abs(supports.slot_y[0]).max() > 1e12
+
+
+class TestAntinormFacetBound:
+    """The clipped duals of antinorm LPs bound the antinorm value from
+    below; :func:`~polyrad.stores.antinorm_facet_bound` against HiGHS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bound_is_at_most_highs(self, data):
+        d = data.draw(st.integers(1, 4))
+        nonnegative = st.integers(0, 8).map(lambda k: k / 8.0)
+        V = vectors(data.draw, nonnegative, data.draw(st.integers(1, 5)), d)
+        H = vectors(data.draw, eighths, data.draw(st.integers(0, 2)), d)
+        rays = H if len(H) else None
+        facets = FacetStore()
+        for z in vectors(data.draw, nonnegative, data.draw(st.integers(1, 4)), d):
+            if np.any(z):
+                antinorm_membership_ext(z, V, rays, facets)
+        # Rows appended after the store's reaches were set must be folded in.
+        V = np.vstack((V, vectors(data.draw, nonnegative,
+                                  data.draw(st.integers(0, 2)), d)))
+        z = vectors(data.draw, magnitudes, 1, d)[0]
+        assume(np.any(z > 0.0))
+        bound = antinorm_facet_bound(z, V, facets)
+        A = np.hstack([z[:, None], -V.T] + ([] if rays is None else [-H.T]))
+        budget = np.zeros(A.shape[1])
+        budget[1:V.shape[0] + 1] = 1.0
+        objective = np.zeros(A.shape[1])
+        objective[0] = 1.0
+        res = highs(objective, np.vstack([A, budget]), np.append(np.zeros(d), 1.0),
+                    [">="] * (d + 1), [(0.0, None)] * A.shape[1])
+        assert res.status in (0, 2)
+        if res.status == 0:
+            assert bound <= res.fun * (1.0 + 1e-12)
+
+    def test_dual_off_a_ray_is_refused(self):
+        # The vertex (1, 1) and the ray h = (-1, 1) hold z = (0.5, 2) at
+        # t = 0.8: 0.8 z = (0.4, 1.6) dominates (1, 1) + 0.6 h.  A dual that
+        # clips to y = (1, 0) has y . h = -1, and its bound reach / (y . z)
+        # = 2 would put this inside point outside.
+        V = np.array([[1.0, 1.0]])
+        H = np.array([[-1.0, 1.0]])
+        z = np.array([0.5, 2.0])
+        assert antinorm_membership_ext(z, V, H) == pytest.approx(0.8)
+        duals = np.array([1.0, -0.5, 1.0])
+        facets = FacetStore()
+        _remember_dual(facets, duals, V, H)
+        assert len(facets) == 0
+        assert antinorm_facet_bound(z, V, facets) == 0.0
+        kept = FacetStore()
+        _remember_dual(kept, duals, V, None)
+        assert antinorm_facet_bound(z, V, kept) > 1.0 + 1e-3
+
+    def test_round_off_below_a_ray_is_refused(self):
+        # This program's optimum uses the first ray, where y . h is 0; the
+        # clipped dual's computed y . h is -8.9e-16 (or within round-off of
+        # 0 on another BLAS), short of its round-off bound.
+        V = np.array([[0.625, 0.375, 0.625, 1.0]])
+        H = np.array([[-0.5, 0.75, -0.5, 0.625], [-0.5, 0.375, 0.0, 1.0]])
+        z = np.array([0.75, 0.25, 0.0, 0.125])
+        y = np.maximum(_antinorm_lp(z, V, H.T).duals[:4], 0.0)
+        assert y @ z > 0.0
+        assert H[0] @ y < 4 * np.finfo(float).eps * y.sum() * 0.75
+        facets = FacetStore()
+        assert antinorm_membership_ext(z, V, H, facets) == pytest.approx(14.25)
+        assert len(facets) == 0
 
 
 class TestAntinormMembership:
