@@ -34,7 +34,6 @@ from .membership import (
     norm_membership_P,
     norm_membership_R,
 )
-from .stores import SupportStore
 
 CERT_VERSION = 1
 FAMILY_FILE_VERSION = 1
@@ -328,7 +327,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
     inside = np.zeros((len(Vm) * (scaled.size + 1), d))
     inside[:len(Vm)] = Vm
     n_inside = len(Vm)
-    supports = SupportStore()  # recent optimal supports of Vm (mode R)
+    store = spec.store() if spec.balanced else None  # supports of Vm's LPs
     worst = float("-inf")
     for idx in np.argsort(-spec.sign * Vm.sum(axis=1), kind="stable"):
         for j in range(1, scaled.size + 1):
@@ -336,11 +335,11 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
             if is_zero_image(z):
                 t = float("inf")
             else:
-                t, start = spec.bound(z, inside[:n_inside], supports)
+                t, start = spec.bound(z, inside[:n_inside], store)
                 if spec.slack(t) <= tolerance:
                     report.lps_skipped += 1
                 elif spec.balanced:  # the LPs are looked up by name, as in the engine
-                    t = norm_membership_R(z, Vm, start, supports)
+                    t = norm_membership_R(z, Vm, start, store)
                     report.lps_solved += 1
                 else:
                     t = (norm_membership_P(z, Vm) if spec.sign > 0

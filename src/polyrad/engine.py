@@ -28,10 +28,10 @@ the body, it is recorded as the image's value and no LP runs; the verdict
 is the LP's, since the bound lies on the inside of the LP value.
 
 The optimal duals of the growth's recent LPs bound the value on the
-other side, as facets: in mode R the supports' facets from above
-(:func:`~polyrad.stores.facet_bound`), in mode L the clipped row
-duals of the antinorm LPs from below
-(:func:`~polyrad.stores.antinorm_facet_bound`); mode P keeps none.
+other side, as facets (:func:`~polyrad.stores.facet_bound`): in mode R
+the supports' facets from above, in mode L the clipped row duals of the
+antinorm LPs from below; mode P keeps none.  Each growth has one store,
+``PolytopeState.store``, made by :meth:`~polyrad.membership.Mode.store`.
 An image that they put outside the body past ``BOUNDARY_TOL`` is alive,
 and no duplicate, by the LP's reckoning too, so it gets no LP while the
 polytope grows: its facet bound is recorded, and the image is kept as
@@ -43,7 +43,7 @@ classified against and with the rays of the run's cone extension; a
 terminated run's last iteration has no alive image.  So ``t_N`` and the
 bounds of a capped run are LP values, and only ``t_N`` of a terminated
 run can be a bound.  A mode-R LP that is solved starts from the best
-support's basis, and its own support joins the growth's
+support's basis, and its own support and facet join the growth's
 :class:`~polyrad.stores.SupportStore`; the duals of a solved mode-L
 LP join the growth's :class:`~polyrad.stores.FacetStore`.
 """
@@ -92,7 +92,7 @@ from .membership import (
     norm_membership_P,
     norm_membership_R,
 )
-from .stores import FacetStore, SupportStore, antinorm_facet_bound, facet_bound
+from .stores import FacetStore, facet_bound
 
 TERMINATED = "terminated"
 ITERATION_CAPPED = "iteration_capped"
@@ -151,12 +151,13 @@ class VertexNode:
 class PolytopeState:
     """Growth state; ``words[c]`` is the word of root chain ``c``, the
     candidate's first and then its symmetric twins, and row ``i`` of
-    ``vertices`` is the point of ``nodes[i]``.  ``supports`` holds the
-    recent optimal supports of mode-R LPs over ``vertices``, whose rows
-    are only ever appended, with their inverses and facets
-    (:class:`~polyrad.stores.SupportStore`), and ``facets`` the
-    clipped duals of recent mode-L LPs over them
-    (:class:`~polyrad.stores.FacetStore`).
+    ``vertices`` is the point of ``nodes[i]``.  ``store`` holds the
+    facets of recent optimal LPs over ``vertices``, whose rows are only
+    ever appended: the supports of mode-R LPs with their inverses and
+    facets (:class:`~polyrad.stores.SupportStore`), or the clipped duals
+    of mode-L LPs (:class:`~polyrad.stores.FacetStore`).  :func:`iterate`
+    makes it on first use (:meth:`~polyrad.membership.Mode.store`), and
+    mode P keeps none.
 
     ``t_history[k]`` holds iteration ``k``'s membership values, in the
     order of its pairs.  An image that a facet proved outside holds that
@@ -175,8 +176,7 @@ class PolytopeState:
     R: List[Tuple[int, int]] = field(default_factory=list)
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
-    supports: SupportStore = field(default_factory=SupportStore)
-    facets: FacetStore = field(default_factory=FacetStore)
+    store: Optional[FacetStore] = None
     deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = field(
         default_factory=list)
 
@@ -254,20 +254,6 @@ def _membership(spec: Mode, z, V: np.ndarray, start,
     return norm_membership_P(z, V)
 
 
-def _facet_bound(spec: Mode, z, V: np.ndarray, store: FacetStore) -> float:
-    """The value of ``z`` that the facets of ``store``, the growth's store
-    of ``V``, bound on the far side from the mode's
-    :meth:`~polyrad.membership.Mode.bound`: from above in R
-    (:func:`~polyrad.stores.facet_bound`), from below in L
-    (:func:`~polyrad.stores.antinorm_facet_bound`); ``inf`` in P, which
-    keeps no facets."""
-    if spec.balanced:
-        return facet_bound(z, V, store)
-    if spec.sign < 0:
-        return antinorm_facet_bound(z, V, store)
-    return math.inf
-
-
 def _is_dead(spec: Mode, t: float, remove_boundary: bool) -> bool:
     """Whether value ``t`` is inside the body (or on it, ``remove_boundary``)."""
     if remove_boundary:
@@ -328,11 +314,11 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     pairs; a zero image is dead in modes R and P without an LP, and so is
     an image whose one-vertex bound (modes P and L) or support bound (mode
     R) puts it inside the body.  A mode-R or mode-L image whose facet
-    bound (:func:`_facet_bound`) puts it outside is alive without an LP;
-    its facet bound is recorded and it joins ``state.deferred``
-    (:func:`_solve_deferred`).  Every other mode-R LP starts from the best
-    support's basis; an optimal LP of mode R or L feeds the growth's
-    store.  ``counts``, when given, tallies the LPs solved and skipped.
+    bound (:func:`~polyrad.stores.facet_bound`) puts it outside is alive
+    without an LP; its facet bound is recorded and it joins
+    ``state.deferred`` (:func:`_solve_deferred`).  Every other mode-R LP
+    starts from the best support's basis; an optimal LP of mode R or L
+    feeds the growth's store.  ``counts``, when given, tallies the LPs solved and skipped.
     ``duals``, when given, holds each root chain's duals, and an alive
     point is tested against those of the chain it descends from.  Raises
     :class:`StoppingViolation` when a dual test fails,
@@ -342,7 +328,9 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     spec = MODES[config.mode]
     if counts is None:
         counts = MembershipCounts()
-    store = state.supports if spec.balanced else state.facets
+    store = state.store
+    if store is None:
+        store = state.store = spec.store()
     t_values: List[float] = []
     deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = []
     new_frontier: List[int] = []
@@ -356,11 +344,11 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                     "construction does not apply")
             t = math.inf
         else:
-            t, start = spec.bound(z, state.vertices, state.supports)
+            t, start = spec.bound(z, state.vertices, store)
             if _is_dead(spec, t, config.remove_boundary):
                 counts.skipped += 1
-            elif spec.slack(t_far := _facet_bound(
-                    spec, z, state.vertices, store)) > BOUNDARY_TOL:
+            elif store is not None and spec.slack(t_far := facet_bound(
+                    z, state.vertices, store)) > BOUNDARY_TOL:
                 # Outside past the boundary: alive and no duplicate, so its
                 # LP waits until a capped run's final_bounds reads it.
                 deferred.append((len(t_values), z, len(state.nodes), start))

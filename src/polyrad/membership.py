@@ -21,10 +21,11 @@ bounds the value (:func:`one_vertex_bound`).  Mode R's value is bounded
 from below by a recent optimal support
 (:func:`~polyrad.stores.support_bound`).  :meth:`Mode.bound` picks the
 mode's, which settles a point without an LP.  The optimal LPs of modes R
-and L feed the stores of :mod:`polyrad.stores`, whose facets bound the
-value on the other side.  Each body builds its own program as arrays
-(:class:`~polyrad.simplex.LinearProgram`), and refuses a point, vertex
-or ray that is not finite; the antinorm LP starts from the best covering
+and L feed the growth's store of :mod:`polyrad.stores`
+(:meth:`Mode.store`), whose facets bound the value on the other side
+(:func:`~polyrad.stores.facet_bound`).  Each body builds its own program
+as arrays (:class:`~polyrad.simplex.LinearProgram`), and refuses a
+point, vertex or ray that is not finite; the antinorm LP starts from the best covering
 vertex's basis, the balanced-hull LP from the best cached support's and
 the cone margin LP from its least coordinate, and each runs phase 2
 alone, unless :func:`solve_lp` has to solve it again in two phases.
@@ -80,13 +81,22 @@ class Mode:
         """How far value ``t`` lies outside the body, negative inside."""
         return 1.0 - t if self.sign > 0 else t - 1.0
 
-    def bound(self, z, points, supports) -> Tuple[float, Optional[list]]:
+    def bound(self, z, points, store) -> Tuple[float, Optional[list]]:
         """The value of ``z`` that ``points`` of the body prove, and mode R's
-        LP start: :func:`~polyrad.stores.support_bound` in R,
-        :func:`one_vertex_bound` in P, L."""
+        LP start: :func:`~polyrad.stores.support_bound` over ``store`` in
+        R, :func:`one_vertex_bound` in P, L."""
         if self.balanced:
-            return support_bound(z, points, supports)
+            return support_bound(z, points, store)
         return one_vertex_bound(self, z, points)[0], None
+
+    def store(self) -> Optional[FacetStore]:
+        """A new store for one growth's optimal LPs, whose facets bound a
+        value on the far side from :meth:`bound`: a
+        :class:`~polyrad.stores.SupportStore` in R, a
+        :class:`~polyrad.stores.FacetStore` in L, and none in P."""
+        if self.balanced:
+            return SupportStore()
+        return FacetStore() if self.sign < 0 else None
 
 
 MODES = {
@@ -181,7 +191,7 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     part.  ``start``, from :func:`~polyrad.stores.support_bound`, is a
     primal feasible basis, and phase 2 runs from it alone.  ``supports``,
     when given, is the :class:`~polyrad.stores.SupportStore` of ``V``, and
-    the LP's support is put at its front.
+    the LP's support is put at its front with the LP's facet.
 
     Since ``t z = V^T c`` with ``sum |c| <= 1``, ``t max|z|`` is at most
     ``max|V|``.  A value below ``_SUPPORT_RESIDUAL`` of that ceiling is the

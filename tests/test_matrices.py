@@ -199,6 +199,18 @@ class TestSpectralRadius:
         assert spectral_radius(3.0 * M) == pytest.approx(
             3.0 * spectral_radius(M), rel=1e-10, abs=1e-10)
 
+    @pytest.mark.xfail(strict=True,
+                       reason="eig splits a triple eigenvalue by about "
+                              "eps^(1/3), wider than _top_modulus's cluster "
+                              "shell, and reads M and 3M rel 3.5e-7 apart")
+    def test_scaling_homogeneity_of_a_triple_jordan_block(self):
+        # The 3x3 Jordan block of eigenvalue 2 in random coordinates.
+        J = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+        S = np.random.default_rng(1).standard_normal((3, 3))
+        M = S @ J @ np.linalg.inv(S)
+        assert spectral_radius(3.0 * M) == pytest.approx(
+            3.0 * spectral_radius(M), rel=1e-10, abs=1e-10)
+
 
 def per_matrix_radius(M):
     """The radius rule applied to one matrix on its own: the top modulus of

@@ -48,7 +48,6 @@ from polyrad.stores import (  # noqa: E402
     SupportStore,
     _remember_dual,
     _remember_support,
-    antinorm_facet_bound,
     facet_bound,
     support_bound,
 )
@@ -620,10 +619,37 @@ class TestFacetBound:
         assert facet_bound(z, V, supports) >= exact
         assert np.abs(supports.slot_y[0]).max() > 1e12
 
+    def test_facet_is_written_when_its_support_is_stored_or_refreshed(self):
+        # The store sees the first six rows at its one query; rows appended
+        # after it are read by the next query, not by the facets written now.
+        V = moment_curve(3, 9)
+        supports = SupportStore()
+        _remember_support(supports, indicator(9, (0, 1, 2)), V[:6])
+        facet_bound(np.array([1.0, 0.5, 0.25]), V[:6], supports)
+        assert supports.seen == 6
+        c = np.zeros(9)
+        c[[2, 4, 5]] = [0.5, -0.3, 0.2]
+        _remember_support(supports, c, V)
+        _remember_support(supports, indicator(9, (1, 3, 7)), V)
+        slot = int(supports.order[1])
+        y = np.linalg.inv(V[[2, 4, 5]].T).T @ np.sign(c[[2, 4, 5]])
+        assert np.array_equal(supports.slot_y[slot], y)
+        assert supports.slot_y1[slot] == abs(y).sum()
+        assert supports.slot_reach[slot] == abs(V[:6] @ y).max()
+        # The same support with its signs flipped: the facet is replaced in
+        # its slot, no inverse is computed, and the slot moves to the front.
+        order = supports.order[:3].tolist()
+        with mock.patch.object(np.linalg, "inv", side_effect=AssertionError):
+            _remember_support(supports, -c, V)
+        assert supports.order[:3].tolist() == [slot] + [k for k in order if k != slot]
+        assert np.array_equal(supports.slot_y[slot], -y)
+        assert supports.slot_reach[slot] == abs(V[:6] @ y).max()
+
 
 class TestAntinormFacetBound:
     """The clipped duals of antinorm LPs bound the antinorm value from
-    below; :func:`~polyrad.stores.antinorm_facet_bound` against HiGHS."""
+    below; :func:`~polyrad.stores.facet_bound` of a
+    :class:`~polyrad.stores.FacetStore` against HiGHS."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -642,7 +668,7 @@ class TestAntinormFacetBound:
                                   data.draw(st.integers(0, 2)), d)))
         z = vectors(data.draw, magnitudes, 1, d)[0]
         assume(np.any(z > 0.0))
-        bound = antinorm_facet_bound(z, V, facets)
+        bound = facet_bound(z, V, facets)
         A = np.hstack([z[:, None], -V.T] + ([] if rays is None else [-H.T]))
         budget = np.zeros(A.shape[1])
         budget[1:V.shape[0] + 1] = 1.0
@@ -667,10 +693,10 @@ class TestAntinormFacetBound:
         facets = FacetStore()
         _remember_dual(facets, duals, V, H)
         assert len(facets) == 0
-        assert antinorm_facet_bound(z, V, facets) == 0.0
+        assert facet_bound(z, V, facets) == 0.0
         kept = FacetStore()
         _remember_dual(kept, duals, V, None)
-        assert antinorm_facet_bound(z, V, kept) > 1.0 + 1e-3
+        assert facet_bound(z, V, kept) > 1.0 + 1e-3
 
     def test_round_off_below_a_ray_is_refused(self):
         # This program's optimum uses the first ray, where y . h is 0; the
@@ -685,6 +711,25 @@ class TestAntinormFacetBound:
         facets = FacetStore()
         assert antinorm_membership_ext(z, V, H, facets) == pytest.approx(14.25)
         assert len(facets) == 0
+
+    def test_full_store_replaces_its_oldest_dual(self):
+        # Entries are multiples of 1/8, so every dot product is exact and a
+        # reach does not depend on when it was folded in.
+        rng = np.random.default_rng(3)
+        V = rng.integers(0, 9, size=(5, 3)) / 8.0
+        grid = np.array(list(np.ndindex(8, 8, 8))) + 1.0
+        duals = grid[rng.choice(len(grid), SUPPORTS + 1, replace=False)] / 8.0
+        z = np.array([0.75, 0.5, 0.25])
+        facets = FacetStore()
+        for y in duals:
+            _remember_dual(facets, y, V, None)
+            facet_bound(z, V, facets)
+        assert len(facets) == SUPPORTS
+        assert not (facets.slot_y == duals[0]).all(axis=1).any()
+        last = FacetStore()
+        for y in duals[1:]:
+            _remember_dual(last, y, V, None)
+        assert facet_bound(z, V, facets) == facet_bound(z, V, last) > 0.0
 
 
 class TestAntinormMembership:
