@@ -72,7 +72,21 @@ class VerificationReport:
     lps_skipped: int = 0
 
 
+def _render_array(a: np.ndarray) -> str:
+    """An array as nested lists, its entries written as ``format(x, ".17g")``
+    writes a float (``%.17g`` gives the same digits, ``-0`` included), by one
+    ``%`` format of a template of that shape."""
+    if not np.isfinite(a).all():
+        raise CertificateFormatError("cannot serialize a non-finite float")
+    template = "%.17g"
+    for n in reversed(a.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % tuple(a.ravel().tolist())
+
+
 def _render(obj) -> str:
+    if isinstance(obj, np.ndarray):
+        return _render_array(obj)
     if isinstance(obj, dict):
         parts = ("%s:%s" % (json.dumps(str(k)), _render(v)) for k, v in obj.items())
         return "{" + ",".join(parts) + "}"
@@ -94,12 +108,11 @@ def _render(obj) -> str:
 def family_canonical_text(family: MatrixFamily) -> str:
     """Canonical serialization of a family: its family file's text, and
     what its fingerprint hashes.  A zero is written as ``0`` whatever its
-    sign, since the reader returns ``-0`` as ``+0.0``."""
+    sign, so that families of equal entries share one fingerprint."""
     payload = {
         "version": FAMILY_FILE_VERSION,
         "dim": family.dim,
-        "matrices": [[[float(x) + 0.0 for x in row] for row in M]
-                     for M in family.matrices],
+        "matrices": [M + 0.0 for M in family.matrices],
     }
     return _render(payload)
 
@@ -115,9 +128,9 @@ def serialize(cert: Certificate) -> str:
         "family_fingerprint": cert.family_fingerprint,
         "word": [int(i) for i in cert.word],
         "rho_per_step": float(cert.rho_per_step),
-        "vertices": [[float(x) for x in v] for v in cert.vertices],
+        "vertices": [np.asarray(v, dtype=float) for v in cert.vertices],
         "cone_H": (None if cert.cone_H is None
-                   else [[float(x) for x in h] for h in cert.cone_H]),
+                   else [np.asarray(h, dtype=float) for h in cert.cone_H]),
         "iterations": int(cert.iterations),
         "tolerance": float(cert.tolerance),
     }
@@ -132,10 +145,11 @@ def _number(literal) -> float:
     return x
 
 
-def _integer(literal: str) -> int:
-    """``int(literal)``, refusing one too large for a float."""
+def _integer(literal: str):
+    """``int(literal)``, refusing one too large for a float.  ``-0`` is how
+    :func:`serialize` writes the float ``-0.0``, so it reads back as one."""
     _number(literal)
-    return int(literal)
+    return -0.0 if literal == "-0" else int(literal)
 
 
 # Each field and the JSON types it may have, compared by ``type``: a bool

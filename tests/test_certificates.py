@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyrad import (
     Certificate,
@@ -12,6 +13,7 @@ from polyrad import (
     MODE_R,
     MatrixFamily,
     RunConfig,
+    datasets,
     deserialize,
     family_fingerprint,
     run,
@@ -19,6 +21,7 @@ from polyrad import (
     spans_check,
     verify,
 )
+from polyrad.certificates import family_canonical_text
 from polyrad.membership import MODES, one_vertex_bound
 
 
@@ -63,6 +66,26 @@ class TestSerialization:
         with pytest.raises(CertificateFormatError, match="rho_per_step"):
             deserialize(json.dumps(raw))
 
+    @pytest.mark.parametrize("vertex, ray", [
+        ([1.0, np.inf], [1.0, 1.0]),
+        ([np.nan, 1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [-np.inf, 0.0]),
+    ], ids=["infinite vertex", "nan vertex", "infinite ray"])
+    def test_non_finite_entry_refused(self, lsr_outcome, vertex, ray):
+        _, out = lsr_outcome
+        cert = dataclasses.replace(out.certificate, vertices=(np.array(vertex),),
+                                   cone_H=(np.array(ray),))
+        with pytest.raises(CertificateFormatError,
+                           match="cannot serialize a non-finite float"):
+            serialize(cert)
+
+    def test_negative_zero_round_trips(self):
+        cert = _awkward_certificate()
+        text = serialize(cert)
+        again = deserialize(text)
+        assert np.signbit(again.vertices[0][0])
+        assert serialize(again) == text
+
     def test_malformed_json(self):
         with pytest.raises(CertificateFormatError):
             deserialize("{not json")
@@ -87,6 +110,100 @@ class TestFingerprint:
         M[0, 0] += 1e-6
         other = MatrixFamily([M, fam.matrix(2)])
         assert family_fingerprint(fam) != family_fingerprint(other)
+
+
+# Exact inputs with an awkward rendering each: a negative zero, the least
+# subnormal, a huge and a tiny magnitude, and values with no short form.
+_AWKWARD = ([-0.0, 5e-324], [1e300, 0.1], [1 / 3, -2.5e-17])
+_ZEROS = "0" * 64
+
+
+def _awkward_certificate():
+    return Certificate(1, "L", _ZEROS, (1, 2), 1.5,
+                       (np.array(_AWKWARD[0]), np.array(_AWKWARD[1])),
+                       (np.array(_AWKWARD[2]),), 3, 1e-10)
+
+
+class TestGoldenBytes:
+    """The text of each input as a per-float renderer wrote it."""
+
+    def test_family_canonical_text(self):
+        family = MatrixFamily([[_AWKWARD[0], _AWKWARD[1]],
+                               [_AWKWARD[2], [123456789.0, -1.0]]])
+        assert family_canonical_text(family) == (
+            '{"version":1,"dim":2,"matrices":['
+            '[[0,4.9406564584124654e-324],'
+            '[1.0000000000000001e+300,0.10000000000000001]],'
+            '[[0.33333333333333331,-2.4999999999999999e-17],[123456789,-1]]]}')
+
+    def test_family_fingerprint(self):
+        assert family_fingerprint(datasets.euler_binary(7)) == (
+            "5369950f1aa17b0b1bbb4eb19735cfb55d2f1ecec6210dae957fb52c79ad482a")
+
+    def test_certificate(self):
+        assert serialize(_awkward_certificate()) == (
+            '{"version":1,"mode":"L","family_fingerprint":"%s","word":[1,2],'
+            '"rho_per_step":1.5,"vertices":[[-0,4.9406564584124654e-324],'
+            '[1.0000000000000001e+300,0.10000000000000001]],'
+            '"cone_H":[[0.33333333333333331,-2.4999999999999999e-17]],'
+            '"iterations":3,"tolerance":1e-10}' % _ZEROS)
+
+
+def _reference_list(values) -> str:
+    """A list of floats as nested JSON lists, each written one at a time
+    by ``format(x, ".17g")``."""
+    if isinstance(values, float):
+        return format(values, ".17g")
+    return "[" + ",".join(_reference_list(v) for v in values) + "]"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]))
+_VECTORS = st.lists(st.lists(_FLOATS, min_size=1, max_size=4),
+                    min_size=1, max_size=4)
+
+
+@st.composite
+def _families(draw):
+    d = draw(st.integers(1, 4))
+    row = st.lists(_FLOATS, min_size=d, max_size=d)
+    return draw(st.lists(st.lists(row, min_size=d, max_size=d),
+                         min_size=1, max_size=3))
+
+
+class TestRenderingDifferential:
+    """Array rendering against a per-float reference renderer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_families())
+    def test_family_canonical_text(self, matrices):
+        # The family text writes a zero as 0 whatever its sign.
+        unsigned = [[[x + 0.0 for x in row] for row in M] for M in matrices]
+        assert family_canonical_text(MatrixFamily(matrices)) == (
+            '{"version":1,"dim":%d,"matrices":%s}'
+            % (len(matrices[0]), _reference_list(unsigned)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VECTORS, st.none() | _VECTORS, _FLOATS)
+    def test_certificate_and_its_round_trip(self, vertices, rays, rho):
+        cert = Certificate(1, "P", _ZEROS, (2, 1), rho,
+                           tuple(np.array(v) for v in vertices),
+                           None if rays is None else tuple(np.array(h) for h in rays),
+                           7, 1e-9)
+        text = serialize(cert)
+        assert text == (
+            '{"version":1,"mode":"P","family_fingerprint":"%s","word":[2,1],'
+            '"rho_per_step":%s,"vertices":%s,"cone_H":%s,"iterations":7,'
+            '"tolerance":1.0000000000000001e-09}'
+            % (_ZEROS, format(rho, ".17g"), _reference_list(vertices),
+               "null" if rays is None else _reference_list(rays)))
+        again = deserialize(text)
+        for got, want in ((again.vertices, cert.vertices),
+                          (again.cone_H or (), cert.cone_H or ())):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestVerification:
