@@ -39,7 +39,7 @@ from .matrices import (
 # one stack of word products, and the most letters a restart may build its
 # word from (its path and the turns it appends).
 _ENUMERATION_BUDGET = 500000
-_STACK_ENTRIES = 4096
+_STACK_ENTRIES = 16384
 _RESTART_LETTERS = 64
 
 
@@ -118,21 +118,42 @@ def _lyndon_readings(m: int, max_length: int):
 
 
 def _block_products(matrices: np.ndarray, block) -> np.ndarray:
-    """Products ``A_r1 @ (A_r2 @ (... @ (A_rn @ I)))`` of the distinct,
-    equal-length readings ``block``, in its order.
+    """Products ``A_r1 @ (A_r2 @ (... @ (A_rn @ I)))`` of the distinct
+    readings in the rows of ``block``, in its order.  A reading shorter
+    than the rows ends at their last column, after ``0`` padding.
 
     The products are associated exactly as :func:`word_matrix` does, and
     built from the shortest reading suffixes up: each level is one stacked
-    matmul of first letters onto the products of the level below.
+    matmul of first letters onto the products of the level below.  Sorted
+    once by reversed reading, the readings that share a suffix ``r[j:]``
+    are a run, so each level's distinct suffixes are the rows where a run
+    starts (on a letter, not on padding).
     """
+    block = np.asarray(block)
+    order = np.lexsort(block.T)
+    block = block[order]
+    n, width = block.shape
+    # Row i heads the run of its suffix r[j:] when it differs from row i-1
+    # at column j or after; ``below[i, j]`` numbers the runs that start on
+    # a letter up to row i, and so indexes the products of level j.
+    runs = np.ones((n, width), dtype=bool)
+    runs[1:] = np.logical_or.accumulate(
+        (block[1:] != block[:-1])[:, ::-1], axis=1)[:, ::-1]
+    runs &= block > 0
+    below = np.zeros((n, width + 1), dtype=np.intp)
+    below[:, :width] = np.cumsum(runs, axis=0) - 1
+    # The column each reading starts at, after its padding.
+    firsts = (block == 0).sum(axis=1)
+    counts = np.bincount(firsts, minlength=width)
+    out = np.empty((n,) + matrices.shape[1:])
     products = np.eye(matrices.shape[1])[None]
-    index = {(): 0}
-    for j in range(len(block[0]) - 1, -1, -1):
-        suffixes = list(dict.fromkeys(r[j:] for r in block))
-        products = (matrices[[s[0] - 1 for s in suffixes]]
-                    @ products[[index[s[1:]] for s in suffixes]])
-        index = {s: k for k, s in enumerate(suffixes)}
-    return products
+    for j in range(width - 1, -1, -1):
+        heads = runs[:, j].nonzero()[0]
+        products = matrices[block[heads, j] - 1] @ products[below[heads, j + 1]]
+        if counts[j]:
+            rows = (firsts == j).nonzero()[0]
+            out[order[rows]] = products[below[rows, j]]
+    return out
 
 
 def enumerate_candidates(family: MatrixFamily, max_length: int,
@@ -145,9 +166,14 @@ def enumerate_candidates(family: MatrixFamily, max_length: int,
     order of enumeration.  In the ``"min"`` sense a nilpotent product
     short-circuits the search: the lower spectral radius is zero.
 
-    Only the Lyndon readings are scored, in stacks of products with one
-    ``eigvals`` call each, but the budget counts all ``m**k`` readings of
-    each length ``k``.
+    Only the Lyndon readings are scored, in that order, in stacks of at
+    most ``_STACK_ENTRIES`` product entries that may hold several lengths,
+    with one ``eigvals`` call each; the budget counts all ``m**k``
+    readings of each length ``k``.  A word's score ``rho ** (1 / k)`` is
+    Python's float power, whose last bit ``np.power`` does not always
+    match.  Each stack's scores are scanned in bulk for the next word that
+    beats the best so far, and the scan repeats from there, so the best is
+    the one a word-by-word scan keeps.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -158,37 +184,58 @@ def enumerate_candidates(family: MatrixFamily, max_length: int,
     if total > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError("enumerating %d words exceeds the budget of %d"
                                      % (total, _ENUMERATION_BUDGET))
+    # Every reading in one array, each ending at the last column.
+    by_length = _lyndon_readings(m, max_length)
+    lengths = np.repeat(np.arange(1, max_length + 1), [len(r) for r in by_length])
+    readings = np.zeros((len(lengths), max_length), dtype=np.intp)
+    row = 0
+    for k, batch in enumerate(by_length, 1):
+        if batch:
+            readings[row:row + len(batch), max_length - k:] = batch
+        row += len(batch)
+    exponents = (1.0 / lengths).tolist()
+
+    def word(i: int) -> Word:
+        return tuple(readings[i, max_length - lengths[i]:][::-1].tolist())
+
     matrices = np.stack(family.matrices)
     block_size = max(1, _STACK_ENTRIES // family.dim ** 2)
-    best: Optional[Tuple[float, Word]] = None
+    best: Optional[Tuple[float, int]] = None
     rel = 1e-12
-    for readings in _lyndon_readings(m, max_length):
-        for start in range(0, len(readings), block_size):
-            block = readings[start:start + block_size]
-            products = _block_products(matrices, block)
-            # Score the block up to its first overflowed product, which
-            # ends the search unless a nilpotent word before it does.
-            finite = np.isfinite(products).all(axis=(1, 2))
-            cut = len(block) if finite.all() else int(finite.argmin())
-            for reading, rho in zip(block, spectral_radii(products[:cut]).tolist()):
-                word = reading[::-1]
-                if sense == "min" and rho == 0.0:
-                    return make_candidate(family, word)
-                score = rho ** (1.0 / len(word)) if rho > 0.0 else 0.0
-                if best is None:
-                    best = (score, word)
-                    continue
-                margin = rel * max(score, best[0], 1e-300)
-                if sense == "max":
-                    if score > best[0] + margin:
-                        best = (score, word)
-                else:
-                    if score < best[0] - margin:
-                        best = (score, word)
-            if cut < len(block):
-                raise MatrixError("matrix entries must be finite")
+    for start in range(0, len(readings), block_size):
+        stop = min(start + block_size, len(readings))
+        # A stack can reach past its first overflowed product, and the
+        # MatrixError below reports it: numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = _block_products(
+                matrices, readings[start:stop, max_length - lengths[stop - 1]:])
+        # Score the stack up to its first overflowed product, which ends
+        # the search unless a nilpotent word before it does.
+        finite = np.isfinite(products).all(axis=(1, 2))
+        cut = len(products) if finite.all() else int(finite.argmin())
+        radii = spectral_radii(products[:cut])
+        if sense == "min" and (nilpotent := radii == 0.0).any():
+            return make_candidate(family, word(start + int(nilpotent.argmax())))
+        scores = np.array([rho ** e if rho > 0.0 else 0.0 for rho, e
+                           in zip(radii.tolist(), exponents[start:start + cut])])
+        i = 0
+        if best is None and cut:
+            best = (scores[0], start)
+            i = 1
+        while i < cut:
+            rest = scores[i:]
+            margin = rel * np.maximum(np.maximum(rest, best[0]), 1e-300)
+            beats = (rest > best[0] + margin if sense == "max"
+                     else rest < best[0] - margin)
+            if not beats.any():
+                break
+            i += int(beats.argmax())
+            best = (scores[i], start + i)
+            i += 1
+        if cut < len(products):
+            raise MatrixError("matrix entries must be finite")
     assert best is not None
-    return make_candidate(family, best[1])
+    return make_candidate(family, word(best[1]))
 
 
 def _coordinate_keys(family: MatrixFamily, letters: Sequence[int],

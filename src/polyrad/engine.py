@@ -91,6 +91,7 @@ from .membership import (
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
+    one_vertex_bound,
 )
 from .stores import FacetStore, facet_bound
 
@@ -177,7 +178,7 @@ class PolytopeState:
     k: int = 0
     t_history: List[List[float]] = field(default_factory=list)
     store: Optional[FacetStore] = None
-    deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = field(
+    deferred: List[Tuple[int, np.ndarray, int, object]] = field(
         default_factory=list)
 
 
@@ -242,13 +243,15 @@ def _initial_state(roots: Sequence[CyclicRoot], family_size: int) -> PolytopeSta
 def _membership(spec: Mode, z, V: np.ndarray, start,
                 extension: Optional[ConeExtension],
                 store: Optional[FacetStore] = None) -> float:
-    """The LP value of ``z`` over ``V`` with the extension's rays; an
-    optimal LP of mode R or L feeds ``store``, the growth's store of ``V``."""
+    """The LP value of ``z`` over ``V`` with the extension's rays, from
+    ``start``: mode R's support basis from :meth:`Mode.bound`, or mode L's
+    :func:`one_vertex_bound` over ``V``; an optimal LP of mode R or L feeds
+    ``store``, the growth's store of ``V``."""
     # Looked up by name per call, so that wrapping the module attribute works.
     if spec.sign < 0:
         if extension is not None and extension.rays:
-            return antinorm_membership_ext(z, V, extension.matrix, store)
-        return antinorm_membership_L(z, V, store)
+            return antinorm_membership_ext(z, V, extension.matrix, store, start)
+        return antinorm_membership_L(z, V, store, start)
     if spec.balanced:
         return norm_membership_R(z, V, start, store)
     return norm_membership_P(z, V)
@@ -317,7 +320,8 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     bound (:func:`~polyrad.stores.facet_bound`) puts it outside is alive
     without an LP; its facet bound is recorded and it joins
     ``state.deferred`` (:func:`_solve_deferred`).  Every other mode-R LP
-    starts from the best support's basis; an optimal LP of mode R or L
+    starts from the best support's basis, and a mode-L LP takes the
+    one-vertex bound already found; an optimal LP of mode R or L
     feeds the growth's store.  ``counts``, when given, tallies the LPs solved and skipped.
     ``duals``, when given, holds each root chain's duals, and an alive
     point is tested against those of the chain it descends from.  Raises
@@ -332,7 +336,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     if store is None:
         store = state.store = spec.store()
     t_values: List[float] = []
-    deferred: List[Tuple[int, np.ndarray, int, Optional[list]]] = []
+    deferred: List[Tuple[int, np.ndarray, int, object]] = []
     new_frontier: List[int] = []
     for vid, p in state.R:
         node = state.nodes[vid]
@@ -344,7 +348,12 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                     "construction does not apply")
             t = math.inf
         else:
-            t, start = spec.bound(z, state.vertices, store)
+            if spec.sign < 0:
+                # The antinorm LP takes this bound and its row as they are.
+                start = one_vertex_bound(spec, z, state.vertices)
+                t = start[0]
+            else:
+                t, start = spec.bound(z, state.vertices, store)
             if _is_dead(spec, t, config.remove_boundary):
                 counts.skipped += 1
             elif store is not None and spec.slack(t_far := facet_bound(

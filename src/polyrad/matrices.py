@@ -148,9 +148,33 @@ def canonical_word(word: Sequence[int]) -> Word:
     return tuple(reversed(best))
 
 
+def _screen(eigvals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Top modulus of each row of a ``(k, d)`` eigenvalue array, and whether
+    that row needs the cluster rule of :func:`_top_modulus`.
+
+    A row is flagged when its top modulus is nonzero and the top eigenvalue
+    has a neighbour within ``_CLUSTER_TOL * rho`` both in modulus and in
+    the plane.  Any other row's cluster is its top eigenvalue alone, and its
+    radius is the top modulus; a complex-conjugate top pair is farther
+    apart than that.
+    """
+    moduli = np.abs(eigvals)
+    rows = np.arange(len(moduli))
+    top = moduli.argmax(axis=1)
+    rho = moduli[rows, top]
+    width = _CLUSTER_TOL * rho
+    flagged = (rho != 0.0) & (np.add.reduce(moduli >= (rho - width)[:, None], axis=1) >= 2)
+    if flagged.any():
+        flagged &= np.add.reduce(np.abs(eigvals - eigvals[rows, top, None])
+                                 <= width[:, None], axis=1) >= 2
+    return rho, flagged
+
+
 def _top_modulus(M: np.ndarray, eigvals: np.ndarray,
                  eigvecs: Optional[np.ndarray] = None) -> float:
-    """Largest eigenvalue modulus, reading a split defective eigenvalue as one.
+    """Largest eigenvalue modulus of one matrix, reading a split defective
+    eigenvalue as one: the screen of :func:`_screen`, then the cluster rule
+    for a matrix it flags.
 
     ``eig`` splits a nearly defective eigenvalue by about the square root of
     machine epsilon into values whose eigenvectors are nearly parallel, and
@@ -165,21 +189,14 @@ def _top_modulus(M: np.ndarray, eigvals: np.ndarray,
     eigenvectors keep their own moduli, however close.  ``eigvecs``, when
     given, must come with ``eigvals`` from ``np.linalg.eig(M)``.
     """
-    moduli = np.abs(eigvals)
-    top = int(moduli.argmax())
-    rho = float(moduli[top])
-    width = _CLUSTER_TOL * rho
-    # Unless the top eigenvalue has a neighbour within ``width`` its cluster
-    # is itself, and the radius is rho.  A complex-conjugate top pair is
-    # farther apart than that.
-    if (rho == 0.0 or np.count_nonzero(moduli >= rho - width) < 2
-            or np.count_nonzero(np.abs(eigvals - eigvals[top]) <= width) < 2):
-        return rho
+    rho, flagged = _screen(eigvals[None])
+    if not flagged[0]:
+        return float(rho[0])
     if eigvecs is None:
         eigvals, eigvecs = np.linalg.eig(M)
-        moduli = np.abs(eigvals)
-        rho = float(np.max(moduli))
-        width = _CLUSTER_TOL * rho
+    moduli = np.abs(eigvals)
+    rho = float(np.max(moduli))
+    width = _CLUSTER_TOL * rho
     bound = _SPLIT_FACTOR * len(eigvals) * _EPS * float(np.linalg.norm(M))
     shell = np.flatnonzero(moduli >= rho - width)
     shell = shell[np.argsort(-moduli[shell], kind="stable")]
@@ -203,15 +220,20 @@ def spectral_radii(stack) -> np.ndarray:
 
     Each radius is the largest eigenvalue modulus, with a nearly defective
     top eigenvalue that ``eigvals`` split counted once, at the mean of its
-    split values (see :func:`_top_modulus`).  A radius at most 1e-12 of
-    its own matrix's scale ``max(1, max|M|)`` is clamped to 0.
+    split values.  The screen of :func:`_screen` runs on the whole stack at
+    once, and only the matrices it flags go through the cluster rule of
+    :func:`_top_modulus`, one at a time.  A radius at most 1e-12 of its own
+    matrix's scale ``max(1, max|M|)`` is clamped to 0.
     """
     S = np.asarray(stack, dtype=float)
     if S.ndim != 3 or S.shape[1] != S.shape[2] or S.shape[1] == 0:
         raise MatrixError("expected a stack of square matrices, got shape %r" % (S.shape,))
     if not np.all(np.isfinite(S)):
         raise MatrixError("matrix entries must be finite")
-    radii = np.array([_top_modulus(M, w) for M, w in zip(S, np.linalg.eigvals(S))])
+    eigvals = np.linalg.eigvals(S)
+    radii, flagged = _screen(eigvals)
+    for i in np.flatnonzero(flagged):
+        radii[i] = _top_modulus(S[i], eigvals[i])
     scales = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
     radii[radii <= _ZERO_RADIUS_TOL * scales] = 0.0
     return radii

@@ -299,13 +299,15 @@ def _vertex_basis(z, Vm, best: int) -> list:
     return start
 
 
-def antinorm_membership_L(z, V, facets: Optional[FacetStore] = None) -> float:
+def antinorm_membership_L(z, V, facets: Optional[FacetStore] = None,
+                          vertex: Optional[Tuple[float, int]] = None) -> float:
     """Antinorm membership value: infeasible programs return ``inf``."""
-    return antinorm_membership_ext(z, V, None, facets)
+    return antinorm_membership_ext(z, V, None, facets, vertex)
 
 
 def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
-                            facets: Optional[FacetStore] = None) -> float:
+                            facets: Optional[FacetStore] = None,
+                            vertex: Optional[Tuple[float, int]] = None) -> float:
     """Antinorm membership against the hull of ``V`` plus recession rays ``H``.
 
     Minimizes ``t`` subject to ``t z >= sum_x c_x x + sum_h c_h h`` with
@@ -323,12 +325,14 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
     one-vertex bound; both bound the true minimum from above.
     ``facets``, when given, is the :class:`~polyrad.stores.FacetStore` of
     ``V``, and an optimal LP's duals join it
-    (:func:`~polyrad.stores._remember_dual`).
+    (:func:`~polyrad.stores._remember_dual`).  ``vertex``, when given, is
+    :func:`one_vertex_bound` of ``z`` over ``V``, which the caller has
+    already taken.
     """
     z, Vm = _stack(z, V)
     k = Vm.shape[0]
     rays = _rays(H, z.size)
-    bound, best = one_vertex_bound(MODES[MODE_L], z, Vm)
+    bound, best = one_vertex_bound(MODES[MODE_L], z, Vm) if vertex is None else vertex
     start = None if best < 0 else _vertex_basis(z, Vm, best)
     outcome = _antinorm_lp(z, Vm, None if rays is None else rays.T, start)
     if outcome.status == INFEASIBLE:

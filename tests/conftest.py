@@ -10,8 +10,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polyrad import MatrixFamily
+
+# Local runs keep no example database, so that a failing draw saved by one
+# run is not replayed first by every later one.  Re-registering the default
+# profile loads it at once; under CI Hypothesis has loaded its own "ci"
+# profile instead, which this leaves as it is.
+settings.register_profile("default", settings.get_profile("default"), database=None)
 
 
 def brute_force_rates(family: MatrixFamily, max_length: int):

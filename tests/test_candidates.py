@@ -136,6 +136,15 @@ LATE_NILPOTENT = MatrixFamily([[[1, 1, 0], [1, 0, 0], [0, 0, 0]],
                                [[0, 0, 1], [1, 0, 0], [0, 1, 1]]])
 
 
+# Families whose candidate search meets ties (the diagonal pair's two
+# letters, euler_binary's symmetric words) or a nilpotent word.
+TIE_FAMILIES = [
+    (MatrixFamily([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]), 8),
+    (euler_binary(7), 9),
+    (LATE_NILPOTENT, 8),
+]
+
+
 class TestEnumerationOracle:
     @pytest.mark.parametrize("kind", ["gaussian-equal-norm", "nonneg-uniform", "binary"])
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -148,17 +157,29 @@ class TestEnumerationOracle:
             assert cand.word == word
             assert cand.rho.hex() == rho.hex()
 
-    @pytest.mark.parametrize("fam, cap", [
-        (MatrixFamily([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]), 8),
-        (euler_binary(7), 9),
-        (LATE_NILPOTENT, 8),
-    ], ids=["tied-diagonal-pair", "euler-binary-7", "late-nilpotent"])
+    @pytest.mark.parametrize("fam, cap", TIE_FAMILIES,
+                             ids=["tied-diagonal-pair", "euler-binary-7", "late-nilpotent"])
     def test_ties_and_nilpotent_words_resolve_as_the_scan(self, fam, cap):
         for sense in ("max", "min"):
             cand = enumerate_candidates(fam, cap, sense)
             word, rho = reference_enumeration(fam, cap, sense)
             assert cand.word == word
             assert cand.rho.hex() == rho.hex()
+
+    @pytest.mark.parametrize("fam, cap", TIE_FAMILIES + [
+        (random_family(kind, d, m, seed=10 * d + m), cap)
+        for kind in ("gaussian-equal-norm", "nonneg-uniform", "binary")
+        for d in (2, 3, 5, 7) for m, cap in ((2, 8), (3, 6))])
+    def test_one_reading_per_stack_gives_the_same_candidate(self, monkeypatch, fam, cap):
+        # Every stack holds one reading, so each tie, improvement and
+        # nilpotent word meets the bulk scan at a stack boundary.
+        default = [enumerate_candidates(fam, cap, sense) for sense in ("max", "min")]
+        monkeypatch.setattr(candidates, "_STACK_ENTRIES", 1)
+        for sense, expected in zip(("max", "min"), default):
+            cand = enumerate_candidates(fam, cap, sense)
+            word, rho = reference_enumeration(fam, cap, sense)
+            assert cand.word == expected.word == word
+            assert cand.rho.hex() == expected.rho.hex() == rho.hex()
 
     def test_late_nilpotent_word_ends_the_min_search(self):
         cand = enumerate_candidates(LATE_NILPOTENT, 8, "min")

@@ -19,6 +19,7 @@ from polyrad.matrices import (
     COMPLEX_LEADING,
     REAL_SIMPLE_UNIQUE,
     ZERO_RADIUS,
+    _screen,
     _top_modulus,
     spectral_radii,
     word_reading,
@@ -270,6 +271,58 @@ class TestSpectralRadii:
         assert radii[1] == pytest.approx(2.0, rel=1e-14)
         assert radii[2] == pytest.approx(2.0, rel=1e-14)
         assert radii.tolist() == [spectral_radius(M) for M in stack]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_the_stacked_screen_routes_as_the_per_matrix_rule(self, seed, signed):
+        # Split Jordan blocks, close distinct and exactly double eigenvalues,
+        # zero and nilpotent matrices and generic ones at random places in
+        # one stack; with ``signed``, also complex pairs and nilpotent
+        # matrices in random coordinates, which make the stack's eigvals
+        # complex.  Each radius must be bitwise what _top_modulus gives for
+        # its row of the stacked eigvals, clamped as spectral_radii clamps.
+        rng = np.random.default_rng(seed)
+        d = 4
+
+        def similar(M):
+            S = rng.normal(size=(d, d))
+            return S @ M @ np.linalg.inv(S)
+
+        def rotated(M):
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            return Q @ M @ Q.T
+
+        # eigvals splits the double eigenvalue 2 of ``split`` into two real
+        # values, that of ``jordan`` in random coordinates into real or
+        # complex ones.
+        split = np.diag([0.0, 0.0, 0.5, -0.25])
+        split[:2, :2] = ROTATED_JORDAN
+        permute = np.eye(d)[rng.permutation(d)]
+        split = permute @ split @ permute.T
+        jordan = np.diag([2.0, 2.0, 0.5, -0.25])
+        jordan[0, 1] = 1.0
+        top = rng.uniform(1.0, 3.0)
+        close = np.diag([top, top * (1.0 + 3e-8), 0.5, 0.25])
+        stack = [split, -split, rotated(close),
+                 np.diag([3.0, 3.0, 1.0, -1.0]), np.zeros((d, d)),
+                 np.triu(rng.random((d, d)), 1), rotated(np.diag(rng.random(d)))]
+        stack += [A + A.T for A in rng.random((4, d, d))]
+        if signed:
+            turn = np.diag([0.0, 0.0, 0.5, 0.25])
+            turn[:2, :2] = top * np.array([[0.6, -0.8], [0.8, 0.6]])
+            stack += [similar(jordan), similar(turn), similar(np.triu(np.ones((d, d)), 1)),
+                      rng.normal(size=(d, d)), rng.random((d, d))]
+        S = np.stack([stack[i] for i in rng.permutation(len(stack))])
+        eigvals = np.linalg.eigvals(S)
+        assert np.iscomplexobj(eigvals) == signed
+        flagged = _screen(eigvals)[1]
+        assert flagged.any() and not flagged.all()
+        expected = []
+        for M, w in zip(S, eigvals):
+            rho = _top_modulus(M, w)
+            expected.append(0.0 if rho <= 1e-12 * max(1.0, float(np.max(np.abs(M))))
+                            else rho)
+        assert [float(r).hex() for r in spectral_radii(S)] == [r.hex() for r in expected]
 
     def test_rejects_a_matrix_that_is_not_a_stack(self):
         with pytest.raises(MatrixError):
