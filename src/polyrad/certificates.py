@@ -355,7 +355,7 @@ def verify(family: MatrixFamily, cert: Certificate) -> VerificationReport:
                 elif spec.balanced:  # the LPs are looked up by name, as in the engine
                     t = norm_membership_R(z, Vm, start, store)
                     report.lps_solved += 1
-                else:
+                else:  # start names a row of inside, not of Vm
                     t = (norm_membership_P(z, Vm) if spec.sign > 0
                          else antinorm_membership_ext(z, Vm, H))
                     report.lps_solved += 1

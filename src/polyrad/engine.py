@@ -91,7 +91,6 @@ from .membership import (
     is_zero_image,
     norm_membership_P,
     norm_membership_R,
-    one_vertex_bound,
 )
 from .stores import FacetStore, facet_bound
 
@@ -244,9 +243,8 @@ def _membership(spec: Mode, z, V: np.ndarray, start,
                 extension: Optional[ConeExtension],
                 store: Optional[FacetStore] = None) -> float:
     """The LP value of ``z`` over ``V`` with the extension's rays, from
-    ``start``: mode R's support basis from :meth:`Mode.bound`, or mode L's
-    :func:`one_vertex_bound` over ``V``; an optimal LP of mode R or L feeds
-    ``store``, the growth's store of ``V``."""
+    ``start``, :meth:`Mode.bound`'s over ``V`` (mode P's LP takes none); an
+    optimal LP of mode R or L feeds ``store``, the growth's store of ``V``."""
     # Looked up by name per call, so that wrapping the module attribute works.
     if spec.sign < 0:
         if extension is not None and extension.rays:
@@ -319,10 +317,9 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
     R) puts it inside the body.  A mode-R or mode-L image whose facet
     bound (:func:`~polyrad.stores.facet_bound`) puts it outside is alive
     without an LP; its facet bound is recorded and it joins
-    ``state.deferred`` (:func:`_solve_deferred`).  Every other mode-R LP
-    starts from the best support's basis, and a mode-L LP takes the
-    one-vertex bound already found; an optimal LP of mode R or L
-    feeds the growth's store.  ``counts``, when given, tallies the LPs solved and skipped.
+    ``state.deferred`` (:func:`_solve_deferred`).  Every other LP takes the
+    start that came with the bound; an optimal LP of mode R or L feeds the
+    growth's store.  ``counts``, when given, tallies the LPs solved and skipped.
     ``duals``, when given, holds each root chain's duals, and an alive
     point is tested against those of the chain it descends from.  Raises
     :class:`StoppingViolation` when a dual test fails,
@@ -348,12 +345,7 @@ def iterate(state: PolytopeState, scaled: MatrixFamily, config: RunConfig,
                     "construction does not apply")
             t = math.inf
         else:
-            if spec.sign < 0:
-                # The antinorm LP takes this bound and its row as they are.
-                start = one_vertex_bound(spec, z, state.vertices)
-                t = start[0]
-            else:
-                t, start = spec.bound(z, state.vertices, store)
+            t, start = spec.bound(z, state.vertices, store)
             if _is_dead(spec, t, config.remove_boundary):
                 counts.skipped += 1
             elif store is not None and spec.slack(t_far := facet_bound(

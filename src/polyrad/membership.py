@@ -20,10 +20,11 @@ The bodies of modes P and L are monotone, so a single vertex already
 bounds the value (:func:`one_vertex_bound`).  Mode R's value is bounded
 from below by a recent optimal support
 (:func:`~polyrad.stores.support_bound`).  :meth:`Mode.bound` picks the
-mode's, which settles a point without an LP.  The optimal LPs of modes R
-and L feed the growth's store of :mod:`polyrad.stores`
-(:meth:`Mode.store`), whose facets bound the value on the other side
-(:func:`~polyrad.stores.facet_bound`).  Each body builds its own program
+mode's, which settles a point without an LP, with the LP's start: the
+support, or the vertex, that each function maps to its own columns.
+The optimal LPs of modes R and L feed the growth's store of
+:mod:`polyrad.stores` (:meth:`Mode.store`), whose facets bound the value
+on the other side (:func:`~polyrad.stores.facet_bound`).  Each body builds its own program
 as arrays (:class:`~polyrad.simplex.LinearProgram`), and refuses a
 point, vertex or ray that is not finite; the antinorm LP starts from the best covering
 vertex's basis, the balanced-hull LP from the best cached support's and
@@ -81,13 +82,15 @@ class Mode:
         """How far value ``t`` lies outside the body, negative inside."""
         return 1.0 - t if self.sign > 0 else t - 1.0
 
-    def bound(self, z, points, store) -> Tuple[float, Optional[list]]:
-        """The value of ``z`` that ``points`` of the body prove, and mode R's
-        LP start: :func:`~polyrad.stores.support_bound` over ``store`` in
-        R, :func:`one_vertex_bound` in P, L."""
+    def bound(self, z, points, store) -> Tuple[float, object]:
+        """The value of ``z`` that ``points`` of the body prove, with the
+        mode's LP start: the best cached support of ``store`` in R
+        (:func:`~polyrad.stores.support_bound`), the ``(bound, row)`` pair
+        of :func:`one_vertex_bound` in P and L."""
         if self.balanced:
-            return support_bound(z, points, store)
-        return one_vertex_bound(self, z, points)[0], None
+            return support_bound(z, store)
+        vertex = one_vertex_bound(self, z, points)
+        return vertex[0], vertex
 
     def store(self) -> Optional[FacetStore]:
         """A new store for one growth's optimal LPs, whose facets bound a
@@ -180,7 +183,7 @@ def one_vertex_bound(spec: Mode, z, Vm: np.ndarray) -> Tuple[float, int]:
     return float(values[best]), best
 
 
-def norm_membership_R(z, V, start: Optional[list] = None,
+def norm_membership_R(z, V, start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                       supports: Optional[SupportStore] = None) -> float:
     """Membership value of ``z`` in the balanced hull of ``V``.
 
@@ -188,10 +191,13 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     the signed coefficients are split into positive and negative parts,
     over the columns ``[z | -V^T | V^T]``: variable ``1 + x`` is the
     positive part of row ``x``'s coefficient and ``1 + n + x`` its negative
-    part.  ``start``, from :func:`~polyrad.stores.support_bound`, is a
-    primal feasible basis, and phase 2 runs from it alone.  ``supports``,
-    when given, is the :class:`~polyrad.stores.SupportStore` of ``V``, and
-    the LP's support is put at its front with the LP's facet.
+    part.  ``start``, from :func:`~polyrad.stores.support_bound`, names a
+    support that reproduces ``z``: its rows and whether each coefficient is
+    negative.  Its basis, ``t`` and per row the part that carries the
+    coefficient, is primal feasible, and phase 2 runs from it alone.
+    ``supports``, when given, is the :class:`~polyrad.stores.SupportStore`
+    of ``V``, and the LP's support is put at its front with the LP's
+    facet.
 
     Since ``t z = V^T c`` with ``sum |c| <= 1``, ``t max|z|`` is at most
     ``max|V|``.  A value below ``_SUPPORT_RESIDUAL`` of that ceiling is the
@@ -213,6 +219,9 @@ def norm_membership_R(z, V, start: Optional[list] = None,
     b = np.zeros(d + 1)
     b[d] = 1.0
     lp = LinearProgram("max", objective, A, [EQ] * d + [LE], b)
+    if start is not None:
+        rows, negative = start
+        start = [0] + (np.where(negative, 1 + n, 1) + rows).tolist()
     outcome = solve_lp(lp, assume_bounded=True, start=start)
     if outcome.status != OPTIMAL:
         raise MembershipError("balanced-hull membership LP ended %s" % outcome.status)
@@ -300,14 +309,14 @@ def _vertex_basis(z, Vm, best: int) -> list:
 
 
 def antinorm_membership_L(z, V, facets: Optional[FacetStore] = None,
-                          vertex: Optional[Tuple[float, int]] = None) -> float:
+                          start: Optional[Tuple[float, int]] = None) -> float:
     """Antinorm membership value: infeasible programs return ``inf``."""
-    return antinorm_membership_ext(z, V, None, facets, vertex)
+    return antinorm_membership_ext(z, V, None, facets, start)
 
 
 def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
                             facets: Optional[FacetStore] = None,
-                            vertex: Optional[Tuple[float, int]] = None) -> float:
+                            start: Optional[Tuple[float, int]] = None) -> float:
     """Antinorm membership against the hull of ``V`` plus recession rays ``H``.
 
     Minimizes ``t`` subject to ``t z >= sum_x c_x x + sum_h c_h h`` with
@@ -324,23 +333,23 @@ def antinorm_membership_ext(z, V, H: Optional[Sequence] = None,
     returned value is the smaller of the certified LP value and the
     one-vertex bound; both bound the true minimum from above.
     ``facets``, when given, is the :class:`~polyrad.stores.FacetStore` of
-    ``V``, and an optimal LP's duals join it
-    (:func:`~polyrad.stores._remember_dual`).  ``vertex``, when given, is
+    ``V``, and an optimal LP's coordinate-row duals join it
+    (:func:`~polyrad.stores._remember_dual`).  ``start``, when given, is
     :func:`one_vertex_bound` of ``z`` over ``V``, which the caller has
-    already taken.
+    already taken (:meth:`Mode.bound`).
     """
     z, Vm = _stack(z, V)
     k = Vm.shape[0]
     rays = _rays(H, z.size)
-    bound, best = one_vertex_bound(MODES[MODE_L], z, Vm) if vertex is None else vertex
-    start = None if best < 0 else _vertex_basis(z, Vm, best)
-    outcome = _antinorm_lp(z, Vm, None if rays is None else rays.T, start)
+    bound, best = one_vertex_bound(MODES[MODE_L], z, Vm) if start is None else start
+    basis = None if best < 0 else _vertex_basis(z, Vm, best)
+    outcome = _antinorm_lp(z, Vm, None if rays is None else rays.T, basis)
     if outcome.status == INFEASIBLE:
         return bound
     if outcome.status != OPTIMAL:
         raise MembershipError("antinorm membership LP ended %s" % outcome.status)
     if facets is not None:
-        _remember_dual(facets, outcome.duals, Vm, rays)
+        _remember_dual(facets, outcome.duals[:z.size], Vm, rays)
     t = float(outcome.value)
     # Certify from an exactly feasible set of weights: any feasible
     # decomposition bounds the minimum from above, so the returned

@@ -481,12 +481,11 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         A_std = T[:, :total].copy()
         b_std = T[:, -1].copy()
     obj = W[m]
+    # The outcome, filled in place: the rebuild counts its solves there.
+    out = LPOutcome(OPTIMAL, started=start is not None)
     # The last basis the rebuild solved, with that solve (basic values and
-    # B^-1 A, None for a singular basis or a solve that is not finite); the
-    # counts of solves whose rebuild was accepted and refused, and of
-    # np.linalg.solve calls.
+    # B^-1 A, None for a singular basis or a solve that is not finite).
     kept = None
-    rebuilds = refused = solves = 0
 
     def make_refactor(cost_full: np.ndarray, dual: bool = False,
                       strict: bool = False):
@@ -495,14 +494,14 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         raising instead when ``strict``.  ``dual`` checks the reduced costs
         instead of the basic values."""
         def refactor(basis_now: np.ndarray, T: np.ndarray, obj: np.ndarray) -> None:
-            nonlocal kept, rebuilds, refused, solves
+            nonlocal kept
             new = kept is None or not (kept[0] == basis_now).all()
             if new:
                 B = A_std[:, basis_now]
-                solves += 1
+                out.solves += 1
                 try:
                     y = np.linalg.solve(B, b_std)
-                    solves += 2
+                    out.solves += 2
                     y += np.linalg.solve(B, b_std - B @ y)
                     Binv_A = np.linalg.solve(B, A_std)
                     if not (np.isfinite(y).all() and np.isfinite(Binv_A).all()):
@@ -516,7 +515,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                 reduced = cost_full - cb @ Binv_A
                 # A program without rows has no basic values, hence initial.
                 if float((reduced if dual else y).min(initial=0.0)) >= -1e-7:
-                    rebuilds += new
+                    out.rebuilds += new
                     if dual:
                         reduced = np.maximum(reduced, 0.0)
                     else:
@@ -526,7 +525,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                     obj[:-1] = reduced
                     obj[-1] = -float(cb @ y)
                     return
-            refused += new
+            out.rebuilds_refused += new
             if strict:
                 raise LPCyclingError("the rebuild refused a basis of the started solve")
         return refactor
@@ -535,8 +534,6 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     cost2[:ncols] = cost
     allowed = np.ones(total, dtype=bool)
     refactor2 = make_refactor(cost2, strict=start is not None)
-    pivots1 = retired = 0
-    bland1 = False
     if start is not None:
         basis = _start_columns(start, ineq, ncols)
         refactor2(basis, T, obj)
@@ -549,12 +546,12 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         basic_scale = np.full(total, bmax)
         basic_scale[ncols:] = np.where(b_std != 0.0, np.abs(b_std), 1e-4 * bmax)
         xtol = DUAL_TOL * basic_scale
-        status, pivots1, bland1 = _dual_loop(W, basis, xtol,
-                                             make_refactor(cost2, dual=True))
+        status, out.phase1_pivots, bland1 = _dual_loop(
+            W, basis, xtol, make_refactor(cost2, dual=True))
+        out.bland_switches = int(bland1)
         if status == INFEASIBLE:
-            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
-                             rebuilds=rebuilds, rebuilds_refused=refused,
-                             solves=solves, bland_switches=int(bland1))
+            out.status = INFEASIBLE
+            return out
     else:
         # Phase 1: minimize the sum of artificials.
         cost1 = np.zeros(total)
@@ -562,20 +559,19 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
         obj[:-1] = cost1
         for r in range(m):
             obj -= T[r]
-        status, pivots1, bland1 = _pivot_loop(W, basis, allowed, True,
-                                              make_refactor(cost1))
+        status, out.phase1_pivots, bland1 = _pivot_loop(
+            W, basis, allowed, True, make_refactor(cost1))
+        out.bland_switches = int(bland1)
         if status != OPTIMAL:
             raise LPCyclingError("phase 1 reported unbounded, which is impossible")
-        retired = total - int(np.count_nonzero(allowed))
+        out.columns_retired = total - int(np.count_nonzero(allowed))
         # Judge feasibility by the basic values that the last rebuild wrote
         # (the pivoted ones if it was refused), not by the objective row,
         # whose estimate of the artificial sum drifts over many pivots.
         art_sum = float(np.maximum(T[basis >= art0, -1], 0.0).sum())
         if art_sum > FEAS_TOL:
-            return LPOutcome(INFEASIBLE, phase1_pivots=pivots1,
-                             rebuilds=rebuilds, rebuilds_refused=refused,
-                             solves=solves, bland_switches=int(bland1),
-                             columns_retired=retired)
+            out.status = INFEASIBLE
+            return out
 
         # Drive artificials out of the basis where possible; the rest sit on
         # redundant rows at value zero and are barred from re-entering.
@@ -586,7 +582,7 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
                 if nonzero.size:
                     basis[r] = int(nonzero[0])
                     _pivot(W, r, basis[r])
-                    pivots1 += 1
+                    out.phase1_pivots += 1
 
         obj[:-1] = cost2
         obj[-1] = 0.0
@@ -594,15 +590,14 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
             cb = obj[basis[r]]
             if cb != 0.0:
                 obj -= cb * T[r]
-    started = start is not None
     open_columns = int(np.count_nonzero(allowed))
-    status, pivots2, bland2 = _pivot_loop(W, basis, allowed, assume_bounded,
-                                          refactor2)
-    switches = int(bland1) + int(bland2)
-    retired += open_columns - int(np.count_nonzero(allowed))
+    status, out.phase2_pivots, bland2 = _pivot_loop(W, basis, allowed,
+                                                    assume_bounded, refactor2)
+    out.bland_switches += int(bland2)
+    out.columns_retired += open_columns - int(np.count_nonzero(allowed))
     if status == UNBOUNDED:
-        return LPOutcome(UNBOUNDED, None, None, pivots1, pivots2, started,
-                         rebuilds, refused, solves, switches, retired)
+        out.status = UNBOUNDED
+        return out
 
     # The answer is the basic solution that the last rebuild wrote (the
     # pivoted one if it was refused), checked against the original
@@ -620,13 +615,12 @@ def _solve(lp: LinearProgram, assume_bounded: bool,
     if worst > 1e-6:
         raise LPCyclingError("solution violates constraints by %g" % worst)
 
-    duals = None
     if nslack == m:
         # Row i's slack enters the equilibrated, oriented row with +-1, so
         # its reduced cost is -(+-1) times that row's multiplier in min
         # form; undoing the row's factor and orientation gives the dual of
         # the original row, negated for a max.
         bounding = le if lp.sense == "max" else ~le
-        duals = np.where(bounding, 1.0, -1.0) * factor * obj[ncols:art0]
-    return LPOutcome(OPTIMAL, float(c0 @ x), x, pivots1, pivots2, started,
-                     rebuilds, refused, solves, switches, retired, duals)
+        out.duals = np.where(bounding, 1.0, -1.0) * factor * obj[ncols:art0]
+    out.value, out.assignment = float(c0 @ x), x
+    return out

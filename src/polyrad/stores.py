@@ -11,7 +11,9 @@ facet of its LP, written when the support is stored or refreshed.  A
 support that represents ``z`` exactly bounds its balanced-hull value from
 below (:func:`support_bound`), and the facets bound it from above
 (:func:`facet_bound`).  The membership functions of
-:mod:`polyrad.membership` fill the stores.
+:mod:`polyrad.membership` fill the stores, and map a support to its LP's
+columns and an LP's duals to a direction ``y``: the stores know no LP's
+layout.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class FacetStore:
 
     The directions sit in slots of stacks of ``SUPPORTS``, sized when the
     first one is stored, and never move: ``slot_y``, ``slot_y1``
-    (``|y|_1``) and ``slot_reach`` hold them in their first ``len(store)``
+    (``|y|_1``) and ``slot_reach`` hold them in their first ``count``
     slots, and ``order`` lists those slots newest first.  A new direction
     takes a free slot, or the oldest one's when the store is full
     (:meth:`_claim`)."""
@@ -60,9 +62,6 @@ class FacetStore:
         self.peak = 0.0
         self.order = np.empty(SUPPORTS, dtype=np.intp)
         self._allocate(0)
-
-    def __len__(self) -> int:
-        return self.count
 
     def _allocate(self, d: int) -> None:
         self.slot_y = np.empty((SUPPORTS, d))
@@ -112,8 +111,7 @@ class SupportStore(FacetStore):
     (:func:`facet_bound`).
 
     ``slot_rows``, ``slot_VT`` and ``slot_inv`` hold the supports in the
-    facets' slots; ``rows``, ``VT`` and ``inv`` read them newest first
-    (copies)."""
+    facets' slots."""
 
     sign = 1
 
@@ -123,26 +121,22 @@ class SupportStore(FacetStore):
         self.slot_VT = np.empty((SUPPORTS, d, d))
         self.slot_inv = np.empty((SUPPORTS, d, d))
 
-    rows = property(lambda self: self.slot_rows[self.order[:self.count]])
-    VT = property(lambda self: self.slot_VT[self.order[:self.count]])
-    inv = property(lambda self: self.slot_inv[self.order[:self.count]])
 
-
-def support_bound(z, Vm: np.ndarray,
-                  supports: SupportStore) -> Tuple[float, Optional[list]]:
+def support_bound(z, supports: SupportStore
+                  ) -> Tuple[float, Optional[Tuple[np.ndarray, np.ndarray]]]:
     """The balanced-hull membership value of ``z`` that the best stored
-    support proves, and that support's basis as a ``start`` for
-    :func:`~polyrad.membership.norm_membership_R` (``(0.0, None)`` when
-    none proves one).
+    support proves, and that support as a ``start`` for
+    :func:`~polyrad.membership.norm_membership_R`: its rows, and whether
+    each row's coefficient is negative (``(0.0, None)`` when none proves
+    one).  The rows are a copy, which a later eviction of the support's
+    slot leaves as it is.
 
     One batched product with the stored inverses gives ``c`` with ``V_S^T
     c = z`` for every support ``S``; ``c`` counts when ``V_S^T c``
     reproduces ``z`` to a relative residual of ``_SUPPORT_RESIDUAL``.  Then
     ``z / |c|_1`` is a point of the balanced hull, so ``t = 1 / |c|_1``
-    bounds the value from below, and the basis of ``t`` and, per row ``i``
-    of ``S``, the positive part of ``c_i`` when ``c_i >= 0`` and its
-    negative part otherwise, is primal feasible.  Among equal bounds the
-    newest support wins.  The supports' facets bound the value from above
+    bounds the value from below.  Among equal bounds the newest support
+    wins.  The supports' facets bound the value from above
     (:func:`facet_bound`).
     """
     n = supports.count
@@ -156,10 +150,7 @@ def support_bound(z, Vm: np.ndarray,
     best = int(order[norms[order].argmin()])
     if norms[best] == _INF:
         return 0.0, None
-    # Variable 1 + x is the positive part of row x's coefficient, 1 + n + x
-    # its negative part.
-    parts = np.where(c[best] >= 0.0, 1, 1 + Vm.shape[0]) + supports.slot_rows[best]
-    return 1.0 / float(norms[best]), [0] + parts.tolist()
+    return 1.0 / float(norms[best]), (supports.slot_rows[best].copy(), c[best] < 0.0)
 
 
 def facet_bound(z, Vm: np.ndarray, store: FacetStore) -> float:
@@ -212,9 +203,9 @@ def facet_bound(z, Vm: np.ndarray, store: FacetStore) -> float:
 
 def _remember_dual(facets: FacetStore, duals: np.ndarray, Vm: np.ndarray,
                    rays: Optional[np.ndarray]) -> None:
-    """Keep the coordinate-row duals of an antinorm LP over ``Vm``, clipped
-    at zero, as ``y`` in ``facets``, in place of the oldest when the store
-    is full.
+    """Keep ``duals``, the coordinate-row duals of an antinorm LP over
+    ``Vm``, clipped at zero, as ``y`` in ``facets``, in place of the oldest
+    when the store is full.
 
     A ``y`` that is zero or not finite is not kept, nor, with cone
     ``rays``, one whose computed ``y . h`` falls below its round-off bound
@@ -222,7 +213,7 @@ def _remember_dual(facets: FacetStore, duals: np.ndarray, Vm: np.ndarray,
     for a ray in use, and clipping or round-off can make it negative,
     where :func:`facet_bound` would be no bound."""
     d = Vm.shape[1]
-    y = np.maximum(duals[:d], 0.0)
+    y = np.maximum(duals, 0.0)
     y1 = float(y.sum())
     if not 0.0 < y1 < _INF:
         return

@@ -37,6 +37,12 @@ def store_of(V, supports):
         _remember_support(store, c, V)
     return store
 
+
+def newest_first(store, stack):
+    """The entries of ``stack``, one of ``store``'s slot arrays, that hold
+    its supports or facets, newest first."""
+    return stack[store.order[:store.count]]
+
 # Nonnegative entries from 1e-10 to 1, with exact zeros.
 TINY = st.one_of(st.just(0.0), st.floats(1e-10, 1.0))
 # Entries from 1e-4 to 1: smaller ones can make the two-phase simplex raise
@@ -119,7 +125,7 @@ class TestArrayInput:
 
     @pytest.mark.parametrize("call", [
         lambda z, V: norm_membership_R(
-            z, V, support_bound(z, V, store_of(V, [(0, 1, 2)]))[1], SupportStore()),
+            z, V, support_bound(z, store_of(V, [(0, 1, 2)]))[1], SupportStore()),
         norm_membership_P,
         antinorm_membership_L,
         lambda z, V: antinorm_membership_ext(z, V, [[0.1, 0.1, -1.0]]),
@@ -449,13 +455,17 @@ class TestModeTable:
         V = rng.uniform(0.1, 1.0, size=(5, 3))
         z = rng.uniform(0.1, 1.0, size=3)
         supports = store_of(V, [(0, 1, 2), (1, 3, 4)])
-        assert supports.rows.tolist() == [[0, 1, 2], [1, 3, 4]]
+        rows = newest_first(supports, supports.slot_rows)
+        assert rows.tolist() == [[0, 1, 2], [1, 3, 4]]
+        t, start = MODES[mode].bound(z, V, supports)
         if mode == MODE_R:
-            expected = support_bound(z, V, supports)
+            expected = support_bound(z, supports)
             assert expected[1] is not None
+            assert t == expected[0]
+            assert all(np.array_equal(a, b) for a, b in zip(start, expected[1]))
         else:
-            expected = (one_vertex_bound(MODES[mode], z, V)[0], None)
-        assert MODES[mode].bound(z, V, supports) == expected
+            vertex = one_vertex_bound(MODES[mode], z, V)
+            assert (t, start) == (vertex[0], vertex)
 
 
 class TestSupportCache:
@@ -466,25 +476,26 @@ class TestSupportCache:
     def test_singular_support_proves_nothing(self):
         # The store refuses the singular support, so it holds none.
         V = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        assert support_bound(self.z, V, store_of(V, [(0, 1)])) == (0.0, None)
+        assert support_bound(self.z, store_of(V, [(0, 1)])) == (0.0, None)
 
     def test_support_that_misses_z_proves_nothing(self):
         # Rows 0 and 1 are independent, but so nearly parallel that the
         # coefficients (about -7e14 and 7e14) miss z by 0.05.
         V = np.array([[1.0, 0.0], [1.0, 1e-15], [0.0, 1.0]])
         supports = store_of(V, [(0, 1)])
-        assert len(supports) == 1  # kept: its rank in floating point is 2
-        assert support_bound(self.z, V, supports) == (0.0, None)
-        assert support_bound(self.z, V, store_of(V, [(0, 1), (0, 2)])) == (1.0, [0, 1, 3])
+        assert supports.count == 1  # kept: its rank in floating point is 2
+        assert support_bound(self.z, supports) == (0.0, None)
+        t, (rows, negative) = support_bound(self.z, store_of(V, [(0, 1), (0, 2)]))
+        assert (t, rows.tolist(), negative.tolist()) == (1.0, [0, 2], [False, False])
 
     def test_rank_deficient_support_is_not_kept(self):
         V = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         supports = SupportStore()
         _remember_support(supports, np.array([0.5, 0.4, 0.1]), V)
-        assert len(supports) == 0
+        assert supports.count == 0
         _remember_support(supports, np.array([0.5, 0.1, 0.4]), V)
-        assert supports.rows.tolist() == [[0, 2]]
-        assert np.array_equal(supports.VT[0], V[[0, 2]].T)
+        assert newest_first(supports, supports.slot_rows).tolist() == [[0, 2]]
+        assert np.array_equal(supports.slot_VT[0], V[[0, 2]].T)
 
     def test_numerically_singular_support_is_not_kept(self):
         # LU does not see rows 0 and 1 as singular (the inverse has entries
@@ -493,9 +504,9 @@ class TestSupportCache:
         assert np.abs(np.linalg.inv(V[:2].T)).max() > 1e16
         supports = SupportStore()
         _remember_support(supports, np.array([0.5, 0.4, 0.1]), V)
-        assert len(supports) == 0
+        assert supports.count == 0
         _remember_support(supports, np.array([0.5, 0.1, 0.4]), V)
-        assert supports.rows.tolist() == [[0, 2]]
+        assert newest_first(supports, supports.slot_rows).tolist() == [[0, 2]]
 
 
 class TestVertexStart:

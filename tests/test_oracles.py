@@ -53,6 +53,7 @@ from polyrad.stores import (  # noqa: E402
 )
 from polyrad import membership, simplex  # noqa: E402
 from polyrad.simplex import INFEASIBLE, OPTIMAL, LinearProgram  # noqa: E402
+from test_membership import newest_first  # noqa: E402
 from test_simplex import from_rows  # noqa: E402
 
 INF = float("inf")
@@ -494,7 +495,7 @@ class TestBalancedHullMembership:
                 z[rng.random(d) < 0.2] = 0.0
                 if not np.any(z):
                     continue
-                bound, start = support_bound(z, V, supports)
+                bound, start = support_bound(z, supports)
                 t = norm_membership_R(z, V, start, supports)
                 expected = highs_balanced_hull(z, V)
                 assert t == pytest.approx(expected, rel=1e-9, abs=1e-9)
@@ -532,7 +533,7 @@ class TestSupportStore:
         supports = SupportStore()
         for c in vectors(data.draw, signed, data.draw(st.integers(1, 8)), k):
             _remember_support(supports, c, V)
-        bound, _ = support_bound(z, V, supports)
+        bound, _ = support_bound(z, supports)
         expected = 0.0 if off_the_span(z, V) else highs_balanced_hull(z, V)
         assert bound <= expected * (1.0 + 1e-9)
 
@@ -547,10 +548,12 @@ class TestSupportStore:
         for support in order:
             _remember_support(supports, indicator(n, support), V)
         newest = [list(support) for support in reversed(order)][:SUPPORTS]
-        assert len(supports) == SUPPORTS == 64
-        assert supports.rows.tolist() == newest
-        assert np.array_equal(supports.VT, V[supports.rows].transpose(0, 2, 1))
-        assert np.allclose(supports.inv @ supports.VT, np.eye(d), atol=1e-9)
+        rows, VT, inv = (newest_first(supports, stack) for stack in (
+            supports.slot_rows, supports.slot_VT, supports.slot_inv))
+        assert supports.count == SUPPORTS == 64
+        assert rows.tolist() == newest
+        assert np.array_equal(VT, V[rows].transpose(0, 2, 1))
+        assert np.allclose(inv @ VT, np.eye(d), atol=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -561,16 +564,49 @@ class TestSupportStore:
         supports = SupportStore()
         for support in order:
             _remember_support(supports, indicator(7, support), V)
-        before = (supports.rows, supports.VT, supports.inv)
+        stacks = (supports.slot_rows, supports.slot_VT, supports.slot_inv)
+        before = [newest_first(supports, stack) for stack in stacks]
         i = data.draw(st.integers(0, len(order) - 1))
         # Other coefficients with the same support.
-        c = indicator(7, supports.rows[i]) * data.draw(
+        c = indicator(7, before[0][i]) * data.draw(
             st.lists(st.floats(0.5, 2.0), min_size=7, max_size=7))
         with mock.patch.object(np.linalg, "inv", side_effect=AssertionError):
             _remember_support(supports, c, V)
         moved = [i] + [j for j in range(len(order)) if j != i]
-        for now, then in zip((supports.rows, supports.VT, supports.inv), before):
-            assert np.array_equal(now, then[moved])
+        for stack, then in zip(stacks, before):
+            assert np.array_equal(newest_first(supports, stack), then[moved])
+
+    def test_start_outlives_the_eviction_of_its_support(self, monkeypatch):
+        # A deferred image keeps its start while later LPs store supports,
+        # so the start must not read the slot its support was stored in.
+        started = []
+        solve = membership.solve_lp
+
+        def recording(*args, **kwargs):
+            outcome = solve(*args, **kwargs)
+            started.append(outcome.started)
+            return outcome
+
+        V = moment_curve(3, 9)
+        c = np.zeros(9)
+        c[[2, 4, 5]] = [0.5, -0.3, 0.2]
+        z = V.T @ c
+        supports = SupportStore()
+        _remember_support(supports, c, V)
+        _, start = support_bound(z, supports)
+        rows, negative = (part.copy() for part in start)
+        assert (rows.tolist(), negative.tolist()) == ([2, 4, 5], [False, True, False])
+        monkeypatch.setattr(membership, "solve_lp", recording)
+        value = norm_membership_R(z, V, start)
+        others = [s for s in combinations(range(9), 3) if s != (2, 4, 5)]
+        for support in others[:SUPPORTS]:
+            _remember_support(supports, indicator(9, support), V)
+        assert supports.count == SUPPORTS
+        assert not (supports.slot_rows == rows).all(axis=1).any()
+        assert np.array_equal(start[0], rows)
+        assert np.array_equal(start[1], negative)
+        assert norm_membership_R(z, V, start) == value
+        assert started == [True, True]
 
 
 # Multiples of 1/8 in [-1, 1]: balanced-hull programs over them stay clear
@@ -689,10 +725,10 @@ class TestAntinormFacetBound:
         H = np.array([[-1.0, 1.0]])
         z = np.array([0.5, 2.0])
         assert antinorm_membership_ext(z, V, H) == pytest.approx(0.8)
-        duals = np.array([1.0, -0.5, 1.0])
+        duals = np.array([1.0, -0.5])  # the coordinate rows' duals
         facets = FacetStore()
         _remember_dual(facets, duals, V, H)
-        assert len(facets) == 0
+        assert facets.count == 0
         assert facet_bound(z, V, facets) == 0.0
         kept = FacetStore()
         _remember_dual(kept, duals, V, None)
@@ -710,7 +746,7 @@ class TestAntinormFacetBound:
         assert H[0] @ y < 4 * np.finfo(float).eps * y.sum() * 0.75
         facets = FacetStore()
         assert antinorm_membership_ext(z, V, H, facets) == pytest.approx(14.25)
-        assert len(facets) == 0
+        assert facets.count == 0
 
     def test_full_store_replaces_its_oldest_dual(self):
         # Entries are multiples of 1/8, so every dot product is exact and a
@@ -724,7 +760,7 @@ class TestAntinormFacetBound:
         for y in duals:
             _remember_dual(facets, y, V, None)
             facet_bound(z, V, facets)
-        assert len(facets) == SUPPORTS
+        assert facets.count == SUPPORTS
         assert not (facets.slot_y == duals[0]).all(axis=1).any()
         last = FacetStore()
         for y in duals[1:]:
